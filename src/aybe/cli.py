@@ -2,19 +2,21 @@
 bracket, transform.
 
 Exit codes: 0 verified/success, 1 verification failed, 2 usage or parse
-error, 3 degenerate or singular input. Reports are JSON, deterministic
-byte-for-byte apart from the timing field.
+error (including JSON nested too deeply to decode), 3 degenerate or
+singular input. Reports are JSON, deterministic byte-for-byte apart from
+the timing field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
-from aybe.closedform import VARIANTS, compare_tensors, r_closed
+from aybe.closedform import VARIANTS, r_closed
 from aybe.exactlin import (
     SingularMatrix,
     format_rational,
@@ -35,7 +37,14 @@ from aybe.poisson import (
     matrix_bracket_from_r,
     scalar_bracket_from_r,
 )
-from aybe.tensor import Tensor4, aybe_report, check_skew, gl_transform, transpose_dual
+from aybe.tensor import (
+    Tensor4,
+    aybe_report,
+    check_skew,
+    compare_tensors,
+    gl_transform,
+    transpose_dual,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -273,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
             "quadratic Poisson brackets."
         ),
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized operations (reserved; current commands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the tensor from the matrix algebra")
@@ -337,12 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_lambda(argv: list[str]) -> list[str]:
+    """Rewrite `--lambda -1,0,1` as `--lambda=-1,0,1`; argparse would read
+    the leading `-<digit>` value as an option and reject it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-\d", arg):
+            out[-1] = f"--lambda={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"aybe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DegenerateForm, SingularMatrix) as exc:

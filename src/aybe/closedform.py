@@ -1,5 +1,5 @@
-"""The three explicit tensor families and the comparator that checks them
-against the Gram-inverse construction.
+"""The three explicit tensor families that the Gram-inverse construction
+is checked against.
 
 Variants:
   m1       single-index blocks (m == 1), pairwise-distinct lambda
@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 
 from aybe.frobenius import LambdaSpec, bar_index
-from aybe.tensor import Tensor4, compare_tensors
+from aybe.tensor import Tensor4
 
 __all__ = [
     "VARIANTS",
@@ -22,7 +22,6 @@ __all__ = [
     "r_closed_block",
     "r_closed_distinct",
     "r_closed",
-    "compare_tensors",
 ]
 
 

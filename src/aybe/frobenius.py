@@ -226,18 +226,19 @@ class GramMatrix:
     matrix: RatMatrix
 
 
+def _gram(mats: Sequence[RatMatrix], items, values) -> RatMatrix:
+    """Gram matrix of the form over `mats`, given their nonzero entries."""
+    return RatMatrix(
+        [[_form_sparse(x_items, y, values) for y in mats] for x_items in items]
+    )
+
+
 def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> GramMatrix:
     """Matrix of the form over the basis ordering; antisymmetric."""
     if basis.n != lam.n:
         raise ValueError("basis and lambda dimensions differ")
     mats = [e.matrix for e in basis.elements]
-    items = [_sparse(mat) for mat in mats]
-    values = lam.values
-    grid = [
-        [_form_sparse(items[a], mats[b], values) for b in range(len(mats))]
-        for a in range(len(mats))
-    ]
-    return GramMatrix(basis, RatMatrix(grid))
+    return GramMatrix(basis, _gram(mats, [_sparse(mat) for mat in mats], lam.values))
 
 
 def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
@@ -247,14 +248,9 @@ def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
     DegenerateForm when G is singular.
     """
     items = [_sparse(mat) for mat in mats]
-    values = lam.values
     dim = len(mats)
-    grid = [
-        [_form_sparse(items[a], mats[b], values) for b in range(dim)]
-        for a in range(dim)
-    ]
     try:
-        ginv = mat_inverse(RatMatrix(grid))
+        ginv = mat_inverse(_gram(mats, items, lam.values))
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)

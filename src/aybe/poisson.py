@@ -1,10 +1,13 @@
-"""Quadratic Poisson brackets induced by a solution tensor, with an exact
-multivariate polynomial engine and a Jacobi-identity checker.
+"""Quadratic Poisson brackets induced by a solution tensor, and a
+Jacobi-identity checker that contracts the quadratic table directly.
 
 Generators commute. For the scalar case the bracket of generators is
 {x_a, x_b} = sum r^{ge}_{ab} x_g x_e; for m x m matrix entries indexed
 (a, i, j) it is {x^{j1}_{i1,a}, x^{j2}_{i2,b}} = sum r^{ge}_{ab}
 x^{j2}_{i1,g} x^{j1}_{i2,e}. Skew-symmetry of r makes both antisymmetric.
+
+A monomial is the sorted tuple of its generator indices, so x_0^2 x_3 is
+(0, 0, 3). Dense exponent vectors appear only in the JSON form.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, product
 from typing import Mapping
 
 from aybe.exactlin import format_rational
@@ -31,50 +34,40 @@ __all__ = [
     "bracket_to_json",
 ]
 
-Exps = tuple[int, ...]
+Mono = tuple[int, ...]
 
 
 class Polynomial:
-    """Sparse polynomial: map from dense exponent vectors to coefficients."""
+    """Sparse polynomial: map from sorted generator-index tuples to coefficients."""
 
     __slots__ = ("nvars", "_terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exps, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Mono, Fraction] | None = None):
         self.nvars = nvars
-        kept: dict[Exps, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
+        kept: dict[Mono, Fraction] = {}
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if list(mono) != sorted(mono) or not all(0 <= k < nvars for k in mono):
+                raise ValueError(f"bad monomial {mono} for {nvars} variables")
             c = Fraction(coeff)
             if c:
-                kept[tuple(exps)] = c
+                kept[mono] = c
         self._terms = kept
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
     def variable(cls, nvars: int, idx: int) -> "Polynomial":
-        exps = tuple(1 if k == idx else 0 for k in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {(idx,): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=-1)
+    def terms(self) -> list[tuple[Mono, Fraction]]:
+        """Terms in graded-lexicographic order of their exponent vectors.
 
-    def terms(self) -> list[tuple[Exps, Fraction]]:
-        """Terms in graded-lexicographic order."""
-        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def coeff(self, exps: Exps) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        Within one degree a larger sorted index tuple has the smaller
+        exponent vector, hence the negated indices in the key.
+        """
+        return sorted(self._terms.items(), key=lambda t: (len(t[0]), [-k for k in t[0]]))
 
     def _check_same_ring(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
@@ -83,42 +76,28 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
         out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+        for mono, c in other._terms.items():
+            out[mono] = out.get(mono, Fraction(0)) + c
         return Polynomial(self.nvars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial(self.nvars, {mono: -c for mono, c in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_same_ring(other)
-            out: dict[Exps, Fraction] = defaultdict(Fraction)
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] += c1 * c2
-            return Polynomial(self.nvars, out)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        self._check_same_ring(other)
+        out: dict[Mono, Fraction] = defaultdict(Fraction)
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                # sort before accumulating: (0, 1) and (1, 0) are one monomial
+                out[tuple(sorted(m1 + m2))] += c1 * c2
+        return Polynomial(self.nvars, out)
 
     def scale(self, factor) -> "Polynomial":
         f = Fraction(factor)
-        return Polynomial(self.nvars, {e: f * c for e, c in self._terms.items()})
-
-    def diff(self, idx: int) -> "Polynomial":
-        out: dict[Exps, Fraction] = {}
-        for exps, c in self._terms.items():
-            e = exps[idx]
-            if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, {mono: f * c for mono, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,27 +106,15 @@ class Polynomial:
             and self._terms == other._terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps, c in self.terms():
-            mono = "*".join(
-                f"x{k}" + (f"^{e}" if e > 1 else "")
-                for k, e in enumerate(exps)
-                if e
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"exps": list(exps), "coeff": format_rational(c)}
-            for exps, c in self.terms()
-        ]
+        """Terms as dense exponent vectors, the bracket file format."""
+        out = []
+        for mono, c in self.terms():
+            exps = [0] * self.nvars
+            for k in mono:
+                exps[k] += 1
+            out.append({"exps": exps, "coeff": format_rational(c)})
+        return out
 
 
 def _scalar_names(n: int) -> list[str]:
@@ -167,7 +134,8 @@ class QuadraticBracket:
     """Bracket table on commuting generators; antisymmetric by construction.
 
     Only pairs u < v with a nonzero polynomial are stored; entry(u, v)
-    fills in the rest by antisymmetry.
+    fills in the rest by antisymmetry. Every entry is homogeneous
+    quadratic, which jacobi_residual relies on.
     """
 
     def __init__(self, n_gens: int, table: Mapping[tuple[int, int], Polynomial], names=None):
@@ -179,46 +147,23 @@ class QuadraticBracket:
                 raise ValueError(f"bracket table keys must have 0 <= u < v < {n_gens}")
             if poly.nvars != n_gens:
                 raise ValueError("bracket polynomial has wrong variable count")
+            if any(len(mono) != 2 for mono in poly._terms):
+                raise ValueError("bracket polynomials must be homogeneous quadratic")
             if not poly.is_zero():
                 self._table[(u, v)] = poly
 
     def entry(self, u: int, v: int) -> Polynomial:
-        if u == v:
-            return Polynomial.zero(self.n_gens)
         if u < v:
-            return self._table.get((u, v), Polynomial.zero(self.n_gens))
-        return -self._table.get((v, u), Polynomial.zero(self.n_gens))
+            return self._table.get((u, v), Polynomial(self.n_gens))
+        if u > v:
+            return -self._table.get((v, u), Polynomial(self.n_gens))
+        return Polynomial(self.n_gens)
 
     def pairs(self) -> list[tuple[tuple[int, int], Polynomial]]:
         return sorted(self._table.items())
 
     def is_zero(self) -> bool:
         return not self._table
-
-    def bracket_gen(self, u: int, p: Polynomial) -> Polynomial:
-        """{x_u, p} via the derivation rule."""
-        out = Polynomial.zero(self.n_gens)
-        for v in range(self.n_gens):
-            dp = p.diff(v)
-            if not dp.is_zero():
-                out = out + dp * self.entry(u, v)
-        return out
-
-    def bracket(self, p: Polynomial, q: Polynomial) -> Polynomial:
-        """{p, q} extended bilinearly and by the Leibniz rule."""
-        out = Polynomial.zero(self.n_gens)
-        for u in range(self.n_gens):
-            dp = p.diff(u)
-            if not dp.is_zero():
-                out = out + dp * self.bracket_gen(u, q)
-        return out
-
-
-def _group_by_lower(r: Tensor4) -> dict[tuple[int, int], list]:
-    groups: dict[tuple[int, int], list] = defaultdict(list)
-    for (g, e, al, be), v in r.iter_items():
-        groups[(al, be)].append((g, e, v))
-    return groups
 
 
 def _require_skew(r: Tensor4) -> None:
@@ -230,23 +175,29 @@ def _require_skew(r: Tensor4) -> None:
         )
 
 
+def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
+    """{x_u, x_v} for u < v on generators (a, i, j) numbered a*m*m + i*m + j.
+
+    Walks the tensor's nonzero components r^{ge}_{ab} with a <= b, the
+    only lower-index groups that reach a pair u < v.
+    """
+    _require_skew(r)
+    mm = m * m
+    acc: dict[tuple[int, int], dict[Mono, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
+    for (g, e, a, b), val in r.iter_items():
+        if a > b:
+            continue
+        for i1, j1, i2, j2 in product(range(m), repeat=4):
+            u, v = a * mm + i1 * m + j1, b * mm + i2 * m + j2
+            if u < v:
+                x, y = g * mm + i1 * m + j2, e * mm + i2 * m + j1
+                acc[(u, v)][(x, y) if x <= y else (y, x)] += val
+    return {uv: Polynomial(r.n * mm, terms) for uv, terms in acc.items()}
+
+
 def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
     """{x_a, x_b} = sum r^{ge}_{ab} x_g x_e on r.n commuting generators."""
-    _require_skew(r)
-    n = r.n
-    groups = _group_by_lower(r)
-    table: dict[tuple[int, int], Polynomial] = {}
-    for u, v in combinations(range(n), 2):
-        acc: dict[Exps, Fraction] = defaultdict(Fraction)
-        for g, e, val in groups.get((u, v), ()):
-            exps = [0] * n
-            exps[g] += 1
-            exps[e] += 1
-            acc[tuple(exps)] += val
-        poly = Polynomial(n, acc)
-        if not poly.is_zero():
-            table[(u, v)] = poly
-    return QuadraticBracket(n, table, _scalar_names(n))
+    return QuadraticBracket(r.n, _bracket_table(r, 1), _scalar_names(r.n))
 
 
 def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
@@ -254,46 +205,33 @@ def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
     the scalar bracket with identical generator numbering."""
     if m < 1:
         raise ValueError("matrix size must be >= 1")
-    _require_skew(r)
-    n = r.n
-    n_gens = n * m * m
-    groups = _group_by_lower(r)
-
-    def gen(a: int, i: int, j: int) -> int:
-        return a * m * m + i * m + j
-
-    table: dict[tuple[int, int], Polynomial] = {}
-    for u in range(n_gens):
-        au, rem = divmod(u, m * m)
-        iu, ju = divmod(rem, m)
-        for v in range(u + 1, n_gens):
-            av, rem = divmod(v, m * m)
-            iv, jv = divmod(rem, m)
-            acc: dict[Exps, Fraction] = defaultdict(Fraction)
-            for g, e, val in groups.get((au, av), ()):
-                exps = [0] * n_gens
-                exps[gen(g, iu, jv)] += 1
-                exps[gen(e, iv, ju)] += 1
-                acc[tuple(exps)] += val
-            poly = Polynomial(n_gens, acc)
-            if not poly.is_zero():
-                table[(u, v)] = poly
-    return QuadraticBracket(n_gens, table, _matrix_names(n, m))
+    return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _matrix_names(r.n, m))
 
 
 def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Polynomial]]:
-    """Triples u <= v <= w where {x_u,{x_v,x_w}} + cyclic is nonzero.
+    """Triples u < v < w where {x_u,{x_v,x_w}} + cyclic is nonzero.
 
     Checking generator triples suffices: the Leibniz extension propagates
-    the identity to all polynomials.
+    the identity to all polynomials. A triple vanishes when an index
+    repeats, by antisymmetry, or when one generator brackets to zero with
+    everything, so only triples of distinct active generators are visited.
+    Each term is contracted directly as
+    {x_u, c x_g x_e} = c({x_u,x_g} x_e + x_g {x_u,x_e}).
     """
+    rows: dict[int, dict[int, dict[Mono, Fraction]]] = {}
+    for (u, v), poly in b.pairs():
+        rows.setdefault(u, {})[v] = poly._terms
+        rows.setdefault(v, {})[u] = (-poly)._terms
     out = []
-    for u, v, w in combinations_with_replacement(range(b.n_gens), 3):
-        total = (
-            b.bracket_gen(u, b.entry(v, w))
-            + b.bracket_gen(v, b.entry(w, u))
-            + b.bracket_gen(w, b.entry(u, v))
-        )
+    for u, v, w in combinations(sorted(rows), 3):
+        acc: dict[Mono, Fraction] = defaultdict(Fraction)
+        for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+            row = rows[x]
+            for (g, e), c in rows[y].get(z, {}).items():
+                for k, other in ((g, e), (e, g)):
+                    for (p, q), d in row.get(k, {}).items():
+                        acc[tuple(sorted((p, q, other)))] += c * d
+        total = Polynomial(b.n_gens, acc)
         if not total.is_zero():
             out.append(((u, v, w), total))
     return out

@@ -193,7 +193,7 @@ def test_criterion_07_jacobi():
             problems.append(f"matrix bracket (m=2) from {name} fails the Jacobi identity")
 
     def x_sq(i):
-        return Polynomial(3, {tuple(2 if k == i else 0 for k in range(3)): Fraction(1)})
+        return Polynomial(3, {(i, i): Fraction(1)})
 
     control = QuadraticBracket(3, {(0, 1): x_sq(0), (1, 2): x_sq(1), (0, 2): -x_sq(2)})
     if not jacobi_residual(control):

@@ -94,6 +94,44 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_deeply_nested_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "aybe: error:" in err
+
+
+def test_transform_deeply_nested_g_exit_2(tmp_path, capsys):
+    tensor_path = tmp_path / "r.json"
+    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    g_path = tmp_path / "g.json"
+    g_path.write_text("[" * 100000 + "]" * 100000)
+    out_path = tmp_path / "o.json"
+    code, out, err = run(["transform", str(tensor_path), "--g", str(g_path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "" and "aybe: error:" in err
+    assert not out_path.exists()
+
+
+def test_negative_lambda_value(tmp_path, capsys):
+    tensor_path = tmp_path / "r.json"
+    code, out, _ = run(
+        ["construct", "--n", "3", "--m", "1", "--lambda", "-1,0,1", "--out", str(tensor_path)],
+        capsys,
+    )
+    assert code == 0
+    assert read_report(out)["inputs"]["lambda"] == ["-1", "0", "1"]
+    assert Tensor4.loads(tensor_path.read_text()) == r_closed_m1(make_lambda(3, 1, [-1, 0, 1]))
+    code, _, _ = run(
+        ["closed-form", "--variant", "m1", "--n", "3", "--lambda", "-1,0,1", "--compare", str(tensor_path)],
+        capsys,
+    )
+    assert code == 0
+    code, _, _ = run(["cocycle", "--n", "3", "--m", "1", "--lambda", "-1/2,0,1"], capsys)
+    assert code == 0
+
+
 def test_closed_form_compare_matches_construct(tmp_path, capsys):
     built = tmp_path / "gram.json"
     code, _, _ = run(
