@@ -17,7 +17,6 @@ from aybe.exactlin import (
 from aybe.frobenius import (
     AlgebraBasis,
     DegenerateForm,
-    GramMatrix,
     LambdaMode,
     LambdaSpec,
     bar_index,
@@ -53,7 +52,6 @@ __all__ = [
     "AlgebraBasis",
     "AybeReport",
     "DegenerateForm",
-    "GramMatrix",
     "LambdaMode",
     "LambdaSpec",
     "Polynomial",

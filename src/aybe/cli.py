@@ -4,7 +4,8 @@ bracket, transform.
 Exit codes: 0 verified/success, 1 verification failed, 2 usage or parse
 error (including JSON nested too deeply to decode), 3 degenerate or
 singular input. Reports are JSON, deterministic byte-for-byte apart from
-the timing field.
+the timing field. Output paths and inputs are checked before anything is
+written, so a run that exits 2 leaves no file behind.
 """
 
 from __future__ import annotations
@@ -143,14 +144,13 @@ def cmd_closed_form(args) -> int:
         "compare": args.compare,
     }
     r = r_closed(args.variant, lam)
+    diffs = compare_tensors(r, _load_tensor(args.compare)) if args.compare else None
     if args.out:
         Path(args.out).write_text(r.dumps())
     details: dict = {"entries": r.nnz}
     verdict = "pass"
     code = EXIT_OK
-    if args.compare:
-        other = _load_tensor(args.compare)
-        diffs = compare_tensors(r, other)
+    if diffs is not None:
         details["differences"] = [
             {
                 "indices": list(key),
@@ -185,6 +185,15 @@ def cmd_cocycle(args) -> int:
 def cmd_bracket(args) -> int:
     t0 = time.perf_counter()
     r = _load_tensor(args.tensor)
+    lam = None
+    if args.compare_closed_2m:
+        if args.m_size != 1:
+            raise ValueError("--compare-closed-2m applies to the scalar bracket only")
+        if r.n % 2:
+            raise ValueError("--compare-closed-2m requires even n")
+        if args.lam is None:
+            raise ValueError("--compare-closed-2m requires --lambda")
+        lam = LambdaSpec(r.n, r.n // 2, _parse_lambda(args.lam, r.n))
     inputs = {
         "tensor": args.tensor,
         "m_size": args.m_size,
@@ -217,14 +226,7 @@ def cmd_bracket(args) -> int:
         if violations:
             verdict = "fail"
             code = EXIT_FAIL
-    if args.compare_closed_2m:
-        if args.m_size != 1:
-            raise ValueError("--compare-closed-2m applies to the scalar bracket only")
-        if r.n % 2:
-            raise ValueError("--compare-closed-2m requires even n")
-        if args.lam is None:
-            raise ValueError("--compare-closed-2m requires --lambda")
-        lam = LambdaSpec(r.n, r.n // 2, _parse_lambda(args.lam, r.n))
+    if lam is not None:
         inputs["lambda"] = _lambda_strings(lam.values)
         comparison = compare_to_closed_2m(bracket, lam)
         statuses = {item["status"] for item in comparison}
@@ -340,6 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path: str) -> None:
+    """Reject a path that cannot be written as a file, before any work, so a
+    failed run leaves no partial output behind."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"output path is a directory: {path!r}")
+    if not target.parent.is_dir():
+        raise ValueError(f"output directory does not exist: {path!r}")
+
+
 def _glue_negative_lambda(argv: list[str]) -> list[str]:
     """Rewrite `--lambda -1,0,1` as `--lambda=-1,0,1`; argparse would read
     the leading `-<digit>` value as an option and reject it."""
@@ -356,6 +368,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
+        for path in (getattr(args, "out", None), args.report):
+            if path is not None:
+                _check_output_path(path)
         return args.fn(args)
     except (ValueError, OSError, RecursionError) as exc:
         print(f"aybe: error: {exc}", file=sys.stderr)

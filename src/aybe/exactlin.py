@@ -122,13 +122,6 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self._e])
 
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return mat_mul(self, other)
-
-    def scale(self, factor) -> "RatMatrix":
-        f = Fraction(factor)
-        return RatMatrix([[f * a for a in row] for row in self._e])
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
             [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -177,7 +170,7 @@ def trace(a: RatMatrix) -> Fraction:
 
 
 def determinant(a: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by the Bareiss recurrence over rationals.
 
     Pivot choice is the first nonzero entry scanning top-down; rows are
     swapped as needed and each swap flips the sign.
@@ -226,7 +219,8 @@ def _rank(a: RatMatrix) -> int:
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse via fraction-free elimination on [a | I].
+    """Exact inverse via the Bareiss recurrence over rationals on [a | I],
+    then back substitution.
 
     Raises SingularMatrix (with the rank found) when a has no inverse;
     that is the degeneracy signal used by the bilinear-form pipeline.

@@ -21,13 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from aybe.exactlin import (
-    RatMatrix,
-    SingularMatrix,
-    mat_inverse,
-    mat_mul,
-    matrix_to_json,
-)
+from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse
 from aybe.tensor import Tensor4
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "make_lambda",
     "BasisElement",
     "AlgebraBasis",
-    "GramMatrix",
     "DegenerateForm",
     "bar_index",
     "build_basis",
@@ -46,7 +39,6 @@ __all__ = [
     "gram_matrix",
     "r_from_algebra",
     "r_from_matrices",
-    "basis_to_json",
 ]
 
 
@@ -119,11 +111,20 @@ def bar_index(i: int, j: int, m: int) -> int:
     return (j // m) * m + (i % m)
 
 
+Entry = tuple[int, int, int | Fraction]  # (row, col, value) of a nonzero matrix entry
+
+
 @dataclass(frozen=True)
 class BasisElement:
+    """e_{i,j} = E_{i,j} - E_{bar,j}, with bar = bar_index(i, j, m) != i."""
+
     i: int
     j: int
-    matrix: RatMatrix
+    bar: int
+
+    @property
+    def entries(self) -> tuple[Entry, Entry]:
+        return ((self.i, self.j, 1), (self.bar, self.j, -1))
 
 
 class AlgebraBasis:
@@ -139,13 +140,6 @@ class AlgebraBasis:
         return len(self.elements)
 
 
-def _basis_matrix(n: int, i: int, j: int, bar: int) -> RatMatrix:
-    grid = [[Fraction(0)] * n for _ in range(n)]
-    grid[i][j] = Fraction(1)
-    grid[bar][j] = Fraction(-1)
-    return RatMatrix(grid)
-
-
 def build_basis(n: int, m: int) -> AlgebraBasis:
     """All n(n-m) basis elements, in (j, i) order."""
     if m < 1 or m >= n or n % m != 0:
@@ -154,10 +148,7 @@ def build_basis(n: int, m: int) -> AlgebraBasis:
         ((i, j) for i in range(n) for j in range(n) if i // m != j // m),
         key=lambda ij: (ij[1], ij[0]),
     )
-    elements = [
-        BasisElement(i, j, _basis_matrix(n, i, j, bar_index(i, j, m)))
-        for (i, j) in pairs
-    ]
+    elements = [BasisElement(i, j, bar_index(i, j, m)) for (i, j) in pairs]
     return AlgebraBasis(n, m, elements)
 
 
@@ -172,25 +163,31 @@ def membership_check(a: RatMatrix, n: int, m: int) -> bool:
     return True
 
 
-def _sparse(mat: RatMatrix) -> list[tuple[int, int, Fraction]]:
-    return list(mat.nonzero_items())
-
-
-def _form_sparse(x_items, y: RatMatrix, values) -> Fraction:
+def _form(x: Sequence[Entry], y: Sequence[Entry], values) -> Fraction:
     # tr([x,y] D) expanded: sum over entries x_{uv} y_{vu} (lambda_u - lambda_v)
     s = Fraction(0)
-    for u, v, xv in x_items:
-        yv = y[v][u]
-        if yv:
-            s += xv * yv * (values[u] - values[v])
+    for u, v, xv in x:
+        for p, q, yv in y:
+            if p == v and q == u:
+                s += xv * yv * (values[u] - values[v])
     return s
+
+
+def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
+    """Nonzero entries of the matrix product xy."""
+    acc: dict[tuple[int, int], int | Fraction] = defaultdict(int)
+    for a, b, xv in x:
+        for p, c, yv in y:
+            if p == b:
+                acc[(a, c)] += xv * yv
+    return [(a, c, v) for (a, c), v in acc.items() if v]
 
 
 def form_eval(x: RatMatrix, y: RatMatrix, lam: LambdaSpec) -> Fraction:
     """(x, y) = tr([x, y] diag(lambda)), evaluated exactly."""
     if not x.is_square() or x.rows != lam.n or y.rows != lam.n or y.cols != lam.n:
         raise ValueError(f"form needs {lam.n}x{lam.n} matrices")
-    return _form_sparse(x.nonzero_items(), y, lam.values)
+    return _form(list(x.nonzero_items()), list(y.nonzero_items()), lam.values)
 
 
 def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
@@ -201,56 +198,40 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
     """
     if basis.n != lam.n:
         raise ValueError("basis and lambda dimensions differ")
-    mats = [e.matrix for e in basis.elements]
-    items = [_sparse(mat) for mat in mats]
-    dim = len(mats)
-    prods = [[mat_mul(y, z) for z in mats] for y in mats]
+    items = [e.entries for e in basis.elements]
+    dim = len(items)
+    prods = [[_product(y, z) for z in items] for y in items]
     values = lam.values
     out = []
     for ix in range(dim):
         for iy in range(dim):
             for iz in range(dim):
                 total = (
-                    _form_sparse(items[ix], prods[iy][iz], values)
-                    + _form_sparse(items[iy], prods[iz][ix], values)
-                    + _form_sparse(items[iz], prods[ix][iy], values)
+                    _form(items[ix], prods[iy][iz], values)
+                    + _form(items[iy], prods[iz][ix], values)
+                    + _form(items[iz], prods[ix][iy], values)
                 )
                 if total:
                     out.append(((ix, iy, iz), total))
     return out
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    basis: AlgebraBasis
-    matrix: RatMatrix
+def _gram(items: Sequence[Sequence[Entry]], values) -> RatMatrix:
+    """Gram matrix of the form over the elements with the given entries."""
+    return RatMatrix([[_form(x, y, values) for y in items] for x in items])
 
 
-def _gram(mats: Sequence[RatMatrix], items, values) -> RatMatrix:
-    """Gram matrix of the form over `mats`, given their nonzero entries."""
-    return RatMatrix(
-        [[_form_sparse(x_items, y, values) for y in mats] for x_items in items]
-    )
-
-
-def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> GramMatrix:
+def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> RatMatrix:
     """Matrix of the form over the basis ordering; antisymmetric."""
     if basis.n != lam.n:
         raise ValueError("basis and lambda dimensions differ")
-    mats = [e.matrix for e in basis.elements]
-    return GramMatrix(basis, _gram(mats, [_sparse(mat) for mat in mats], lam.values))
+    return _gram([e.entries for e in basis.elements], lam.values)
 
 
-def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
-    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
-
-    G is the Gram matrix of the form over the given matrices. Raises
-    DegenerateForm when G is singular.
-    """
-    items = [_sparse(mat) for mat in mats]
-    dim = len(mats)
+def _r_from_entries(items: Sequence[Sequence[Entry]], lam: LambdaSpec) -> Tensor4:
+    dim = len(items)
     try:
-        ginv = mat_inverse(_gram(mats, items, lam.values))
+        ginv = mat_inverse(_gram(items, lam.values))
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
@@ -267,15 +248,17 @@ def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
     return Tensor4(lam.n, acc)
 
 
+def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
+    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
+
+    G is the Gram matrix of the form over the given matrices. Raises
+    DegenerateForm when G is singular.
+    """
+    return _r_from_entries([list(mat.nonzero_items()) for mat in mats], lam)
+
+
 def r_from_algebra(basis: AlgebraBasis, lam: LambdaSpec) -> Tensor4:
     """The solution tensor for the algebra basis at the given lambda."""
     if basis.n != lam.n or basis.m != lam.m:
         raise ValueError("basis and lambda shapes differ")
-    return r_from_matrices([e.matrix for e in basis.elements], lam)
-
-
-def basis_to_json(basis: AlgebraBasis) -> list[dict]:
-    return [
-        {"i": e.i, "j": e.j, "matrix": matrix_to_json(e.matrix)}
-        for e in basis.elements
-    ]
+    return _r_from_entries([e.entries for e in basis.elements], lam)

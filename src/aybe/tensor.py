@@ -65,9 +65,6 @@ class Tensor4:
     def nnz(self) -> int:
         return len(self._entries)
 
-    def is_zero(self) -> bool:
-        return not self._entries
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Tensor4)

@@ -30,6 +30,14 @@ def rand_block_lambda(rng: random.Random, n: int, m: int):
     return make_lambda(n, m, [block_vals[i // m] for i in range(n)])
 
 
+def dense(n: int, entries) -> RatMatrix:
+    """The n x n matrix with the given (row, col, value) entries, summed."""
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, v in entries:
+        grid[i][j] += v
+    return RatMatrix(grid)
+
+
 def rand_matrix(rng: random.Random, n: int) -> RatMatrix:
     return RatMatrix([[rand_fraction(rng) for _ in range(n)] for _ in range(n)])
 

@@ -61,7 +61,7 @@ def test_criterion_02_block_pattern():
     for n, m in [(4, 2), (6, 2), (6, 3)]:
         lam = rand_block_lambda(rng, n, m)
         basis = build_basis(n, m)
-        g = gram_matrix(basis, lam).matrix
+        g = gram_matrix(basis, lam)
         for pos, e in enumerate(basis.elements):
             nonzero = [(k, v) for k, v in enumerate(g[pos]) if v]
             expected = (basis.index_of[(e.j, e.i)], lam.values[e.i] - lam.values[e.j])

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aybe.cli import main
-from aybe.closedform import r_closed_m1
-from aybe.exactlin import matrix_to_json
+from aybe.closedform import r_closed_block, r_closed_m1
+from aybe.exactlin import RatMatrix, matrix_to_json
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
 from conftest import rand_invertible
@@ -261,6 +268,44 @@ def test_bracket_compare_closed_2m(tmp_path, capsys):
     assert report["details"]["jacobi_violations"] == []
 
 
+def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys):
+    tensor_path = tmp_path / "r3.json"
+    tensor_path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    even_path = tmp_path / "r4.json"
+    even_path.write_text(r_closed_m1(make_lambda(4, 1, [0, 1, 2, 3])).dumps())
+    bracket_path = tmp_path / "b.json"
+    cases = [
+        [str(tensor_path), "--lambda", "0,1,2"],  # odd n
+        [str(even_path)],  # no --lambda
+        [str(even_path), "--lambda", "0,1,x,3"],  # unparseable --lambda
+        [str(even_path), "--lambda", "0,1,2,3", "--m-size", "2"],  # not scalar
+    ]
+    for extra in cases:
+        code, out, err = run(
+            ["bracket", *extra, "--check-jacobi", "--compare-closed-2m", "--out", str(bracket_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and "aybe: error:" in err
+        assert not bracket_path.exists()
+
+
+def test_unwritable_output_path_writes_nothing(tmp_path, capsys):
+    tensor_path = tmp_path / "c.json"
+    construct = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1"]
+    cases = [
+        construct + ["--out", str(tensor_path), "--report", str(tmp_path / "missing" / "r.json")],
+        construct + ["--out", str(tensor_path), "--report", str(tmp_path)],
+        construct + ["--out", str(tmp_path / "missing" / "c.json"), "--report", str(tmp_path / "r.json")],
+        # an unreadable --compare file fails before --out is written
+        ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1",
+         "--out", str(tensor_path), "--compare", str(tmp_path / "missing.json")],
+    ]
+    for argv in cases:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "aybe: error:" in err
+        assert sorted(tmp_path.iterdir()) == []
+
+
 def test_transform_identity_byte_identical(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
     tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
@@ -342,3 +387,151 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(report_path.read_text())["verdict"] == "pass"
+
+
+# --- exit-code contract over generated command lines ----------------------
+
+INT_JUNK = ["", "x", "1.5", "2/1", "--"]  # none of these parses as an int
+TEXT_JUNK = INT_JUNK + ["1,,2", "1/0", "0.5,1", "-", "a,b", "-1,x"]
+VALID_TENSORS = [
+    Tensor4(2),
+    r_closed_m1(make_lambda(2, 1, [2, 1])),
+    r_closed_m1(make_lambda(3, 1, [0, 1, 2])),
+    r_closed_m1(make_lambda(4, 1, [0, 1, 2, 3])),
+    r_closed_block(make_lambda(4, 2, [1, 1, 0, 0])),
+    Tensor4(3, {(0, 1, 1, 2): 1, (1, 0, 2, 1): -1}),  # skew, fails the AYBE
+    Tensor4(2, {(0, 1, 0, 1): 1}),  # not skew
+]
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "entries", "upper", "lower", "value"]), kids, max_size=3),
+    max_leaves=10,
+)
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=4).map(str)
+JUNK_FILE = st.sampled_from(["", "{", "[]", "null", "[" * 60]) | JSON_JUNK.map(json.dumps)
+OUT_PATHS = [("tmp", "missing", "out.json"), ("tmp",)]
+REPORT_PATHS = [("tmp", "missing", "report.json"), ("tmp",)]
+
+
+@st.composite
+def tensor_file(draw):
+    """(text, declared n) of a valid, perturbed or junk tensor file; n <= 4."""
+    kind = draw(st.sampled_from(["valid", "valid", "perturbed", "junk"]))
+    if kind == "junk":
+        text = draw(JUNK_FILE)
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            obj = None
+    else:
+        obj = copy.deepcopy(draw(st.sampled_from(VALID_TENSORS)).to_json_obj())
+        if kind == "perturbed" and obj["entries"]:
+            entry = draw(st.sampled_from(obj["entries"]))
+            field = draw(st.sampled_from(["value", "upper", "lower", "n", "dup"]))
+            if field == "value":
+                entry["value"] = draw(RATIONAL | st.sampled_from(["1.5", 3, None, ""]))
+            elif field in ("upper", "lower"):
+                entry[field] = draw(st.lists(st.integers(-1, 4), max_size=3) | JSON_JUNK)
+            elif field == "n":
+                obj["n"] = draw(st.integers(-1, 4) | st.sampled_from([None, "2", True, 2.5]))
+            else:
+                obj["entries"].append(dict(entry))
+        text = json.dumps(obj)
+    n = obj.get("n") if isinstance(obj, dict) else None
+    return text, n if isinstance(n, int) else 0
+
+
+@st.composite
+def matrix_file(draw):
+    k = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(RATIONAL, min_size=k, max_size=k), min_size=k, max_size=k)
+    singular = matrix_to_json(RatMatrix([[1, 1], [1, 1]]))
+    return draw(rows.map(json.dumps) | st.just(json.dumps(singular)) | JUNK_FILE)
+
+
+@st.composite
+def command_line(draw):
+    """argv for one subcommand, with the files to write first. A path is a
+    tuple of parts under the temporary directory ("tmp"). A value is junk
+    now and then. Sizes stay small: n <= 4, --m-size <= 3 and at most 18
+    bracket generators, so no draw is a large job."""
+    cmd = draw(st.sampled_from(["construct", "verify", "closed-form", "cocycle", "bracket", "transform"]))
+    argv: list = [cmd]
+    files: dict = {}
+
+    def value(valid, junk):
+        return draw(junk if draw(st.integers(0, 9)) == 3 else valid)
+
+    def opt(flag, valid, junk, required=False):
+        if required or draw(st.booleans()):
+            argv.extend([flag, value(valid, junk)])
+
+    n = 0
+    if cmd in ("verify", "bracket", "transform"):
+        files["t.json"], n = draw(tensor_file())
+        argv.append(("tmp", "t.json"))
+    if cmd in ("construct", "closed-form", "cocycle"):
+        n = draw(st.integers(2, 4))
+        divisors = [str(m) for m in range(1, n) if n % m == 0]
+        if cmd == "closed-form":
+            opt("--variant", st.sampled_from(["m1", "block", "distinct"]), st.just("other"), required=True)
+        opt("--n", st.just(str(n)), st.sampled_from(["-1", "0", "1", *INT_JUNK]), required=True)
+        opt("--m", st.sampled_from(divisors), st.sampled_from(["-1", "0", str(n), "3", *INT_JUNK]),
+            required=cmd != "closed-form")
+    if cmd in ("construct", "closed-form", "cocycle", "bracket"):
+        values = st.lists(RATIONAL, min_size=max(n, 0), max_size=max(n, 0)).map(",".join)
+        opt("--lambda", values, st.sampled_from(TEXT_JUNK) | st.text(max_size=6), required=cmd != "bracket")
+    if cmd == "closed-form" and draw(st.booleans()):
+        files["c.json"], _ = draw(tensor_file())
+        argv.extend(["--compare", ("tmp", "c.json")])
+    if cmd == "bracket":
+        opt("--m-size", st.integers(1, 3 if n <= 2 else 2).map(str), st.sampled_from(["-1", "0", *INT_JUNK]))
+        for flag in ("--check-jacobi", "--compare-closed-2m"):
+            if draw(st.booleans()):
+                argv.append(flag)
+    if cmd == "transform":
+        how = draw(st.sampled_from(["g", "g", "dual", "both"]))
+        if how != "dual":
+            files["g.json"] = draw(matrix_file())
+            argv.extend(["--g", ("tmp", "g.json")])
+        if how != "g":
+            argv.append("--transpose-dual")
+    if cmd in ("construct", "closed-form", "bracket", "transform"):
+        opt("--out", st.just(("tmp", "out.json")), st.sampled_from(OUT_PATHS),
+            required=cmd in ("construct", "transform"))
+    opt("--report", st.just(("tmp", "report.json")), st.sampled_from(REPORT_PATHS))
+    if draw(st.integers(0, 19)) == 3:
+        argv.append(draw(st.sampled_from(TEXT_JUNK)))
+    return argv, files
+
+
+def run_contained(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=command_line())
+def test_exit_code_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).write_text(text)
+        resolved = [str(root.joinpath(*arg[1:])) if isinstance(arg, tuple) else arg for arg in argv]
+        before = sorted(root.rglob("*"))
+        code, stdout = run_contained(resolved)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            report = stdout
+            if "--report" in argv:
+                report = Path(resolved[argv.index("--report") + 1]).read_text()
+            assert json.loads(report)["verdict"] == "fail"
+        if code == 2:
+            assert sorted(root.rglob("*")) == before

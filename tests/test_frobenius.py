@@ -10,8 +10,8 @@ from aybe.frobenius import (
     DegenerateForm,
     LambdaMode,
     LambdaSpec,
+    _product,
     bar_index,
-    basis_to_json,
     build_basis,
     cocycle_residual,
     form_eval,
@@ -23,6 +23,7 @@ from aybe.frobenius import (
 )
 from aybe.tensor import aybe_report, compare_tensors, transpose_dual
 from conftest import (
+    dense,
     rand_block_lambda,
     rand_distinct_lambda,
     rand_fraction,
@@ -71,8 +72,8 @@ def test_build_basis_n2_m1():
     assert len(basis) == 2
     # (j, i) ordering: e_{1,0} before e_{0,1}
     assert [(e.i, e.j) for e in basis.elements] == [(1, 0), (0, 1)]
-    assert basis.elements[0].matrix == RatMatrix([[-1, 0], [1, 0]])
-    assert basis.elements[1].matrix == RatMatrix([[0, 1], [0, -1]])
+    assert dense(2, basis.elements[0].entries) == RatMatrix([[-1, 0], [1, 0]])
+    assert dense(2, basis.elements[1].entries) == RatMatrix([[0, 1], [0, -1]])
 
 
 @pytest.mark.parametrize("n,m", ALL_NM)
@@ -80,7 +81,7 @@ def test_build_basis_count_and_membership(n, m):
     basis = build_basis(n, m)
     assert len(basis) == n * (n - m)
     for e in basis.elements:
-        assert membership_check(e.matrix, n, m)
+        assert membership_check(dense(n, e.entries), n, m)
 
 
 def test_build_basis_rejects_bad_m():
@@ -110,14 +111,14 @@ def test_form_self_is_zero():
 def test_form_pairing_values():
     lam = make_lambda(2, 1, [2, 1])
     basis = build_basis(2, 1)
-    e01 = basis.elements[basis.index_of[(0, 1)]].matrix
-    e10 = basis.elements[basis.index_of[(1, 0)]].matrix
+    e01 = dense(2, basis.elements[basis.index_of[(0, 1)]].entries)
+    e10 = dense(2, basis.elements[basis.index_of[(1, 0)]].entries)
     assert form_eval(e01, e10, lam) == 1
 
     lam42 = make_lambda(4, 2, [1, 1, 0, 0])
     b42 = build_basis(4, 2)
-    e02 = b42.elements[b42.index_of[(0, 2)]].matrix
-    e20 = b42.elements[b42.index_of[(2, 0)]].matrix
+    e02 = dense(4, b42.elements[b42.index_of[(0, 2)]].entries)
+    e20 = dense(4, b42.elements[b42.index_of[(2, 0)]].entries)
     assert form_eval(e02, e20, lam42) == 1
 
 
@@ -155,13 +156,13 @@ def test_gram_example_custom_order():
     by_pair = {(e.i, e.j): e for e in default.elements}
     basis = AlgebraBasis(2, 1, [by_pair[(0, 1)], by_pair[(1, 0)]])
     g = gram_matrix(basis, lam)
-    assert g.matrix == RatMatrix([[0, 1], [-1, 0]])
+    assert g == RatMatrix([[0, 1], [-1, 0]])
 
 
 def test_gram_zero_for_equal_lambda():
     lam = make_lambda(2, 1, [1, 1])
     g = gram_matrix(build_basis(2, 1), lam)
-    assert g.matrix == RatMatrix.zeros(2, 2)
+    assert g == RatMatrix.zeros(2, 2)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -169,7 +170,7 @@ def test_gram_antisymmetric(seed):
     rng = random.Random(40 + seed)
     n, m = rng.choice([(2, 1), (3, 1), (4, 2)])
     lam = make_lambda(n, m, [rand_fraction(rng) for _ in range(n)])
-    g = gram_matrix(build_basis(n, m), lam).matrix
+    g = gram_matrix(build_basis(n, m), lam)
     assert g.transpose() == -g
 
 
@@ -178,7 +179,7 @@ def test_gram_block_mode_structure(n, m):
     rng = random.Random(n * 10 + m)
     lam = rand_block_lambda(rng, n, m)
     basis = build_basis(n, m)
-    g = gram_matrix(basis, lam).matrix
+    g = gram_matrix(basis, lam)
     # exactly one nonzero per row, pairing (i,j) with (j,i), value l_i - l_j
     pair_product = Fraction(1)
     seen = set()
@@ -202,7 +203,7 @@ def test_gram_distinct_mode_nondegenerate(n, m):
     rng = random.Random(500 + n * 10 + m)
     for _ in range(20):
         lam = rand_distinct_lambda(rng, n, m)
-        assert determinant(gram_matrix(build_basis(n, m), lam).matrix) != 0
+        assert determinant(gram_matrix(build_basis(n, m), lam)) != 0
 
 
 def test_r_from_algebra_n2_matches_closed_form():
@@ -269,17 +270,48 @@ def test_transposed_basis_gives_negated_dual():
     lam = make_lambda(4, 2, [1, 1, 0, 0])
     basis = build_basis(4, 2)
     r = r_from_algebra(basis, lam)
-    r_t = r_from_matrices([e.matrix.transpose() for e in basis.elements], lam)
+    r_t = r_from_matrices([dense(4, e.entries).transpose() for e in basis.elements], lam)
     assert r_t == transpose_dual(r).negate()
     assert aybe_report(r_t).passed
 
 
-def test_basis_to_json_shape():
-    dump = basis_to_json(build_basis(2, 1))
-    assert dump == [
-        {"i": 1, "j": 0, "matrix": [["-1", "0"], ["1", "0"]]},
-        {"i": 0, "j": 1, "matrix": [["0", "1"], ["0", "-1"]]},
+DENSE_NM = [(4, 1), (4, 2), (6, 3)]
+
+
+@pytest.mark.parametrize("n,m", DENSE_NM)
+def test_sparse_product_matches_dense(n, m):
+    # (x,yz) + (y,zx) + (z,xy) = 0 holds for any matrices, so an empty
+    # cocycle residual cannot catch a product that drops terms
+    basis = build_basis(n, m)
+    for y in basis.elements:
+        for z in basis.elements:
+            expected = mat_mul(dense(n, y.entries), dense(n, z.entries))
+            assert dense(n, _product(y.entries, z.entries)) == expected
+
+
+@pytest.mark.parametrize("n,m", DENSE_NM)
+def test_r_from_algebra_matches_dense_matrices(n, m):
+    basis = build_basis(n, m)
+    mats = [dense(n, e.entries) for e in basis.elements]
+    patterns = [
+        [Fraction(k * k + 1, k + 2) for k in range(n)],
+        [i // m for i in range(n)],
+        [1] * n,
+        [i % 2 for i in range(n)],
     ]
+    degenerate = 0
+    for values in patterns:
+        lam = make_lambda(n, m, values)
+        try:
+            r = r_from_algebra(basis, lam)
+        except DegenerateForm as exc:
+            degenerate += 1
+            with pytest.raises(DegenerateForm) as dense_exc:
+                r_from_matrices(mats, lam)
+            assert dense_exc.value.rank == exc.rank
+        else:
+            assert r_from_matrices(mats, lam) == r
+    assert degenerate >= 1
 
 
 def test_shape_mismatch_errors():
