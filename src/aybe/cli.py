@@ -5,13 +5,15 @@ Exit codes: 0 verified/success, 1 verification failed, 2 usage or parse
 error (including JSON nested too deeply to decode), 3 degenerate or
 singular input. Reports are JSON, deterministic byte-for-byte apart from
 the timing field. Output paths and inputs are checked before anything is
-written, so a run that exits 2 leaves no file behind.
+written, and every file is written through a temporary file and a rename
+once all output text is built, so a run that exits 2 leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -64,11 +66,29 @@ def _lambda_strings(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def _emit(report: dict, report_path: str | None) -> None:
+def _write(files: dict[str, str]) -> None:
+    """Write every file or none: each text goes to a temporary file beside
+    its target, and the targets are replaced only once all are written."""
+    temps: list[Path] = []
+    try:
+        for k, (path, text) in enumerate(files.items()):
+            temps.append(Path(f"{path}.{os.getpid()}-{k}.tmp"))
+            temps[-1].write_text(text)
+        for temp, path in zip(temps, files):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _emit(report: dict, report_path: str | None, outputs: dict | None = None) -> None:
+    """Write the output files and the report (to report_path, else stdout)."""
     text = json.dumps(report, indent=2) + "\n"
+    files = dict(outputs or {})
     if report_path:
-        Path(report_path).write_text(text)
-    else:
+        files[report_path] = text
+    _write(files)
+    if not report_path:
         sys.stdout.write(text)
 
 
@@ -112,9 +132,8 @@ def cmd_construct(args) -> int:
         )
         _emit(report, args.report)
         return EXIT_DEGENERATE
-    Path(args.out).write_text(r.dumps())
     details = {"dimension": len(basis), "entries": r.nnz}
-    _emit(_report("construct", inputs, "pass", details, t0), args.report)
+    _emit(_report("construct", inputs, "pass", details, t0), args.report, {args.out: r.dumps()})
     return EXIT_OK
 
 
@@ -145,8 +164,6 @@ def cmd_closed_form(args) -> int:
     }
     r = r_closed(args.variant, lam)
     diffs = compare_tensors(r, _load_tensor(args.compare)) if args.compare else None
-    if args.out:
-        Path(args.out).write_text(r.dumps())
     details: dict = {"entries": r.nnz}
     verdict = "pass"
     code = EXIT_OK
@@ -162,7 +179,8 @@ def cmd_closed_form(args) -> int:
         if diffs:
             verdict = "fail"
             code = EXIT_FAIL
-    _emit(_report("closed-form", inputs, verdict, details, t0), args.report)
+    outputs = {args.out: r.dumps()} if args.out else {}
+    _emit(_report("closed-form", inputs, verdict, details, t0), args.report, outputs)
     return code
 
 
@@ -209,8 +227,9 @@ def cmd_bracket(args) -> int:
         bracket = scalar_bracket_from_r(r)
     else:
         bracket = matrix_bracket_from_r(r, args.m_size)
+    outputs = {}
     if args.out:
-        Path(args.out).write_text(json.dumps(bracket_to_json(bracket), indent=2) + "\n")
+        outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
     details = {
         "generators": bracket.n_gens,
         "nonzero_pairs": len(bracket.pairs()),
@@ -238,7 +257,7 @@ def cmd_bracket(args) -> int:
             ),
             "pairs": comparison,
         }
-    _emit(_report("bracket", inputs, verdict, details, t0), args.report)
+    _emit(_report("bracket", inputs, verdict, details, t0), args.report, outputs)
     return code
 
 
@@ -263,7 +282,6 @@ def cmd_transform(args) -> int:
             )
             _emit(report, args.report)
             return EXIT_DEGENERATE
-    Path(args.out).write_text(out.dumps())
     rep = aybe_report(out)
     details = {
         "entries": out.nnz,
@@ -271,7 +289,7 @@ def cmd_transform(args) -> int:
         "residual_violations": _violation_items(rep.residual_violations),
     }
     verdict = "pass" if rep.passed else "fail"
-    _emit(_report("transform", inputs, verdict, details, t0), args.report)
+    _emit(_report("transform", inputs, verdict, details, t0), args.report, {args.out: out.dumps()})
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
@@ -365,6 +383,11 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # Exact values outgrow Python's 4300-digit int/str limit (a residual
+    # squares its entries); parsing a literal costs time quadratic in its
+    # digits, so it stays bounded by the input's size. Before 3.10.7: no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:

@@ -1,8 +1,9 @@
-"""Exact rational scalars and dense rational matrix algebra.
+"""Exact rational scalars and rational matrix algebra.
 
 Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
-or just "p" when the denominator is 1.
+or just "p" when the denominator is 1. Matrices are dense; determinant,
+rank and inverse share one Gauss-Jordan elimination on sparse rows.
 """
 
 from __future__ import annotations
@@ -169,58 +170,53 @@ def trace(a: RatMatrix) -> Fraction:
     return sum((a[i][i] for i in range(a.rows)), Fraction(0))
 
 
-def determinant(a: RatMatrix) -> Fraction:
-    """Exact determinant by the Bareiss recurrence over rationals.
-
-    Pivot choice is the first nonzero entry scanning top-down; rows are
-    swapped as needed and each swap flips the sign.
+def _reduce(a: RatMatrix) -> tuple[Fraction, list[dict[int, Fraction]], dict[int, int]]:
+    """Gauss-Jordan elimination of the square matrix [a | I] on sparse rows
+    (dicts of nonzero entries), so the work follows the largest block of a
+    matrix that is block-diagonal up to permutation. A column's pivot is the
+    first row not yet pivoted that is nonzero there; a column without one
+    is skipped, so len(pivots) is the rank. Returns (determinant, rows,
+    pivots: column -> row). Bringing the pivot row to the front of the rows
+    not yet pivoted is a cyclic shift: the sign flips at an odd position.
     """
+    n = a.rows
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a._e]
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
+    free = list(range(n))
+    pivots: dict[int, int] = {}
+    det = Fraction(1)
+    for col in range(n):
+        pos = next((k for k, i in enumerate(free) if col in rows[i]), None)
+        if pos is None:
+            det = Fraction(0)
+            continue
+        p = free.pop(pos)
+        pivot = rows[p][col]
+        det *= -pivot if pos % 2 else pivot
+        prow = rows[p] = {j: v / pivot for j, v in rows[p].items()}
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f and i != p:
+                for j, v in prow.items():
+                    x = row.get(j, 0) - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots[col] = p
+    return det, rows, pivots
+
+
+def determinant(a: RatMatrix) -> Fraction:
+    """Exact determinant by sparse Gauss-Jordan elimination (see _reduce)."""
     if not a.is_square():
         raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    m = [list(row) for row in a._e]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            row_i, row_k = m[i], m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_k[k] * row_i[j] - lead * row_k[j]) / prev
-            row_i[k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _rank(a: RatMatrix) -> int:
-    m = [list(row) for row in a._e]
-    rank = 0
-    for col in range(a.cols):
-        pivot_row = next((i for i in range(rank, a.rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, a.rows):
-            f = m[i][col] / pivot
-            if f:
-                for j in range(col, a.cols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
+    return _reduce(a)[0]
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse via the Bareiss recurrence over rationals on [a | I],
-    then back substitution.
+    """Exact inverse by sparse Gauss-Jordan elimination of [a | I].
 
     Raises SingularMatrix (with the rank found) when a has no inverse;
     that is the degeneracy signal used by the bilinear-form pipeline.
@@ -228,31 +224,11 @@ def mat_inverse(a: RatMatrix) -> RatMatrix:
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows
-    aug = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a._e)]
-    width = 2 * n
-    prev = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
-        if pivot_row is None:
-            raise SingularMatrix(_rank(a))
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for i in range(k + 1, n):
-            row_i, row_k = aug[i], aug[k]
-            lead = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_k[k] * row_i[j] - lead * row_k[j]) / prev
-            row_i[k] = Fraction(0)
-        prev = aug[k][k]
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for k in reversed(range(n)):
-        pivot = aug[k][k]
-        for c in range(n):
-            s = aug[k][n + c]
-            for j in range(k + 1, n):
-                s -= aug[k][j] * inv[j][c]
-            inv[k][c] = s / pivot
-    return RatMatrix(inv)
+    _, rows, pivots = _reduce(a)
+    if len(pivots) < n:
+        raise SingularMatrix(len(pivots))
+    inverse_rows = [rows[pivots[c]] for c in range(n)]
+    return RatMatrix([[row.get(n + k, 0) for k in range(n)] for row in inverse_rows])
 
 
 def matrix_to_json(a: RatMatrix) -> list[list[str]]:

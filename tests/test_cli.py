@@ -7,12 +7,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aybe.cli import main
 from aybe.closedform import r_closed_block, r_closed_m1
-from aybe.exactlin import RatMatrix, matrix_to_json
+from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
 from conftest import rand_invertible
@@ -55,6 +55,18 @@ def test_construct_degenerate_exit_3(tmp_path, capsys):
     assert code == 3
     report = read_report(out)
     assert report["verdict"] == "degenerate"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_construct_degenerate_partial_rank(tmp_path, capsys):
+    code, out, _ = run(
+        ["construct", "--n", "4", "--m", "2", "--lambda", "0,1,0,2", "--out", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 3
+    report = read_report(out)
+    assert report["verdict"] == "degenerate"
+    assert report["details"]["gram_rank"] == 4
     assert not (tmp_path / "r.json").exists()
 
 
@@ -119,6 +131,72 @@ def test_transform_deeply_nested_g_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == "" and "aybe: error:" in err
     assert not out_path.exists()
+
+
+def huge_tensor_text():
+    """A skew n=2 tensor failing the AYBE, with 2500-digit entries: its
+    residual values have about 5000 digits, past Python's default limit on
+    int/str conversion."""
+    v = "3" + "1415926535" * 250
+    w = "2" + "7182818284" * 250
+    entries = [
+        ([0, 1], [0, 1], v), ([1, 0], [1, 0], "-" + v),
+        ([0, 0], [0, 1], w), ([0, 0], [1, 0], "-" + w),
+    ]
+    return json.dumps({"n": 2, "entries": [
+        {"upper": up, "lower": lo, "value": val} for up, lo, val in entries
+    ]})
+
+
+def test_verify_huge_entries_exit_1(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(huge_tensor_text())
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 1
+    report = read_report(out)
+    assert report["verdict"] == "fail"
+    assert max(len(item["value"]) for item in report["details"]["residual_violations"]) > 4300
+
+
+def test_transform_huge_entries_exit_1(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(huge_tensor_text())
+    g_path = tmp_path / "g.json"
+    g_path.write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    out_path = tmp_path / "o.json"
+    code, out, _ = run(["transform", str(path), "--g", str(g_path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert read_report(out)["verdict"] == "fail"
+    assert Tensor4.loads(out_path.read_text()).nnz
+
+
+def test_rational_codec_round_trips_huge_values(tmp_path, capsys):
+    text = "-" + "1234567890" * 10_000 + "1/1024"
+    obj = {"n": 2, "entries": [{"upper": [0, 1], "lower": [0, 1], "value": text}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(
+        ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1", "--compare", str(path)],
+        capsys,
+    )
+    assert code == 1
+    compared = {item["compared"] for item in read_report(out)["details"]["differences"]}
+    assert text in compared
+    v = parse_rational(text)
+    assert format_rational(v) == text
+    assert parse_rational(format_rational(v)) == v
+
+
+def test_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("aybe.cli.os.replace", fail)
+    argv = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", str(tmp_path / "r.json")]
+    for extra in ([], ["--report", str(tmp_path / "rep.json")]):
+        code, out, err = run(argv + extra, capsys)
+        assert code == 2 and out == "" and "aybe: error: disk full" in err
+        assert sorted(tmp_path.iterdir()) == []
 
 
 def test_negative_lambda_value(tmp_path, capsys):
@@ -409,6 +487,12 @@ JSON_JUNK = st.recursive(
     max_leaves=10,
 )
 RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=4).map(str)
+# 2000-5000 digits: products of two such values pass the 4300-digit default
+# limit on int/str conversion; built as text so drawing needs no conversion
+HUGE_RATIONAL = st.builds(
+    lambda sign, lead, tens, den: f"{sign}{lead}{'0123456789' * tens}{den}",
+    st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(200, 500), st.sampled_from(["", "/3"]),
+)
 JUNK_FILE = st.sampled_from(["", "{", "[]", "null", "[" * 60]) | JSON_JUNK.map(json.dumps)
 OUT_PATHS = [("tmp", "missing", "out.json"), ("tmp",)]
 REPORT_PATHS = [("tmp", "missing", "report.json"), ("tmp",)]
@@ -430,7 +514,7 @@ def tensor_file(draw):
             entry = draw(st.sampled_from(obj["entries"]))
             field = draw(st.sampled_from(["value", "upper", "lower", "n", "dup"]))
             if field == "value":
-                entry["value"] = draw(RATIONAL | st.sampled_from(["1.5", 3, None, ""]))
+                entry["value"] = draw(RATIONAL | HUGE_RATIONAL | st.sampled_from(["1.5", 3, None, ""]))
             elif field in ("upper", "lower"):
                 entry[field] = draw(st.lists(st.integers(-1, 4), max_size=3) | JSON_JUNK)
             elif field == "n":
@@ -518,6 +602,10 @@ def run_contained(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(case=command_line())
+@example(case=(
+    ["transform", ("tmp", "t.json"), "--g", ("tmp", "g.json"), "--out", ("tmp", "out.json")],
+    {"t.json": huge_tensor_text(), "g.json": json.dumps([["1", "1"], ["0", "1"]])},
+))
 def test_exit_code_contract(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,94 @@ def test_determinant_zero_iff_singular(seed):
             mat_inverse(a)
     else:
         mat_inverse(a)
+
+
+def leibniz(a):
+    """Determinant as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(a.rows)):
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def submatrix(a, rows, cols):
+    return RatMatrix([[a[i][j] for j in cols] for i in rows])
+
+
+def minor_rank(a):
+    """Size of the largest square submatrix with nonzero determinant."""
+    for k in range(a.rows, 0, -1):
+        for rows in combinations(range(a.rows), k):
+            for cols in combinations(range(a.cols), k):
+                if leibniz(submatrix(a, rows, cols)):
+                    return k
+    return 0
+
+
+def adjugate_inverse(a):
+    n, det = a.rows, leibniz(a)
+    if n == 1:
+        return RatMatrix([[1 / det]])
+    others = [[k for k in range(n) if k != i] for i in range(n)]
+    return RatMatrix(
+        [
+            [(-1) ** (i + j) * leibniz(submatrix(a, others[j], others[i])) / det for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+@st.composite
+def sparse_matrix_st(draw):
+    """n <= 4, at least half of the entries zero."""
+    n = draw(st.integers(1, 4))
+    nonzero = draw(st.sets(st.integers(0, n * n - 1), max_size=n * n // 2))
+    cells = [draw(fractions_st.filter(bool)) if k in nonzero else 0 for k in range(n * n)]
+    return RatMatrix([cells[i * n : (i + 1) * n] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix_st())
+def test_elimination_matches_oracles(a):
+    assert determinant(a) == leibniz(a)
+    rank = minor_rank(a)
+    if rank < a.rows:
+        with pytest.raises(SingularMatrix) as exc:
+            mat_inverse(a)
+        assert exc.value.rank == rank
+    else:
+        inv = mat_inverse(a)
+        assert mat_mul(a, inv) == RatMatrix.identity(a.rows)
+        assert mat_mul(inv, a) == RatMatrix.identity(a.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 10_000))
+def test_inverse_of_permuted_block_diagonal(sizes, seed):
+    """A = P D Q^T with D block-diagonal inverts to Q D^-1 P^T, block by block."""
+    rng = random.Random(seed)
+    n = sum(sizes)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    d_inv = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for k in sizes:
+        block = rand_matrix(rng, k)
+        while not leibniz(block):
+            block = rand_matrix(rng, k)
+        block_inv = adjugate_inverse(block)
+        for i in range(k):
+            for j in range(k):
+                d[start + i][start + j] = block[i][j]
+                d_inv[start + i][start + j] = block_inv[i][j]
+        start += k
+    p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+    a = RatMatrix([[d[p[i]][q[j]] for j in range(n)] for i in range(n)])
+    expected = RatMatrix([[d_inv[q[j]][p[i]] for i in range(n)] for j in range(n)])
+    assert mat_inverse(a) == expected
 
 
 def test_results_are_canonical_fractions():

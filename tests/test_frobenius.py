@@ -230,6 +230,24 @@ def test_r_from_algebra_degenerate():
     assert exc.value.rank == 0
 
 
+@pytest.mark.parametrize(
+    "n, m, values, dim, rank",
+    [
+        (4, 1, (0, 0, 1, 2), 12, 10),
+        (4, 1, (0, 0, 1, 1), 12, 8),
+        (4, 2, (0, 1, 0, 2), 8, 4),
+        (6, 3, (0, 1, 2, 0, 1, 2), 18, 6),
+    ],
+)
+def test_degenerate_gram_rank(n, m, values, dim, rank):
+    """Degenerate lambdas where the Gram matrix keeps part of its rank."""
+    basis = build_basis(n, m)
+    assert len(basis.elements) == dim
+    with pytest.raises(DegenerateForm) as exc:
+        r_from_algebra(basis, make_lambda(n, m, values))
+    assert exc.value.rank == rank
+
+
 def test_r_from_algebra_matches_block_closed_form():
     lam = make_lambda(4, 2, [1, 1, 0, 0])
     r = r_from_algebra(build_basis(4, 2), lam)
