@@ -1,12 +1,12 @@
 """Command-line front door: construct, verify, closed-form, cocycle,
 bracket, transform.
 
-Exit codes: 0 verified/success, 1 verification failed, 2 usage or parse
-error (including JSON nested too deeply to decode), 3 degenerate or
-singular input. Reports are JSON, deterministic byte-for-byte apart from
-the timing field. Output paths and inputs are checked before anything is
-written, and every file is written through a temporary file and a rename
-once all output text is built, so a run that exits 2 leaves no file behind.
+Each `cmd_*` maps the parsed arguments to (inputs, verdict, details,
+outputs). `main` alone times it, builds the JSON report (deterministic
+apart from `timing_ms`), writes it and the outputs, and maps the verdict to
+the exit code: 0 pass, 1 fail, 3 degenerate. Exit 2 is a usage, parse or
+write error. Files go through temporary files, renamed into place only after
+the stdout report is written, so a run that exits 2 leaves no file behind.
 """
 
 from __future__ import annotations
@@ -49,31 +49,41 @@ from aybe.tensor import (
     transpose_dual,
 )
 
-EXIT_OK = 0
-EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_DEGENERATE = 3
+EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
 
 def _parse_lambda(text: str, n: int) -> tuple:
-    parts = [p for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"expected {n} lambda values, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
 
 
-def _lambda_strings(values) -> list[str]:
-    return [format_rational(v) for v in values]
+def _lambda(args) -> LambdaSpec:
+    return LambdaSpec(args.n, args.m, _parse_lambda(args.lam, args.n))
 
 
-def _write(files: dict[str, str]) -> None:
-    """Write every file or none: each text goes to a temporary file beside
-    its target, and the targets are replaced only once all are written."""
+def _lambda_inputs(lam: LambdaSpec) -> dict:
+    return {"n": lam.n, "m": lam.m, "lambda": [format_rational(v) for v in lam.values]}
+
+
+def _write(outputs: dict[str, str], report: str, report_path: str | None) -> None:
+    """Write every file or none, and the report to report_path, else stdout.
+    Each text goes to a temporary file beside its target; the stdout report
+    is written and flushed next, and the targets are replaced only once all
+    of that has succeeded."""
+    files = {**outputs, report_path: report} if report_path else outputs
     temps: list[Path] = []
     try:
         for k, (path, text) in enumerate(files.items()):
             temps.append(Path(f"{path}.{os.getpid()}-{k}.tmp"))
             temps[-1].write_text(text)
+        if not report_path:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            sys.stdout.write(report)
+            sys.stdout.flush()
         for temp, path in zip(temps, files):
             os.replace(temp, path)
     finally:
@@ -81,92 +91,53 @@ def _write(files: dict[str, str]) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _emit(report: dict, report_path: str | None, outputs: dict | None = None) -> None:
-    """Write the output files and the report (to report_path, else stdout)."""
-    text = json.dumps(report, indent=2) + "\n"
-    files = dict(outputs or {})
-    if report_path:
-        files[report_path] = text
-    _write(files)
-    if not report_path:
-        sys.stdout.write(text)
-
-
-def _report(command: str, inputs: dict, verdict: str, details: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "verdict": verdict,
-        "details": details,
-        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    }
-
-
 def _load_tensor(path: str) -> Tensor4:
     return Tensor4.loads(Path(path).read_text())
 
 
 def _violation_items(violations) -> list[dict]:
-    return [
-        {"indices": list(key), "value": format_rational(v)} for key, v in violations
-    ]
+    return [{"indices": list(key), "value": format_rational(v)} for key, v in violations]
 
 
-def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
-    values = _parse_lambda(args.lam, args.n)
-    lam = LambdaSpec(args.n, args.m, values)
-    inputs = {
-        "n": args.n,
-        "m": args.m,
-        "lambda": _lambda_strings(lam.values),
-        "mode": lam.mode.value,
-        "out": args.out,
-    }
-    basis = build_basis(args.n, args.m)
-    try:
-        r = r_from_algebra(basis, lam)
-    except DegenerateForm as exc:
-        report = _report(
-            "construct", inputs, "degenerate", {"gram_rank": exc.rank}, t0
-        )
-        _emit(report, args.report)
-        return EXIT_DEGENERATE
-    details = {"dimension": len(basis), "entries": r.nnz}
-    _emit(_report("construct", inputs, "pass", details, t0), args.report, {args.out: r.dumps()})
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    r = _load_tensor(args.tensor)
+def _tensor_checks(r: Tensor4) -> tuple[str, dict]:
+    """The skew and residual checks as (verdict, details)."""
     rep = aybe_report(r)
     details = {
         "skew_violations": _violation_items(rep.skew_violations),
         "residual_violations": _violation_items(rep.residual_violations),
     }
-    verdict = "pass" if rep.passed else "fail"
-    _emit(_report("verify", {"tensor": args.tensor, "n": r.n}, verdict, details, t0), args.report)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    return ("pass" if rep.passed else "fail"), details
 
 
-def cmd_closed_form(args) -> int:
-    t0 = time.perf_counter()
-    values = _parse_lambda(args.lam, args.n)
-    lam = LambdaSpec(args.n, args.m, values)
+def cmd_construct(args) -> tuple:
+    lam = _lambda(args)
+    inputs = {**_lambda_inputs(lam), "mode": lam.mode.value, "out": args.out}
+    basis = build_basis(args.n, args.m)
+    try:
+        r = r_from_algebra(basis, lam)
+    except DegenerateForm as exc:
+        return inputs, "degenerate", {"gram_rank": exc.rank}, {}
+    details = {"dimension": len(basis), "entries": r.nnz}
+    return inputs, "pass", details, {args.out: r.dumps()}
+
+
+def cmd_verify(args) -> tuple:
+    r = _load_tensor(args.tensor)
+    verdict, details = _tensor_checks(r)
+    return {"tensor": args.tensor, "n": r.n}, verdict, details, {}
+
+
+def cmd_closed_form(args) -> tuple:
+    lam = _lambda(args)
     inputs = {
         "variant": args.variant,
-        "n": args.n,
-        "m": args.m,
-        "lambda": _lambda_strings(lam.values),
+        **_lambda_inputs(lam),
         "out": args.out,
         "compare": args.compare,
     }
     r = r_closed(args.variant, lam)
     diffs = compare_tensors(r, _load_tensor(args.compare)) if args.compare else None
     details: dict = {"entries": r.nnz}
-    verdict = "pass"
-    code = EXIT_OK
     if diffs is not None:
         details["differences"] = [
             {
@@ -176,32 +147,19 @@ def cmd_closed_form(args) -> int:
             }
             for key, v1, v2 in diffs
         ]
-        if diffs:
-            verdict = "fail"
-            code = EXIT_FAIL
     outputs = {args.out: r.dumps()} if args.out else {}
-    _emit(_report("closed-form", inputs, verdict, details, t0), args.report, outputs)
-    return code
+    return inputs, ("fail" if diffs else "pass"), details, outputs
 
 
-def cmd_cocycle(args) -> int:
-    t0 = time.perf_counter()
-    values = _parse_lambda(args.lam, args.n)
-    lam = LambdaSpec(args.n, args.m, values)
+def cmd_cocycle(args) -> tuple:
+    lam = _lambda(args)
     basis = build_basis(args.n, args.m)
     violations = cocycle_residual(basis, lam)
-    details = {
-        "dimension": len(basis),
-        "violations": _violation_items(violations),
-    }
-    inputs = {"n": args.n, "m": args.m, "lambda": _lambda_strings(lam.values)}
-    verdict = "pass" if not violations else "fail"
-    _emit(_report("cocycle", inputs, verdict, details, t0), args.report)
-    return EXIT_OK if not violations else EXIT_FAIL
+    details = {"dimension": len(basis), "violations": _violation_items(violations)}
+    return _lambda_inputs(lam), ("fail" if violations else "pass"), details, {}
 
 
-def cmd_bracket(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bracket(args) -> tuple:
     r = _load_tensor(args.tensor)
     lam = None
     if args.compare_closed_2m:
@@ -220,9 +178,7 @@ def cmd_bracket(args) -> int:
     }
     skew = check_skew(r)
     if skew:
-        details = {"skew_violations": _violation_items(skew)}
-        _emit(_report("bracket", inputs, "fail", details, t0), args.report)
-        return EXIT_FAIL
+        return inputs, "fail", {"skew_violations": _violation_items(skew)}, {}
     if args.m_size == 1:
         bracket = scalar_bracket_from_r(r)
     else:
@@ -230,12 +186,8 @@ def cmd_bracket(args) -> int:
     outputs = {}
     if args.out:
         outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
-    details = {
-        "generators": bracket.n_gens,
-        "nonzero_pairs": len(bracket.pairs()),
-    }
+    details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket.pairs())}
     verdict = "pass"
-    code = EXIT_OK
     if args.check_jacobi:
         violations = jacobi_residual(bracket)
         details["jacobi_violations"] = [
@@ -244,9 +196,8 @@ def cmd_bracket(args) -> int:
         ]
         if violations:
             verdict = "fail"
-            code = EXIT_FAIL
     if lam is not None:
-        inputs["lambda"] = _lambda_strings(lam.values)
+        inputs["lambda"] = [format_rational(v) for v in lam.values]
         comparison = compare_to_closed_2m(bracket, lam)
         statuses = {item["status"] for item in comparison}
         details["closed_2m_comparison"] = {
@@ -257,12 +208,10 @@ def cmd_bracket(args) -> int:
             ),
             "pairs": comparison,
         }
-    _emit(_report("bracket", inputs, verdict, details, t0), args.report, outputs)
-    return code
+    return inputs, verdict, details, outputs
 
 
-def cmd_transform(args) -> int:
-    t0 = time.perf_counter()
+def cmd_transform(args) -> tuple:
     r = _load_tensor(args.tensor)
     inputs = {
         "tensor": args.tensor,
@@ -277,20 +226,16 @@ def cmd_transform(args) -> int:
         try:
             out = gl_transform(r, g)
         except SingularMatrix as exc:
-            report = _report(
-                "transform", inputs, "degenerate", {"g_rank": exc.rank}, t0
-            )
-            _emit(report, args.report)
-            return EXIT_DEGENERATE
-    rep = aybe_report(out)
-    details = {
-        "entries": out.nnz,
-        "skew_violations": _violation_items(rep.skew_violations),
-        "residual_violations": _violation_items(rep.residual_violations),
-    }
-    verdict = "pass" if rep.passed else "fail"
-    _emit(_report("transform", inputs, verdict, details, t0), args.report, {args.out: out.dumps()})
-    return EXIT_OK if rep.passed else EXIT_FAIL
+            return inputs, "degenerate", {"g_rank": exc.rank}, {}
+    verdict, checks = _tensor_checks(out)
+    return inputs, verdict, {"entries": out.nnz, **checks}, {args.out: out.dumps()}
+
+
+def _add_lambda_args(p: argparse.ArgumentParser, m_default: int | None = None) -> None:
+    """--n, --m and --lambda; --m is required unless it has a default."""
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=m_default is None, default=m_default)
+    p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,71 +248,61 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", default=None, help="write the report here instead of stdout")
 
-    p = sub.add_parser("construct", help="build the tensor from the matrix algebra")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
+    def command(name, fn, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("construct", cmd_construct, "build the tensor from the matrix algebra")
+    _add_lambda_args(p)
     p.add_argument("--out", required=True, help="tensor JSON output path")
-    p.add_argument("--report", default=None, help="write the report here instead of stdout")
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("verify", help="run the skew and residual checks on a tensor file")
+    p = command("verify", cmd_verify, "run the skew and residual checks on a tensor file")
     p.add_argument("tensor")
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("closed-form", help="emit a closed-form tensor, optionally comparing")
+    p = command("closed-form", cmd_closed_form, "emit a closed-form tensor, optionally comparing")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", required=True)
+    _add_lambda_args(p, m_default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--compare", default=None, help="tensor file to diff against")
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_closed_form)
 
-    p = sub.add_parser("cocycle", help="check the cyclic identity over all basis triples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_cocycle)
+    p = command("cocycle", cmd_cocycle, "check the cyclic identity over all basis triples")
+    _add_lambda_args(p)
 
-    p = sub.add_parser("bracket", help="derive the quadratic bracket from a tensor file")
+    p = command("bracket", cmd_bracket, "derive the quadratic bracket from a tensor file")
     p.add_argument("tensor")
     p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
     p.add_argument("--check-jacobi", action="store_true")
-    p.add_argument(
-        "--compare-closed-2m",
-        action="store_true",
-        help="compare the scalar bracket against the printed two-block formula",
-    )
+    p.add_argument("--compare-closed-2m", action="store_true",
+                   help="compare the scalar bracket against the printed two-block formula")
     p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
     p.add_argument("--out", default=None, help="bracket JSON output path")
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_bracket)
 
-    p = sub.add_parser("transform", help="apply a basis change or the transpose dual")
+    p = command("transform", cmd_transform, "apply a basis change or the transpose dual")
     p.add_argument("tensor")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
     group.add_argument("--transpose-dual", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_transform)
 
     return parser
 
 
-def _check_output_path(path: str) -> None:
-    """Reject a path that cannot be written as a file, before any work, so a
-    failed run leaves no partial output behind."""
-    target = Path(path)
-    if target.is_dir():
-        raise ValueError(f"output path is a directory: {path!r}")
-    if not target.parent.is_dir():
-        raise ValueError(f"output directory does not exist: {path!r}")
+def _check_output_paths(out: str | None, report: str | None) -> None:
+    """Reject paths that cannot be written as files, or `--out` and
+    `--report` naming one file, before any work, so a failed run leaves no
+    partial output behind."""
+    paths = [path for path in (out, report) if path is not None]
+    for path in paths:
+        if Path(path).is_dir():
+            raise ValueError(f"output path is a directory: {path!r}")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output directory does not exist: {path!r}")
+    if len(paths) == 2 and os.path.realpath(out) == os.path.realpath(report):
+        raise ValueError(f"--out and --report name the same file: {report!r}")
 
 
 def _glue_negative_lambda(argv: list[str]) -> list[str]:
@@ -391,16 +326,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
-        for path in (getattr(args, "out", None), args.report):
-            if path is not None:
-                _check_output_path(path)
-        return args.fn(args)
+        _check_output_paths(getattr(args, "out", None), args.report)
+        t0 = time.perf_counter()
+        inputs, verdict, details, outputs = args.fn(args)
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "verdict": verdict,
+            "details": details,
+            "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
+        _write(outputs, json.dumps(report, indent=2) + "\n", args.report)
     except (ValueError, OSError, RecursionError) as exc:
         print(f"aybe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateForm, SingularMatrix) as exc:
-        print(f"aybe: degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import random
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -195,8 +197,51 @@ def test_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     argv = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", str(tmp_path / "r.json")]
     for extra in ([], ["--report", str(tmp_path / "rep.json")]):
         code, out, err = run(argv + extra, capsys)
-        assert code == 2 and out == "" and "aybe: error: disk full" in err
+        assert code == 2 and "aybe: error: disk full" in err
+        if extra:
+            assert out == ""
+        else:  # the stdout report is flushed before any rename is tried
+            assert read_report(out)["verdict"] == "pass"
         assert sorted(tmp_path.iterdir()) == []
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose `write` or `flush` fails, as on a full device."""
+
+    def __init__(self, failing):
+        super().__init__()
+        setattr(self, failing, self.fail)
+
+    def fail(self, *args):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", [None, "write", "flush"])
+def test_closed_or_failing_stdout_writes_nothing(tmp_path, capsys, monkeypatch, stdout):
+    old = tmp_path / "old.json"
+    old.write_text("old")
+    monkeypatch.setattr(sys, "stdout", stdout and BrokenStdout(stdout))
+    construct = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out"]
+    for out_path in (tmp_path / "new.json", old):
+        assert main(construct + [str(out_path)]) == 2
+        assert "aybe: error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [old] and old.read_text() == "old"
+
+
+def test_out_and_report_same_file_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("link.json").symlink_to("r.json")
+    construct = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1"]
+    same = [("r.json", "r.json"), ("r.json", "./r.json"), (str(tmp_path / "r.json"), "r.json"), ("r.json", "link.json")]
+    for out_path, report_path in same:
+        code, out, err = run(construct + ["--out", out_path, "--report", report_path], capsys)
+        assert code == 2 and out == "" and "aybe: error:" in err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "link.json"]
+    # a symlink loop is not the same file as the report, and is no crash
+    Path("a").symlink_to("b")
+    Path("b").symlink_to("a")
+    code, _, _ = run(construct + ["--out", "a", "--report", "rep.json"], capsys)
+    assert code == 0 and Tensor4.loads(Path("a").read_text()).nnz
 
 
 def test_negative_lambda_value(tmp_path, capsys):
@@ -457,6 +502,75 @@ def test_reports_deterministic(tmp_path, capsys):
     assert rep1 == rep2
 
 
+# (argv, exit code, report without timing_ms), recorded before the report,
+# the writes and the exit code moved from the commands into `main`
+PINNED_REPORTS = [
+    (["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", "r.json"], 0,
+     '{"command": "construct", "inputs": {"n": 2, "m": 1, "lambda": ["2", "1"], "mode": "DISTINCT", '
+     '"out": "r.json"}, "verdict": "pass", "details": {"dimension": 2, "entries": 8}}'),
+    (["verify", "bad.json"], 1,
+     '{"command": "verify", "inputs": {"tensor": "bad.json", "n": 2}, "verdict": "fail", "details": '
+     '{"skew_violations": [{"indices": [0, 1, 0, 1], "value": "1"}, {"indices": [1, 0, 1, 0], '
+     '"value": "1"}], "residual_violations": []}}'),
+    (["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1", "--compare", "zero.json"], 1,
+     '{"command": "closed-form", "inputs": {"variant": "m1", "n": 2, "m": 1, "lambda": ["2", "1"], '
+     '"out": null, "compare": "zero.json"}, "verdict": "fail", "details": {"entries": 8, "differences": '
+     '[{"indices": [0, 0, 0, 1], "closed_form": "-1", "compared": "0"}, {"indices": [0, 0, 1, 0], '
+     '"closed_form": "1", "compared": "0"}, {"indices": [0, 1, 0, 1], "closed_form": "1", "compared": '
+     '"0"}, {"indices": [0, 1, 1, 0], "closed_form": "-1", "compared": "0"}, {"indices": [1, 0, 0, 1], '
+     '"closed_form": "1", "compared": "0"}, {"indices": [1, 0, 1, 0], "closed_form": "-1", "compared": '
+     '"0"}, {"indices": [1, 1, 0, 1], "closed_form": "-1", "compared": "0"}, {"indices": [1, 1, 1, 0], '
+     '"closed_form": "1", "compared": "0"}]}}'),
+    (["cocycle", "--n", "2", "--m", "1", "--lambda", "2,1"], 0,
+     '{"command": "cocycle", "inputs": {"n": 2, "m": 1, "lambda": ["2", "1"]}, "verdict": "pass", '
+     '"details": {"dimension": 2, "violations": []}}'),
+    (["bracket", "r.json", "--check-jacobi", "--compare-closed-2m", "--lambda", "2,1", "--out", "b.json"], 0,
+     '{"command": "bracket", "inputs": {"tensor": "r.json", "m_size": 1, "check_jacobi": true, "out": '
+     '"b.json", "lambda": ["2", "1"]}, "verdict": "pass", "details": {"generators": 2, "nonzero_pairs": 1, '
+     '"jacobi_violations": [], "closed_2m_comparison": {"overall": "undefined", "pairs": [{"pair": [0, 1], '
+     '"derived": [{"exps": [0, 2], "coeff": "-1"}, {"exps": [1, 1], "coeff": "2"}, {"exps": [2, 0], '
+     '"coeff": "-1"}], "status": "undefined", "closed": null}]}}}'),
+    (["transform", "r.json", "--g", "g.json", "--out", "t.json"], 0,
+     '{"command": "transform", "inputs": {"tensor": "r.json", "g": "g.json", "transpose_dual": false, '
+     '"out": "t.json"}, "verdict": "pass", "details": {"entries": 2, "skew_violations": [], '
+     '"residual_violations": []}}'),
+    (["construct", "--n", "2", "--m", "1", "--lambda", "1,1", "--out", "d.json"], 3,
+     '{"command": "construct", "inputs": {"n": 2, "m": 1, "lambda": ["1", "1"], "mode": "OTHER", '
+     '"out": "d.json"}, "verdict": "degenerate", "details": {"gram_rank": 0}}'),
+    (["bracket", "bad.json", "--compare-closed-2m", "--lambda", "2,1"], 1,
+     '{"command": "bracket", "inputs": {"tensor": "bad.json", "m_size": 1, "check_jacobi": false, '
+     '"out": null}, "verdict": "fail", "details": {"skew_violations": [{"indices": [0, 1, 0, 1], '
+     '"value": "1"}, {"indices": [1, 0, 1, 0], "value": "1"}]}}'),
+    (["transform", "r.json", "--g", "s.json", "--out", "t.json"], 3,
+     '{"command": "transform", "inputs": {"tensor": "r.json", "g": "s.json", "transpose_dual": false, '
+     '"out": "t.json"}, "verdict": "degenerate", "details": {"g_rank": 1}}'),
+]
+
+
+def test_reports_pinned(tmp_path, capsys, monkeypatch):
+    """Report text, key order included, with only `timing_ms` left out."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
+    Path("zero.json").write_text(Tensor4(2).dumps())
+    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    for argv, expected_code, expected in PINNED_REPORTS:
+        code, out, _ = run(argv, capsys)
+        assert code == expected_code
+        head, timing = out.rsplit(',\n  "timing_ms": ', 1)
+        assert re.fullmatch(r"[0-9.]+\n}\n", timing)
+        assert head + "\n}\n" == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
+def test_m_required_except_closed_form(tmp_path, capsys):
+    for argv in (["construct", "--out", str(tmp_path / "r.json")], ["cocycle"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "2", "--lambda", "2,1"])
+        assert exc.value.code == 2 and "--m" in capsys.readouterr().err
+    code, out, _ = run(["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1"], capsys)
+    assert code == 0 and read_report(out)["inputs"]["m"] == 1
+
+
 def test_report_written_to_file(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
     tensor_path.write_text(Tensor4(2).dumps())
@@ -616,10 +730,10 @@ def test_exit_code_contract(case):
         before = sorted(root.rglob("*"))
         code, stdout = run_contained(resolved)
         assert code in (0, 1, 2, 3)
-        if code == 1:
+        if code == 2:
+            assert sorted(root.rglob("*")) == before
+        else:
             report = stdout
             if "--report" in argv:
                 report = Path(resolved[argv.index("--report") + 1]).read_text()
-            assert json.loads(report)["verdict"] == "fail"
-        if code == 2:
-            assert sorted(root.rglob("*")) == before
+            assert json.loads(report)["verdict"] == {0: "pass", 1: "fail", 3: "degenerate"}[code]
