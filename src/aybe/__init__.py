@@ -6,13 +6,11 @@ from aybe.closedform import r_closed, r_closed_block, r_closed_distinct, r_close
 from aybe.exactlin import (
     RatMatrix,
     SingularMatrix,
-    commutator,
     determinant,
     format_rational,
     mat_inverse,
     mat_mul,
     parse_rational,
-    trace,
 )
 from aybe.frobenius import (
     AlgebraBasis,
@@ -22,10 +20,8 @@ from aybe.frobenius import (
     bar_index,
     build_basis,
     cocycle_residual,
-    form_eval,
     gram_matrix,
     make_lambda,
-    membership_check,
     r_from_algebra,
     r_from_matrices,
 )
@@ -65,10 +61,8 @@ __all__ = [
     "build_basis",
     "check_skew",
     "cocycle_residual",
-    "commutator",
     "compare_tensors",
     "determinant",
-    "form_eval",
     "format_rational",
     "gl_transform",
     "gram_matrix",
@@ -77,7 +71,6 @@ __all__ = [
     "mat_inverse",
     "mat_mul",
     "matrix_bracket_from_r",
-    "membership_check",
     "parse_rational",
     "r_closed",
     "r_closed_block",
@@ -87,7 +80,6 @@ __all__ = [
     "r_from_matrices",
     "scalar_bracket_closed_2m",
     "scalar_bracket_from_r",
-    "trace",
     "transpose_dual",
 ]
 

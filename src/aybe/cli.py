@@ -291,18 +291,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_paths(out: str | None, report: str | None) -> None:
-    """Reject paths that cannot be written as files, or `--out` and
-    `--report` naming one file, before any work, so a failed run leaves no
-    partial output behind."""
-    paths = [path for path in (out, report) if path is not None]
-    for path in paths:
-        if Path(path).is_dir():
-            raise ValueError(f"output path is a directory: {path!r}")
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"output directory does not exist: {path!r}")
-    if len(paths) == 2 and os.path.realpath(out) == os.path.realpath(report):
-        raise ValueError(f"--out and --report name the same file: {report!r}")
+def _check_output_paths(args) -> None:
+    """Reject paths that cannot be written as files, and an output that
+    names an input or the other output, before any work, so a failed run
+    leaves every file as it was."""
+    inputs = {"tensor": getattr(args, "tensor", None), "--g": getattr(args, "g", None),
+              "--compare": getattr(args, "compare", None)}
+    outputs = {"--out": getattr(args, "out", None), "--report": args.report}
+    named: dict[str, str] = {}  # real path -> the first argument naming it
+    for name, path in [*inputs.items(), *outputs.items()]:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if name in outputs:
+            if Path(path).is_dir():
+                raise ValueError(f"output path is a directory: {path!r}")
+            if not Path(path).parent.is_dir():
+                raise ValueError(f"output directory does not exist: {path!r}")
+            if real in named:
+                raise ValueError(f"{named[real]} and {name} name the same file: {path!r}")
+        named.setdefault(real, name)
 
 
 def _glue_negative_lambda(argv: list[str]) -> list[str]:
@@ -326,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
-        _check_output_paths(getattr(args, "out", None), args.report)
+        _check_output_paths(args)
         t0 = time.perf_counter()
         inputs, verdict, details, outputs = args.fn(args)
         report = {

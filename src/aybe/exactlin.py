@@ -2,8 +2,9 @@
 
 Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
-or just "p" when the denominator is 1. Matrices are dense; determinant,
-rank and inverse share one Gauss-Jordan elimination on sparse rows.
+or just "p" when the denominator is 1. Matrices are sparse rows (a dict
+of the nonzero entries per row); determinant, rank and inverse share one
+Gauss-Jordan elimination on them.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ __all__ = [
     "format_rational",
     "RatMatrix",
     "mat_mul",
-    "commutator",
     "mat_inverse",
     "determinant",
-    "trace",
     "matrix_to_json",
     "matrix_from_json",
 ]
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_ZERO = Fraction(0)
 
 
 class SingularMatrix(Exception):
@@ -56,19 +56,28 @@ def format_rational(value: Fraction) -> str:
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable matrix of Fractions stored as sparse rows: `sparse_rows[i]`
+    is a dict {column: value} of row i's nonzero entries (never mutated)."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        grid = [[Fraction(x) for x in row] for row in entries]
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         if any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("rows have unequal lengths")
         self.rows = len(grid)
         self.cols = len(grid[0])
-        self._e = grid
+        self.sparse_rows = tuple({j: v for j, v in enumerate(row) if v} for row in grid)
+
+    @classmethod
+    def from_rows(cls, cols: int, rows: Iterable[dict[int, Fraction]]) -> "RatMatrix":
+        """The matrix with the given sparse rows (at least one), taken as they are."""
+        a = cls.__new__(cls)
+        a.sparse_rows = tuple(rows)
+        a.rows, a.cols = len(a.sparse_rows), cols
+        return a
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
@@ -78,132 +87,123 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, values: Iterable) -> "RatMatrix":
-        vals = list(values)
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, i: int) -> tuple:
-        return self._e[i]
+        """Row i as a dense tuple."""
+        row = self.sparse_rows[i]
+        return tuple(row.get(j, _ZERO) for j in range(self.cols))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse_rows)))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
+        body = "; ".join(" ".join(str(x) for x in self[i]) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            row = {j: ra.get(j, 0) + sign * rb.get(j, 0) for j in ra.keys() | rb.keys()}
+            out.append({j: v for j, v in row.items() if v})
+        return RatMatrix.from_rows(self.cols, out)
+
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self._e])
+        return RatMatrix.from_rows(
+            self.cols, ({j: -v for j, v in row.items()} for row in self.sparse_rows)
+        )
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return RatMatrix.from_rows(self.rows, out)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def nonzero_items(self) -> Iterator[tuple[int, int, Fraction]]:
-        for i, row in enumerate(self._e):
-            for j, v in enumerate(row):
-                if v:
-                    yield i, j, v
-
-    def _require_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+        """(row, column, value) of every nonzero entry, in row-major order."""
+        for i, row in enumerate(self.sparse_rows):
+            for j in sorted(row):
+                yield i, j, row[j]
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Exact matrix product."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = b.transpose()
-    return RatMatrix(
-        [
-            [sum(x * y for x, y in zip(row, col)) for col in bt._e]
-            for row in a._e
-        ]
-    )
-
-
-def commutator(x: RatMatrix, y: RatMatrix) -> RatMatrix:
-    """xy - yx for square matrices of equal size."""
-    if not x.is_square() or not y.is_square() or x.rows != y.rows:
-        raise ValueError("commutator needs square matrices of equal size")
-    return mat_mul(x, y) - mat_mul(y, x)
-
-
-def trace(a: RatMatrix) -> Fraction:
-    if not a.is_square():
-        raise ValueError("trace needs a square matrix")
-    return sum((a[i][i] for i in range(a.rows)), Fraction(0))
+    out = []
+    for arow in a.sparse_rows:
+        acc: dict[int, Fraction] = {}
+        for k, x in arow.items():
+            for j, y in b.sparse_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return RatMatrix.from_rows(b.cols, out)
 
 
 def _reduce(a: RatMatrix) -> tuple[Fraction, list[dict[int, Fraction]], dict[int, int]]:
     """Gauss-Jordan elimination of the square matrix [a | I] on sparse rows
-    (dicts of nonzero entries), so the work follows the largest block of a
-    matrix that is block-diagonal up to permutation. A column's pivot is the
-    first row not yet pivoted that is nonzero there; a column without one
-    is skipped, so len(pivots) is the rank. Returns (determinant, rows,
-    pivots: column -> row). Bringing the pivot row to the front of the rows
-    not yet pivoted is a cyclic shift: the sign flips at an odd position.
+    (dicts of nonzero entries), with an index of the rows nonzero in each
+    column, so the pivot search and the elimination touch only those rows
+    and the work follows the largest block of a matrix that is
+    block-diagonal up to permutation. A column's pivot is the first row not
+    yet pivoted that is nonzero there; a column without one is skipped, so
+    len(pivots) is the rank. Returns (determinant, rows, pivots: column ->
+    row). Bringing the pivot row to the front of the rows not yet pivoted
+    is a cyclic shift: the sign flips at an odd position.
     """
     n = a.rows
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a._e]
+    rows = [dict(row) for row in a.sparse_rows]
+    holds: list[set[int]] = [set() for _ in range(2 * n)]  # column -> rows nonzero there
     for i, row in enumerate(rows):
         row[n + i] = Fraction(1)
+        for j in row:
+            holds[j].add(i)
     free = list(range(n))
+    done: set[int] = set()
     pivots: dict[int, int] = {}
     det = Fraction(1)
     for col in range(n):
-        pos = next((k for k, i in enumerate(free) if col in rows[i]), None)
-        if pos is None:
+        p = min(holds[col] - done, default=None)
+        if p is None:
             det = Fraction(0)
             continue
-        p = free.pop(pos)
+        pos = free.index(p)
+        del free[pos]
+        done.add(p)
         pivot = rows[p][col]
         det *= -pivot if pos % 2 else pivot
         prow = rows[p] = {j: v / pivot for j, v in rows[p].items()}
-        for i, row in enumerate(rows):
-            f = row.get(col)
-            if f and i != p:
-                for j, v in prow.items():
-                    x = row.get(j, 0) - f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+        for i in holds[col] - {p}:
+            row = rows[i]
+            f = row[col]
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                    holds[j].add(i)
+                else:
+                    del row[j]
+                    holds[j].discard(i)
         pivots[col] = p
     return det, rows, pivots
 
@@ -227,12 +227,13 @@ def mat_inverse(a: RatMatrix) -> RatMatrix:
     _, rows, pivots = _reduce(a)
     if len(pivots) < n:
         raise SingularMatrix(len(pivots))
-    inverse_rows = [rows[pivots[c]] for c in range(n)]
-    return RatMatrix([[row.get(n + k, 0) for k in range(n)] for row in inverse_rows])
+    return RatMatrix.from_rows(
+        n, ({k - n: v for k, v in rows[pivots[c]].items() if k >= n} for c in range(n))
+    )
 
 
 def matrix_to_json(a: RatMatrix) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in a._e]
+    return [[format_rational(v) for v in a[i]] for i in range(a.rows)]
 
 
 def matrix_from_json(obj) -> RatMatrix:

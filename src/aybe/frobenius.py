@@ -33,8 +33,6 @@ __all__ = [
     "DegenerateForm",
     "bar_index",
     "build_basis",
-    "membership_check",
-    "form_eval",
     "cocycle_residual",
     "gram_matrix",
     "r_from_algebra",
@@ -152,17 +150,6 @@ def build_basis(n: int, m: int) -> AlgebraBasis:
     return AlgebraBasis(n, m, elements)
 
 
-def membership_check(a: RatMatrix, n: int, m: int) -> bool:
-    """True when every column sums to zero over each residue class mod m."""
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"expected a {n}x{n} matrix, got {a.rows}x{a.cols}")
-    for j in range(n):
-        for res in range(m):
-            if sum((a[i][j] for i in range(res, n, m)), Fraction(0)):
-                return False
-    return True
-
-
 def _form(x: Sequence[Entry], y: Sequence[Entry], values) -> Fraction:
     # tr([x,y] D) expanded: sum over entries x_{uv} y_{vu} (lambda_u - lambda_v)
     s = Fraction(0)
@@ -181,13 +168,6 @@ def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
             if p == b:
                 acc[(a, c)] += xv * yv
     return [(a, c, v) for (a, c), v in acc.items() if v]
-
-
-def form_eval(x: RatMatrix, y: RatMatrix, lam: LambdaSpec) -> Fraction:
-    """(x, y) = tr([x, y] diag(lambda)), evaluated exactly."""
-    if not x.is_square() or x.rows != lam.n or y.rows != lam.n or y.cols != lam.n:
-        raise ValueError(f"form needs {lam.n}x{lam.n} matrices")
-    return _form(list(x.nonzero_items()), list(y.nonzero_items()), lam.values)
 
 
 def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
@@ -217,8 +197,26 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
 
 
 def _gram(items: Sequence[Sequence[Entry]], values) -> RatMatrix:
-    """Gram matrix of the form over the elements with the given entries."""
-    return RatMatrix([[_form(x, y, values) for y in items] for x in items])
+    """Gram matrix of the form over the elements with the given entries.
+
+    As in _form, x and y pair only where an entry (u, v) of x meets an
+    entry (v, u) of y, so each row is read off an index of the elements by
+    entry position and the work follows the Gram nonzeros.
+    """
+    at: dict[tuple[int, int], list] = defaultdict(list)
+    for t, y in enumerate(items):
+        for p, q, yv in y:
+            at[(p, q)].append((t, yv))
+    rows = []
+    for x in items:
+        row: dict[int, Fraction] = defaultdict(Fraction)
+        for u, v, xv in x:
+            d = values[u] - values[v]
+            if d:
+                for t, yv in at.get((v, u), ()):
+                    row[t] += xv * yv * d
+        rows.append({t: g for t, g in row.items() if g})
+    return RatMatrix.from_rows(len(items), rows)
 
 
 def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> RatMatrix:
@@ -229,22 +227,16 @@ def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> RatMatrix:
 
 
 def _r_from_entries(items: Sequence[Sequence[Entry]], lam: LambdaSpec) -> Tensor4:
-    dim = len(items)
     try:
         ginv = mat_inverse(_gram(items, lam.values))
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for s in range(dim):
-        row = ginv[s]
-        for t in range(dim):
-            g = row[t]
-            if not g:
-                continue
-            for a, c, va in items[s]:
-                gva = g * va
-                for b, d, vb in items[t]:
-                    acc[(a, b, c, d)] += gva * vb
+    for s, t, g in ginv.nonzero_items():
+        for a, c, va in items[s]:
+            gva = g * va
+            for b, d, vb in items[t]:
+                acc[(a, b, c, d)] += gva * vb
     return Tensor4(lam.n, acc)
 
 

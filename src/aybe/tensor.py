@@ -78,9 +78,6 @@ class Tensor4:
     def __repr__(self) -> str:
         return f"Tensor4(n={self.n}, nnz={self.nnz})"
 
-    def negate(self) -> "Tensor4":
-        return Tensor4(self.n, {k: -v for k, v in self._entries.items()})
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -203,25 +200,22 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     """Change of basis: r'^{ab}_{cd} = g^a_p g^b_q r^{pq}_{rs} (g^-1)^r_c (g^-1)^s_d."""
     if not g.is_square() or g.rows != r.n:
         raise ValueError(f"basis change matrix must be {r.n}x{r.n}")
-    h = mat_inverse(g)
-    n = r.n
+    gt = g.transpose().sparse_rows  # gt[p] = {a: g^a_p}
+    h = mat_inverse(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
 
-    def contract(entries, mat, pos, upper):
+    def contract(entries, rows, pos):
         out: dict[Quad, Fraction] = defaultdict(Fraction)
         for key, v in entries.items():
-            old = key[pos]
-            for new in range(n):
-                coeff = mat[new][old] if upper else mat[old][new]
-                if coeff:
-                    out[key[:pos] + (new,) + key[pos + 1 :]] += coeff * v
+            for new, coeff in rows[key[pos]].items():
+                out[key[:pos] + (new,) + key[pos + 1 :]] += coeff * v
         return out
 
     cur: dict[Quad, Fraction] = dict(r.iter_items())
-    cur = contract(cur, g, 0, True)
-    cur = contract(cur, g, 1, True)
-    cur = contract(cur, h, 2, False)
-    cur = contract(cur, h, 3, False)
-    return Tensor4(n, cur)
+    cur = contract(cur, gt, 0)
+    cur = contract(cur, gt, 1)
+    cur = contract(cur, h, 2)
+    cur = contract(cur, h, 3)
+    return Tensor4(r.n, cur)
 
 
 def transpose_dual(r: Tensor4) -> Tensor4:

@@ -244,6 +244,30 @@ def test_out_and_report_same_file_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 0 and Tensor4.loads(Path("a").read_text()).nnz
 
 
+def test_output_naming_an_input_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]) + "\n")
+    Path("link.json").symlink_to("r.json")
+    closed = ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1"]
+    cases = [
+        ["verify", "r.json", "--report", "r.json"],
+        ["verify", "r.json", "--report", str(tmp_path / "r.json")],
+        ["bracket", "r.json", "--out", "r.json"],
+        ["bracket", "r.json", "--out", "out.json", "--report", "./link.json"],
+        ["transform", "r.json", "--g", "g.json", "--out", "t.json", "--report", "r.json"],
+        ["transform", "r.json", "--g", "g.json", "--out", "g.json"],
+        ["transform", "link.json", "--transpose-dual", "--out", "r.json"],
+        closed + ["--compare", "r.json", "--out", "r.json"],
+        closed + ["--compare", "r.json", "--out", "c.json", "--report", "./r.json"],
+    ]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for argv in cases:
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "name the same file" in err, argv
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_negative_lambda_value(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
     code, out, _ = run(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from aybe.exactlin import (
     RatMatrix,
     SingularMatrix,
-    commutator,
     determinant,
     format_rational,
     mat_inverse,
@@ -17,9 +16,8 @@ from aybe.exactlin import (
     matrix_from_json,
     matrix_to_json,
     parse_rational,
-    trace,
 )
-from conftest import rand_invertible, rand_matrix
+from conftest import commutator, rand_invertible, rand_matrix, trace
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=10

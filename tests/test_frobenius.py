@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aybe.closedform import r_closed_block, r_closed_m1
-from aybe.exactlin import RatMatrix, commutator, determinant, mat_mul, trace
+from aybe.exactlin import RatMatrix, determinant, mat_mul
 from aybe.frobenius import (
     AlgebraBasis,
     DegenerateForm,
@@ -14,20 +16,24 @@ from aybe.frobenius import (
     bar_index,
     build_basis,
     cocycle_residual,
-    form_eval,
     gram_matrix,
     make_lambda,
-    membership_check,
     r_from_algebra,
     r_from_matrices,
 )
 from aybe.tensor import aybe_report, compare_tensors, transpose_dual
 from conftest import (
+    commutator,
     dense,
+    diagonal,
+    form_eval,
+    membership_check,
+    negate,
     rand_block_lambda,
     rand_distinct_lambda,
     rand_fraction,
     rand_matrix,
+    trace,
 )
 
 ALL_NM = [(n, m) for n in range(2, 9) for m in range(1, n) if n % m == 0]
@@ -128,7 +134,7 @@ def test_form_matches_trace_definition(seed):
     n = rng.choice([2, 3, 4])
     lam = make_lambda(n, 1, [rand_fraction(rng) for _ in range(n)])
     x, y = rand_matrix(rng, n), rand_matrix(rng, n)
-    diag = RatMatrix.diagonal(lam.values)
+    diag = diagonal(lam.values)
     assert form_eval(x, y, lam) == trace(mat_mul(commutator(x, y), diag))
     assert form_eval(x, y, lam) == -form_eval(y, x, lam)
 
@@ -172,6 +178,23 @@ def test_gram_antisymmetric(seed):
     lam = make_lambda(n, m, [rand_fraction(rng) for _ in range(n)])
     g = gram_matrix(build_basis(n, m), lam)
     assert g.transpose() == -g
+
+
+GRAM_NM = [(4, 1), (4, 2), (6, 2), (6, 3), (8, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gram_matches_dense_form(data):
+    # lambdas from a pool of at most three values repeat, so zero pairings,
+    # degenerate and all-zero Gram matrices are drawn too
+    n, m = data.draw(st.sampled_from(GRAM_NM))
+    pool = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3))
+    lam = make_lambda(n, m, data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    basis = build_basis(n, m)
+    mats = [dense(n, e.entries) for e in basis.elements]
+    expected = RatMatrix([[form_eval(x, y, lam) for y in mats] for x in mats])
+    assert gram_matrix(basis, lam) == expected
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
@@ -289,7 +312,7 @@ def test_transposed_basis_gives_negated_dual():
     basis = build_basis(4, 2)
     r = r_from_algebra(basis, lam)
     r_t = r_from_matrices([dense(4, e.entries).transpose() for e in basis.elements], lam)
-    assert r_t == transpose_dual(r).negate()
+    assert r_t == negate(transpose_dual(r))
     assert aybe_report(r_t).passed
 
 

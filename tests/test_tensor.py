@@ -1,10 +1,13 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aybe.closedform import r_closed_m1
-from aybe.exactlin import RatMatrix, SingularMatrix
+from aybe.exactlin import RatMatrix, SingularMatrix, determinant, mat_inverse
 from aybe.frobenius import make_lambda
 from aybe.tensor import (
     Tensor4,
@@ -121,6 +124,36 @@ def test_gl_transform_dimension_mismatch():
     r = r_closed_m1(make_lambda(2, 1, [2, 1]))
     with pytest.raises(ValueError):
         gl_transform(r, RatMatrix.identity(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gl_transform_matches_literal_formula(data):
+    n = data.draw(st.integers(2, 3))
+    index = st.integers(0, n - 1)
+    quads = st.tuples(index, index, index, index)
+    entries: dict = defaultdict(Fraction)
+    for (a, b, c, d), v in data.draw(st.dictionaries(quads, st.fractions(-3, 3, max_denominator=3), max_size=6)).items():
+        entries[(a, b, c, d)] += v
+        entries[(b, a, d, c)] -= v
+    r = Tensor4(n, entries)
+    assert check_skew(r) == []
+    cells = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    grid[data.draw(index)][data.draw(index)] = 0
+    g = RatMatrix(grid)
+    assume(determinant(g) != 0)
+    h = mat_inverse(g)
+    idx = range(n)
+    gd, hd = [g[i] for i in idx], [h[i] for i in idx]
+    expected = {
+        (a, b, c, d): sum(
+            gd[a][p] * gd[b][q] * r.get(p, q, x, y) * hd[x][c] * hd[y][d]
+            for p in idx for q in idx for x in idx for y in idx
+        )
+        for a in idx for b in idx for c in idx for d in idx
+    }
+    assert gl_transform(r, g) == Tensor4(n, expected)
 
 
 @pytest.mark.parametrize("seed", range(5))
