@@ -170,6 +170,8 @@ def cmd_bracket(args) -> tuple:
         if args.lam is None:
             raise ValueError("--compare-closed-2m requires --lambda")
         lam = LambdaSpec(r.n, r.n // 2, _parse_lambda(args.lam, r.n))
+        if len(set(lam.values)) != lam.n:
+            raise ValueError("lambda values must be pairwise distinct")
     inputs = {
         "tensor": args.tensor,
         "m_size": args.m_size,

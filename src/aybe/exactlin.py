@@ -4,11 +4,14 @@ Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
 or just "p" when the denominator is 1. Matrices are sparse rows (a dict
 of the nonzero entries per row); determinant, rank and inverse share one
-Gauss-Jordan elimination on them.
+Gauss-Jordan elimination on them. Loops that only add up products of
+rationals run on integers instead, scaled by a common denominator
+(`common_denominator`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -17,6 +20,7 @@ __all__ = [
     "SingularMatrix",
     "parse_rational",
     "format_rational",
+    "common_denominator",
     "RatMatrix",
     "mat_mul",
     "mat_inverse",
@@ -53,6 +57,28 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text form: reduced, positive denominator, no "/1"."""
     return str(value)
+
+
+def common_denominator(values: list[Fraction]) -> tuple[int, list]:
+    """(L, [v * L for v in values]) with L the LCM of the denominators, so
+    every scaled value is an int and a sum of products of two of them is
+    exactly L^2 times the rational sum.
+
+    When the denominators share too little for L to stay small (its bit
+    length past 4 * max_den_bits + 64), the integers would cost more than
+    the Fractions they replace: every product grows with L and every
+    nonzero sum is reduced against L^2. The values then come back
+    unchanged with L = 1, and the caller's loop runs on Fractions.
+    """
+    dens = {v.denominator for v in values}
+    limit = 4 * max((d.bit_length() for d in dens), default=0) + 64
+    lcm = 1
+    for d in dens:
+        lcm = math.lcm(lcm, d)
+        if lcm.bit_length() > limit:
+            return 1, values
+    factor = {d: lcm // d for d in dens}
+    return lcm, [v.numerator * factor[v.denominator] for v in values]
 
 
 class RatMatrix:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping
 
-from aybe.exactlin import format_rational
+from aybe.exactlin import common_denominator, format_rational
 from aybe.frobenius import LambdaSpec
 from aybe.tensor import Tensor4, check_skew
 
@@ -217,23 +217,34 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Pol
     everything, so only triples of distinct active generators are visited.
     Each term is contracted directly as
     {x_u, c x_g x_e} = c({x_u,x_g} x_e + x_g {x_u,x_e}).
+
+    The contraction multiplies integers: the table's coefficients scaled
+    by the LCM L of their denominators (exactlin.common_denominator), so a
+    residual coefficient sums to an int v and is returned as
+    Fraction(v, L^2). When L would grow far past the largest denominator,
+    the helper keeps the Fractions and the same contraction runs on them.
     """
-    rows: dict[int, dict[int, dict[Mono, Fraction]]] = {}
-    for (u, v), poly in b.pairs():
-        rows.setdefault(u, {})[v] = poly._terms
-        rows.setdefault(v, {})[u] = (-poly)._terms
+    pairs = b.pairs()
+    lcm, scaled = common_denominator([c for _, poly in pairs for c in poly._terms.values()])
+    coeffs = iter(scaled)
+    rows: dict[int, dict[int, dict[Mono, int | Fraction]]] = {}
+    for (u, v), poly in pairs:
+        terms = {mono: next(coeffs) for mono in poly._terms}
+        rows.setdefault(u, {})[v] = terms
+        rows.setdefault(v, {})[u] = {mono: -c for mono, c in terms.items()}
+    den = lcm * lcm
     out = []
     for u, v, w in combinations(sorted(rows), 3):
-        acc: dict[Mono, Fraction] = defaultdict(Fraction)
+        acc: dict[Mono, int | Fraction] = defaultdict(int)
         for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
             row = rows[x]
             for (g, e), c in rows[y].get(z, {}).items():
                 for k, other in ((g, e), (e, g)):
                     for (p, q), d in row.get(k, {}).items():
                         acc[tuple(sorted((p, q, other)))] += c * d
-        total = Polynomial(b.n_gens, acc)
-        if not total.is_zero():
-            out.append(((u, v, w), total))
+        total = {mono: Fraction(c, den) if den > 1 else c for mono, c in acc.items() if c}
+        if total:
+            out.append(((u, v, w), Polynomial(b.n_gens, total)))
     return out
 
 

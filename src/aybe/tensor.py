@@ -15,7 +15,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
 
-from aybe.exactlin import RatMatrix, format_rational, mat_inverse, parse_rational
+from aybe.exactlin import (
+    RatMatrix,
+    common_denominator,
+    format_rational,
+    mat_inverse,
+    parse_rational,
+)
 
 __all__ = [
     "Tensor4",
@@ -164,20 +170,28 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
 
     Only entry pairs that can contribute are visited; the result is
     identical to the naive loop over all index tuples (see
-    aybe_residual_naive, kept as the test oracle).
+    aybe_residual_naive, kept as the test oracle). The join multiplies
+    integers: each entry scaled by the LCM L of the denominators
+    (exactlin.common_denominator), so a residual sums to an int v and is
+    returned as Fraction(v, L^2). When L would grow far past the largest
+    denominator, the helper keeps the Fractions and the same join runs on
+    them.
     """
+    lcm, scaled = common_denominator(list(r._entries.values()))
+    entries = list(zip(r._entries, scaled))
     by_lower0: dict[int, list] = defaultdict(list)
-    for (a, b, c, d), v in r.iter_items():
+    for (a, b, c, d), v in entries:
         by_lower0[c].append((a, b, d, v))
-    acc: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    for (a1, b1, c1, d1), v1 in r.iter_items():
+    acc: dict[tuple[int, ...], int | Fraction] = defaultdict(int)
+    for (a1, b1, c1, d1), v1 in entries:
         for (a2, b2, d2, v2) in by_lower0[b1]:
             p = v1 * v2
             # the three terms are cyclic relabelings of one join pattern
             acc[(a1, a2, b2, c1, d1, d2)] += p
             acc[(b2, a1, a2, d2, c1, d1)] += p
             acc[(a2, b2, a1, d1, d2, c1)] += p
-    return sorted((k, v) for k, v in acc.items() if v)
+    den = lcm * lcm
+    return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
 
 
 def aybe_residual_naive(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:

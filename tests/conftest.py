@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from aybe.exactlin import RatMatrix, determinant, mat_mul
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
@@ -97,3 +99,55 @@ def membership_check(a: RatMatrix, n: int, m: int) -> bool:
 
 def negate(r: Tensor4) -> Tensor4:
     return Tensor4(r.n, {k: -v for k, v in r.iter_items()})
+
+
+def unrelated_denominators(count: int) -> list[int]:
+    """2000-digit denominators 10^1999 k + 1, k = 1..count: two of them share
+    at most a factor dividing the difference of their k, so their LCM has
+    about count times the bits of the largest."""
+    return [10**1999 * k + 1 for k in range(1, count + 1)]
+
+
+def _coefficient(k):
+    """Where the value at k, or at its skew partner, lands in a bracket
+    table: the lower pair in increasing order and the unordered upper pair."""
+    a, b, c, d = k if k[2] < k[3] else (k[1], k[0], k[3], k[2])
+    return min(a, b), max(a, b), c, d
+
+
+@st.composite
+def mixed_denominator_skew_tensor(draw):
+    """(r, unrelated): a skew tensor at n <= 3 whose values have 30-bit and
+    2000-digit denominators. Lower index pairs are distinct and each skew
+    pair lands in bracket coefficients of its own, so the scalar and matrix
+    bracket tables carry exactly the tensor's values.
+
+    unrelated: one skew pair for each of five unrelated_denominators, so
+    the LCM runs far past the largest denominator and
+    exactlin.common_denominator keeps the Fractions. Otherwise up to three
+    30-bit denominators and at most one 2000-digit one: the LCM stays near
+    the largest and the checks run on integers.
+    """
+    unrelated = draw(st.booleans())
+    if unrelated:
+        n, dens = 3, unrelated_denominators(5)
+    else:
+        n = draw(st.integers(min_value=2, max_value=3))
+        dens = draw(st.lists(st.integers(2**29, 2**30), min_size=1, max_size=3))
+        dens += draw(st.lists(st.integers(10**1999, 10**2000), max_size=1))
+    idx = st.integers(min_value=0, max_value=n - 1)
+    keys = draw(
+        st.lists(
+            st.tuples(idx, idx, idx, idx).filter(lambda k: k[2] != k[3]),
+            min_size=len(dens) if unrelated else 1,
+            max_size=len(dens) if unrelated else 3,
+            unique_by=_coefficient,
+        )
+    )
+    num = st.integers(min_value=1, max_value=2**40)
+    entries = {}
+    for (a, b, c, d), den in zip(keys, dens * len(keys)):
+        v = Fraction(draw(num) * draw(st.sampled_from((-1, 1))), den)
+        entries[(a, b, c, d)] = v
+        entries[(b, a, d, c)] = -v
+    return Tensor4(n, entries), unrelated

@@ -415,7 +415,12 @@ def test_bracket_compare_closed_2m(tmp_path, capsys):
     assert report["details"]["jacobi_violations"] == []
 
 
-def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys):
+def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("bracket work started before the inputs were checked")
+
+    monkeypatch.setattr("aybe.cli.scalar_bracket_from_r", no_work)
+    monkeypatch.setattr("aybe.cli.jacobi_residual", no_work)
     tensor_path = tmp_path / "r3.json"
     tensor_path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
     even_path = tmp_path / "r4.json"
@@ -426,6 +431,7 @@ def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys):
         [str(even_path)],  # no --lambda
         [str(even_path), "--lambda", "0,1,x,3"],  # unparseable --lambda
         [str(even_path), "--lambda", "0,1,2,3", "--m-size", "2"],  # not scalar
+        [str(even_path), "--lambda", "0,0,2,3"],  # repeated lambda value
     ]
     for extra in cases:
         code, out, err = run(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aybe.closedform import r_closed_distinct, r_closed_m1
 from aybe.exactlin import (
     RatMatrix,
     SingularMatrix,
+    common_denominator,
     determinant,
     format_rational,
     mat_inverse,
@@ -17,7 +20,8 @@ from aybe.exactlin import (
     matrix_to_json,
     parse_rational,
 )
-from conftest import commutator, rand_invertible, rand_matrix, trace
+from aybe.frobenius import build_basis, make_lambda, r_from_algebra
+from conftest import commutator, rand_invertible, rand_matrix, trace, unrelated_denominators
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=10
@@ -266,3 +270,26 @@ def test_matrix_json_round_trip():
 def test_matrix_json_rejects_floats():
     with pytest.raises(ValueError):
         matrix_from_json([[1.5, 0], [0, 1]])
+
+
+def test_common_denominator_sides_of_the_guard():
+    rng = random.Random(3)
+    wide = [Fraction(rng.choice((-1, 1)) * (rng.getrandbits(29) | 1 << 29)) for _ in range(6)]
+    tensors = [
+        r_closed_m1(make_lambda(4, 1, [0, 1, 3, 7])),
+        r_closed_distinct(make_lambda(6, 2, [Fraction(k * k + 1, k + 2) for k in range(6)])),
+        r_from_algebra(build_basis(6, 2), make_lambda(6, 2, wide)),
+    ]
+    # four unrelated 2000-digit denominators: L just under 4 * max_den_bits + 64
+    values_sets = [[v for _, v in r.items()] for r in tensors]
+    values_sets.append([Fraction(k, d) for k, d in enumerate(unrelated_denominators(4), 1)])
+    for values in values_sets:
+        lcm, scaled = common_denominator(values)
+        assert lcm == math.lcm(*(v.denominator for v in values)) > 1
+        assert all(type(x) is int for x in scaled)
+        assert scaled == [v * lcm for v in values]
+    # five are past it: the same list comes back, with L = 1
+    values = [Fraction(k, d) for k, d in enumerate(unrelated_denominators(5), 1)]
+    lcm, kept = common_denominator(values)
+    assert lcm == 1 and kept is values
+    assert common_denominator([]) == (1, [])

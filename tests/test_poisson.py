@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aybe.closedform import r_closed_distinct, r_closed_m1
-from aybe.frobenius import make_lambda
+from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
+from aybe.exactlin import common_denominator
+from aybe.frobenius import build_basis, make_lambda, r_from_algebra
 from aybe.poisson import (
     Polynomial,
     QuadraticBracket,
@@ -19,7 +21,8 @@ from aybe.poisson import (
     scalar_bracket_closed_2m,
     scalar_bracket_from_r,
 )
-from aybe.tensor import Tensor4, aybe_residual
+from aybe.tensor import Tensor4, aybe_residual, check_skew
+from conftest import mixed_denominator_skew_tensor
 
 
 def poly_st(nvars=3, max_terms=5):
@@ -237,6 +240,48 @@ def test_jacobi_matches_leibniz_reference(r, m_size):
     b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
     got = [(t, p.to_json_obj()) for t, p in jacobi_residual(b)]
     assert got == jacobi_reference(bracket_to_json(b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_denominator_skew_tensor(), st.data())
+def test_jacobi_matches_leibniz_reference_with_large_denominators(drawn, data):
+    r, unrelated = drawn
+    # the reference takes seconds on a matrix bracket of five unrelated
+    # 2000-digit denominators; both sides share the contraction loop
+    m_size = data.draw(st.integers(min_value=1, max_value=1 if unrelated else 2))
+    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    coeffs = [c for _, poly in b.pairs() for _, c in poly.terms()]
+    assert (common_denominator(coeffs)[1] is coeffs) == unrelated
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # residual coefficients pass 4300 digits
+    try:
+        got = [(t, p.to_json_obj()) for t, p in jacobi_residual(b)]
+        assert got == jacobi_reference(bracket_to_json(b))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+GRID = [Fraction(k * k + 1, k + 2) for k in range(6)]
+
+
+@pytest.mark.parametrize(
+    "r, m_sizes",
+    [
+        (r_closed_m1(make_lambda(4, 1, [0, 1, 3, 7])), (1, 2)),
+        (r_closed_block(make_lambda(4, 2, [1, 1, 5, 5])), (1, 2)),
+        (r_closed_distinct(make_lambda(6, 3, GRID)), (1,)),
+        (r_from_algebra(build_basis(4, 2), make_lambda(4, 2, GRID[:4])), (1, 2)),
+        (r_from_algebra(build_basis(6, 2), make_lambda(6, 2, GRID)), (1,)),
+        (r_from_algebra(build_basis(6, 3), make_lambda(6, 3, GRID)), (1,)),
+    ],
+)
+def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
+    # Odesskii-Rubtsov-Sokolov: a skew solution of the AYBE induces a
+    # quadratic Poisson bracket, scalar and on m x m matrix entries
+    assert check_skew(r) == [] and aybe_residual(r) == []
+    for m_size in m_sizes:
+        b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+        assert jacobi_residual(b) == []
 
 
 # --- the printed two-block formula ----------------------------------------

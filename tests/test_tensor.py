@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aybe.closedform import r_closed_m1
-from aybe.exactlin import RatMatrix, SingularMatrix, determinant, mat_inverse
+from aybe.exactlin import (
+    RatMatrix,
+    SingularMatrix,
+    common_denominator,
+    determinant,
+    mat_inverse,
+)
 from aybe.frobenius import make_lambda
 from aybe.tensor import (
     Tensor4,
@@ -19,7 +25,7 @@ from aybe.tensor import (
     gl_transform,
     transpose_dual,
 )
-from conftest import rand_fraction, rand_invertible
+from conftest import mixed_denominator_skew_tensor, rand_fraction, rand_invertible
 
 
 def rand_skew_tensor(rng: random.Random, n: int, dense: bool = False) -> Tensor4:
@@ -82,6 +88,15 @@ def test_residual_sparse_matches_naive(seed):
     }
     t = Tensor4(n, entries)
     assert aybe_residual(t) == aybe_residual_naive(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_denominator_skew_tensor())
+def test_residual_matches_naive_with_large_denominators(drawn):
+    r, unrelated = drawn
+    values = [v for _, v in r.items()]
+    assert (common_denominator(values)[1] is values) == unrelated
+    assert aybe_residual(r) == aybe_residual_naive(r)
 
 
 @pytest.mark.parametrize("seed", range(5))
