@@ -320,7 +320,7 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
     the leading `-<digit>` value as an option and reject it."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--lambda" and re.match(r"-\d", arg):
+        if out and out[-1] == "--lambda" and re.match(r"-[0-9]", arg):
             out[-1] = f"--lambda={arg}"
         else:
             out.append(arg)
@@ -328,11 +328,6 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    # Exact values outgrow Python's 4300-digit int/str limit (a residual
-    # squares its entries); parsing a literal costs time quadratic in its
-    # digits, so it stays bounded by the input's size. Before 3.10.7: no limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -29,8 +30,15 @@ __all__ = [
     "matrix_from_json",
 ]
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 _ZERO = Fraction(0)
+
+# Exact values outgrow Python's 4300-digit int/str limit (a residual
+# squares its entries), so importing this module lifts it for the whole
+# process. Parsing a literal costs time quadratic in its digits, so it
+# stays bounded by the input's size. Before 3.10.7: no limit.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
 
 
 class SingularMatrix(Exception):

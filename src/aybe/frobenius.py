@@ -150,16 +150,6 @@ def build_basis(n: int, m: int) -> AlgebraBasis:
     return AlgebraBasis(n, m, elements)
 
 
-def _form(x: Sequence[Entry], y: Sequence[Entry], values) -> Fraction:
-    # tr([x,y] D) expanded: sum over entries x_{uv} y_{vu} (lambda_u - lambda_v)
-    s = Fraction(0)
-    for u, v, xv in x:
-        for p, q, yv in y:
-            if p == v and q == u:
-                s += xv * yv * (values[u] - values[v])
-    return s
-
-
 def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
     """Nonzero entries of the matrix product xy."""
     acc: dict[tuple[int, int], int | Fraction] = defaultdict(int)
@@ -170,45 +160,22 @@ def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
     return [(a, c, v) for (a, c), v in acc.items() if v]
 
 
-def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
-    """Nonzero values of (x, yz) + (y, zx) + (z, xy) over all basis triples.
+def _pairings(
+    xs: Sequence[Sequence[Entry]], ys: Sequence[Sequence[Entry]], values
+) -> list[dict[int, Fraction]]:
+    """Row s holds the nonzero values (xs[s], ys[t]) of the form.
 
-    Expected empty for every lambda; degeneracy of the form does not
-    affect the cyclic identity.
-    """
-    if basis.n != lam.n:
-        raise ValueError("basis and lambda dimensions differ")
-    items = [e.entries for e in basis.elements]
-    dim = len(items)
-    prods = [[_product(y, z) for z in items] for y in items]
-    values = lam.values
-    out = []
-    for ix in range(dim):
-        for iy in range(dim):
-            for iz in range(dim):
-                total = (
-                    _form(items[ix], prods[iy][iz], values)
-                    + _form(items[iy], prods[iz][ix], values)
-                    + _form(items[iz], prods[ix][iy], values)
-                )
-                if total:
-                    out.append(((ix, iy, iz), total))
-    return out
-
-
-def _gram(items: Sequence[Sequence[Entry]], values) -> RatMatrix:
-    """Gram matrix of the form over the elements with the given entries.
-
-    As in _form, x and y pair only where an entry (u, v) of x meets an
-    entry (v, u) of y, so each row is read off an index of the elements by
-    entry position and the work follows the Gram nonzeros.
+    tr([x, y] D) = sum x_{uv} y_{vu} (lambda_u - lambda_v): x and y pair
+    only where an entry (u, v) of x meets an entry (v, u) of y, so each row
+    is read off an index of ys by entry position and the work follows the
+    nonzero pairings.
     """
     at: dict[tuple[int, int], list] = defaultdict(list)
-    for t, y in enumerate(items):
+    for t, y in enumerate(ys):
         for p, q, yv in y:
             at[(p, q)].append((t, yv))
     rows = []
-    for x in items:
+    for x in xs:
         row: dict[int, Fraction] = defaultdict(Fraction)
         for u, v, xv in x:
             d = values[u] - values[v]
@@ -216,19 +183,48 @@ def _gram(items: Sequence[Sequence[Entry]], values) -> RatMatrix:
                 for t, yv in at.get((v, u), ()):
                     row[t] += xv * yv * d
         rows.append({t: g for t, g in row.items() if g})
-    return RatMatrix.from_rows(len(items), rows)
+    return rows
+
+
+def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
+    """Nonzero values of (x, yz) + (y, zx) + (z, xy) over all basis triples.
+
+    Expected empty for every lambda; degeneracy of the form does not
+    affect the cyclic identity. Only the nonzero products e_j e_k are
+    paired with the basis, and each pairing (e_i, e_j e_k) is a term of
+    the identity at the triples (i, j, k), (k, i, j) and (j, k, i).
+    """
+    if basis.n != lam.n:
+        raise ValueError("basis and lambda dimensions differ")
+    items = [e.entries for e in basis.elements]
+    pairs, prods = [], []
+    for j, y in enumerate(items):
+        for k, z in enumerate(items):
+            yz = _product(y, z)
+            if yz:
+                pairs.append((j, k))
+                prods.append(yz)
+    acc: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
+    for i, row in enumerate(_pairings(items, prods, lam.values)):
+        for t, v in row.items():
+            j, k = pairs[t]
+            acc[(i, j, k)] += v
+            acc[(k, i, j)] += v
+            acc[(j, k, i)] += v
+    return sorted((key, v) for key, v in acc.items() if v)
 
 
 def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> RatMatrix:
     """Matrix of the form over the basis ordering; antisymmetric."""
     if basis.n != lam.n:
         raise ValueError("basis and lambda dimensions differ")
-    return _gram([e.entries for e in basis.elements], lam.values)
+    items = [e.entries for e in basis.elements]
+    return RatMatrix.from_rows(len(items), _pairings(items, items, lam.values))
 
 
 def _r_from_entries(items: Sequence[Sequence[Entry]], lam: LambdaSpec) -> Tensor4:
     try:
-        ginv = mat_inverse(_gram(items, lam.values))
+        ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)

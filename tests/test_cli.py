@@ -344,6 +344,11 @@ def test_cocycle_command(capsys):
     # repeated lambda still satisfies the identity
     code, _, _ = run(["cocycle", "--n", "4", "--m", "2", "--lambda", "1,1,1,1"], capsys)
     assert code == 0
+    code, out, _ = run(["cocycle", "--n", "12", "--m", "3", "--lambda", ",".join(map(str, range(12)))], capsys)
+    assert code == 0
+    report = read_report(out)
+    assert report["verdict"] == "pass"
+    assert report["details"]["dimension"] == 108
 
 
 def test_bracket_with_jacobi(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_parse_rational_canonical_forms():
     assert parse_rational("2/4") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/0", "1/-2", "--2", "1//2"])
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "1/0", "1/-2", "--2", "1//2", "١/٢", "１"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

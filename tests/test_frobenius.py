@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aybe import frobenius
 from aybe.closedform import r_closed_block, r_closed_m1
 from aybe.exactlin import RatMatrix, determinant, mat_mul
 from aybe.frobenius import (
@@ -12,6 +15,7 @@ from aybe.frobenius import (
     DegenerateForm,
     LambdaMode,
     LambdaSpec,
+    _pairings,
     _product,
     bar_index,
     build_basis,
@@ -183,6 +187,16 @@ def test_gram_antisymmetric(seed):
 GRAM_NM = [(4, 1), (4, 2), (6, 2), (6, 3), (8, 4)]
 
 
+@functools.cache
+def _products(n, m):
+    """The nonzero products e_j e_k of the basis at (n, m), sparse and dense
+    (test_sparse_product_matches_dense checks that the zero ones agree)."""
+    basis = build_basis(n, m)
+    pairs = [(y, z, mat_mul(dense(n, y.entries), dense(n, z.entries))) for y in basis.elements for z in basis.elements]
+    pairs = [(y, z, yz) for y, z, yz in pairs if yz != RatMatrix.zeros(n, n)]
+    return [_product(y.entries, z.entries) for y, z, _ in pairs], [yz for _, _, yz in pairs]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_gram_matches_dense_form(data):
@@ -195,6 +209,10 @@ def test_gram_matches_dense_form(data):
     mats = [dense(n, e.entries) for e in basis.elements]
     expected = RatMatrix([[form_eval(x, y, lam) for y in mats] for x in mats])
     assert gram_matrix(basis, lam) == expected
+    # the same pairing routine against the products the cocycle check uses
+    sparse, dense_products = _products(n, m)
+    grid = [{t: v for t, yz in enumerate(dense_products) if (v := form_eval(x, yz, lam))} for x in mats]
+    assert _pairings([e.entries for e in basis.elements], sparse, lam.values) == grid
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
@@ -328,6 +346,35 @@ def test_sparse_product_matches_dense(n, m):
         for z in basis.elements:
             expected = mat_mul(dense(n, y.entries), dense(n, z.entries))
             assert dense(n, _product(y.entries, z.entries)) == expected
+
+
+@pytest.mark.parametrize("n,m", DENSE_NM)
+def test_cocycle_places_each_pairing_at_three_rotations(n, m, monkeypatch):
+    # the identity holds for any matrices, so an empty residual cannot
+    # catch a join that drops or misrotates terms; doubling the pairings of
+    # e_0 with the products leaves (e_0, e_j e_k) once more at each of the
+    # triples (0, j, k), (k, 0, j) and (j, k, 0)
+    pairings = frobenius._pairings
+
+    def doubled(xs, ys, values):
+        rows = pairings(xs, ys, values)
+        if ys is not xs:
+            rows[0] = {t: 2 * v for t, v in rows[0].items()}
+        return rows
+
+    monkeypatch.setattr(frobenius, "_pairings", doubled)
+    lam = make_lambda(n, m, [Fraction(k * k + 1, k + 2) for k in range(n)])
+    basis = build_basis(n, m)
+    mats = [dense(n, e.entries) for e in basis.elements]
+    first = {(j, k): form_eval(mats[0], mat_mul(y, z), lam) for j, y in enumerate(mats) for k, z in enumerate(mats)}
+    expected = []
+    for a, b, c in product(range(len(mats)), repeat=3):
+        v = sum(first[jk] for x, jk in ((a, (b, c)), (b, (c, a)), (c, (a, b))) if x == 0)
+        if v:
+            expected.append(((a, b, c), v))
+    assert expected and all(0 in key for key, _ in expected)
+    assert gram_matrix(basis, lam) == RatMatrix([[form_eval(x, y, lam) for y in mats] for x in mats])
+    assert cocycle_residual(basis, lam) == expected
 
 
 @pytest.mark.parametrize("n,m", DENSE_NM)

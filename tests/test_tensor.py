@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import aybe
 from aybe.closedform import r_closed_m1
 from aybe.exactlin import (
     RatMatrix,
@@ -208,6 +212,23 @@ def test_json_round_trip_and_ordering():
     assert again.dumps() == text
     keys = [tuple(e["upper"] + e["lower"]) for e in r.to_json_obj()["entries"]]
     assert keys == sorted(keys)
+
+
+def test_json_round_trip_past_the_digit_limit():
+    # a fresh interpreter keeps Python's default 4300-digit int/str limit;
+    # importing aybe must lift it with no setup by the caller
+    code = (
+        "from fractions import Fraction\n"
+        "from aybe.tensor import Tensor4\n"
+        "r = Tensor4(2, {(0, 1, 0, 1): Fraction(10**5000, 3), (1, 0, 1, 0): Fraction(-1, 10**4999 + 1)})\n"
+        "text = r.dumps()\n"
+        "assert Tensor4.loads(text) == r and Tensor4.loads(text).dumps() == text\n"
+    )
+    src = os.path.dirname(os.path.dirname(aybe.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = src
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(
