@@ -135,8 +135,11 @@ def cmd_closed_form(args) -> tuple:
         "out": args.out,
         "compare": args.compare,
     }
+    compared = _load_tensor(args.compare) if args.compare else None
+    if compared is not None and compared.n != lam.n:
+        raise ValueError(f"cannot compare tensors of dimension {lam.n} and {compared.n}")
     r = r_closed(args.variant, lam)
-    diffs = compare_tensors(r, _load_tensor(args.compare)) if args.compare else None
+    diffs = compare_tensors(r, compared) if compared is not None else None
     details: dict = {"entries": r.nnz}
     if diffs is not None:
         details["differences"] = [

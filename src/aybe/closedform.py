@@ -80,56 +80,57 @@ def r_closed_block(lam: LambdaSpec) -> Tensor4:
     return Tensor4(n, entries)
 
 
-def _class_prod(vals, pivot: Fraction, idx: int, m: int) -> Fraction:
-    # product of (pivot - l_k) over k congruent to idx mod m, k != idx
-    return prod(
-        (pivot - vals[k] for k in range(idx % m, len(vals), m) if k != idx),
-        start=Fraction(1),
-    )
-
-
 def r_closed_distinct(lam: LambdaSpec) -> Tensor4:
     """Distinct-lambda family, applied case by case in fixed precedence:
 
     1. zero unless a = d and b = c mod m;
-    2. r^{aa}_{ea} = -r^{aa}_{ae} = 1/(l_a - l_e) for e != a;
+    2. r^{aa}_{ea} = -r^{aa}_{ae} = w[a][e] for e ~ a, e != a;
     3. remaining upper-equal components are zero;
-    4. r^{ab}_{ba} = (P(a,b,b,a) - 1) / (l_a - l_b) for a != b;
-    5. r^{ab}_{cd} = P(a,b,c,d) / (l_a - l_b) otherwise,
+    4. r^{ab}_{ba} = (q[a][b] q[b][a] - 1) w[a][b] for a != b;
+    5. r^{ab}_{cd} = q[a][c] q[b][d] w[a][b] otherwise,
 
-    where P(a,b,c,d) is the ratio of class products
+    with ~ denoting congruence mod m and the per-pair tables
 
-        [prod_{c'~c, c'!=c}(l_a - l_{c'}) * prod_{d'~d, d'!=d}(l_b - l_{d'})]
-      / [prod_{a'~a, a'!=a}(l_a - l_{a'}) * prod_{b'~b, b'!=b}(l_b - l_{b'})]
+        P[a][c] = prod_{k~c, k!=c} (l_a - l_k),
+        q[a][c] = P[a][c] / P[a][a],
+        w[a][b] = 1 / (l_a - l_b).
 
-    with ~ denoting congruence mod m.
+    q[a][c] is zero when c ~ a and c != a, since P[a][c] then has the
+    factor l_a - l_a. The tables cost n^3/m Fraction operations; the loop
+    then visits only the n^4/m^2 congruent quadruples, going through the
+    residue classes, with O(1) Fraction operations each.
     """
     _require_distinct(lam)
     n, m = lam.n, lam.m
     vals = lam.values
-
-    def ratio(a: int, b: int, c: int, d: int) -> Fraction:
-        num = _class_prod(vals, vals[a], c, m) * _class_prod(vals, vals[b], d, m)
-        den = _class_prod(vals, vals[a], a, m) * _class_prod(vals, vals[b], b, m)
-        return num / den
-
+    classes = [range(r, n, m) for r in range(m)]
+    P = [
+        [prod((la - vals[k] for k in classes[c % m] if k != c), start=Fraction(1)) for c in range(n)]
+        for la in vals
+    ]
+    q = [[p / row[a] for p in row] for a, row in enumerate(P)]
+    w = [[1 / (la - lb) if la != lb else None for lb in vals] for la in vals]
     entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for a, b, c, d in product(range(n), repeat=4):
-        if (a - d) % m or (b - c) % m:
-            continue
-        if a == b:
-            if d == a and c != a:
-                v = 1 / (vals[a] - vals[c])
-            elif c == a and d != a:
-                v = -1 / (vals[a] - vals[d])
-            else:
+    for a in range(n):
+        same = classes[a % m]
+        for e in same:
+            if e != a:
+                entries[(a, a, e, a)] = w[a][e]
+                entries[(a, a, a, e)] = -w[a][e]
+        for b in range(n):
+            if b == a:
                 continue
-        elif c == b and d == a:
-            v = (ratio(a, b, b, a) - 1) / (vals[a] - vals[b])
-        else:
-            v = ratio(a, b, c, d) / (vals[a] - vals[b])
-        if v:
-            entries[(a, b, c, d)] = v
+            wab = w[a][b]
+            # case 4 first: when b ~ a, q[a][b] is zero and the skip below
+            # would pass over (b, a)
+            entries[(a, b, b, a)] = (q[a][b] * q[b][a] - 1) * wab
+            for c in classes[b % m]:
+                x = q[a][c] * wab
+                if not x:
+                    continue
+                for d in same:
+                    if c != b or d != a:
+                        entries[(a, b, c, d)] = x * q[b][d]
     return Tensor4(n, entries)
 
 

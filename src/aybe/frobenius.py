@@ -190,17 +190,22 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
     """Nonzero values of (x, yz) + (y, zx) + (z, xy) over all basis triples.
 
     Expected empty for every lambda; degeneracy of the form does not
-    affect the cyclic identity. Only the nonzero products e_j e_k are
-    paired with the basis, and each pairing (e_i, e_j e_k) is a term of
-    the identity at the triples (i, j, k), (k, i, j) and (j, k, i).
+    affect the cyclic identity. e_j is multiplied only with the e_k that
+    have a row at a column of e_j, read off an index by row; the nonzero
+    products are paired with the basis, and each pairing (e_i, e_j e_k) is
+    a term of the identity at the triples (i, j, k), (k, i, j) and (j, k, i).
     """
     if basis.n != lam.n:
         raise ValueError("basis and lambda dimensions differ")
     items = [e.entries for e in basis.elements]
+    by_row: dict[int, list[int]] = defaultdict(list)
+    for k, z in enumerate(items):
+        for row, _, _ in z:
+            by_row[row].append(k)
     pairs, prods = [], []
     for j, y in enumerate(items):
-        for k, z in enumerate(items):
-            yz = _product(y, z)
+        for k in sorted({k for _, col, _ in y for k in by_row[col]}):
+            yz = _product(y, items[k])
             if yz:
                 pairs.append((j, k))
                 prods.append(yz)

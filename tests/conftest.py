@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, determinant, mat_mul
-from aybe.frobenius import make_lambda
+from aybe.frobenius import LambdaSpec, make_lambda
 from aybe.tensor import Tensor4
 
 
@@ -95,6 +97,53 @@ def membership_check(a: RatMatrix, n: int, m: int) -> bool:
             if sum((a[i][j] for i in range(res, n, m)), Fraction(0)):
                 return False
     return True
+
+
+def _class_prod(vals, pivot: Fraction, idx: int, m: int) -> Fraction:
+    # product of (pivot - l_k) over k congruent to idx mod m, k != idx
+    return prod(
+        (pivot - vals[k] for k in range(idx % m, len(vals), m) if k != idx),
+        start=Fraction(1),
+    )
+
+
+def r_closed_distinct_reference(lam: LambdaSpec) -> Tensor4:
+    """The distinct-lambda family evaluated quadruple by quadruple over all
+    n^4 index quadruples, in the precedence of r_closed_distinct's cases,
+    with P(a,b,c,d) the ratio of class products
+
+        [prod_{c'~c, c'!=c}(l_a - l_{c'}) * prod_{d'~d, d'!=d}(l_b - l_{d'})]
+      / [prod_{a'~a, a'!=a}(l_a - l_{a'}) * prod_{b'~b, b'!=b}(l_b - l_{b'})]
+
+    recomputed for each quadruple."""
+    if len(set(lam.values)) != lam.n:
+        raise ValueError("lambda values must be pairwise distinct")
+    n, m = lam.n, lam.m
+    vals = lam.values
+
+    def ratio(a: int, b: int, c: int, d: int) -> Fraction:
+        num = _class_prod(vals, vals[a], c, m) * _class_prod(vals, vals[b], d, m)
+        den = _class_prod(vals, vals[a], a, m) * _class_prod(vals, vals[b], b, m)
+        return num / den
+
+    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    for a, b, c, d in product(range(n), repeat=4):
+        if (a - d) % m or (b - c) % m:
+            continue
+        if a == b:
+            if d == a and c != a:
+                v = 1 / (vals[a] - vals[c])
+            elif c == a and d != a:
+                v = -1 / (vals[a] - vals[d])
+            else:
+                continue
+        elif c == b and d == a:
+            v = (ratio(a, b, b, a) - 1) / (vals[a] - vals[b])
+        else:
+            v = ratio(a, b, c, d) / (vals[a] - vals[b])
+        if v:
+            entries[(a, b, c, d)] = v
+    return Tensor4(n, entries)
 
 
 def negate(r: Tensor4) -> Tensor4:

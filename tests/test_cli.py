@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,39 @@ def test_closed_form_compare_matches_construct(tmp_path, capsys):
     report = read_report(out)
     assert report["verdict"] == "pass"
     assert report["details"]["differences"] == []
+
+
+def test_closed_form_distinct_compare_matches_construct_12_3(tmp_path, capsys):
+    built = tmp_path / "gram.json"
+    lam = "--lambda=" + ",".join(format_rational(Fraction(k * k + 1, k + 2)) for k in range(12))
+    code, _, _ = run(["construct", "--n", "12", "--m", "3", lam, "--out", str(built)], capsys)
+    assert code == 0
+    code, out, _ = run(
+        ["closed-form", "--variant", "distinct", "--n", "12", "--m", "3", lam, "--compare", str(built)],
+        capsys,
+    )
+    assert code == 0
+    assert read_report(out)["details"]["differences"] == []
+
+
+def test_closed_form_compare_checks_inputs_first(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("closed-form work started before --compare was checked")
+
+    monkeypatch.setattr("aybe.cli.r_closed", no_work)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    other_n = tmp_path / "r3.json"
+    other_n.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    out_path = tmp_path / "r.json"
+    for compare in (bad, other_n, tmp_path / "missing.json"):
+        code, out, err = run(
+            ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1",
+             "--compare", str(compare), "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and "aybe: error:" in err
+        assert not out_path.exists()
 
 
 def test_closed_form_block_verifies(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aybe.closedform import (
     r_closed,
@@ -11,7 +13,7 @@ from aybe.closedform import (
 )
 from aybe.frobenius import build_basis, make_lambda, r_from_algebra
 from aybe.tensor import aybe_report, compare_tensors
-from conftest import rand_block_lambda, rand_distinct_lambda
+from conftest import r_closed_distinct_reference, rand_block_lambda, rand_distinct_lambda
 
 
 def test_m1_n2_frozen_values():
@@ -71,7 +73,7 @@ def test_block_rejects_non_block_lambda():
         r_closed_block(make_lambda(4, 2, [0, 1, 2, 3]))
 
 
-@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4)])
 def test_block_matches_gram_construction(n, m):
     rng = random.Random(n * 100 + m)
     lam = rand_block_lambda(rng, n, m)
@@ -91,11 +93,38 @@ def test_distinct_reduces_to_m1():
         assert compare_tensors(r_closed_distinct(lam), r_closed_m1(lam)) == []
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 1), (4, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize(
+    "n,m", [(2, 1), (3, 1), (4, 1), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5)]
+)
 def test_distinct_matches_gram_construction(n, m):
     rng = random.Random(n * 100 + m + 7)
     lam = rand_distinct_lambda(rng, n, m)
     assert compare_tensors(r_closed_distinct(lam), r_from_algebra(build_basis(n, m), lam)) == []
+
+
+LAMBDA_FAMILIES = {
+    "small": st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
+    "30-bit": st.integers(2**29, 2**30),
+    "2000-digit": st.builds(Fraction, st.integers(10**1999, 10**2000), st.integers(1, 2**30)),
+}
+
+
+@st.composite
+def distinct_lambda(draw):
+    """n <= 9 with any proper divisor m, m = 1 included; 2000-digit values
+    only up to n = 5, where the oracle's n^5/m^3 products of 2000-digit
+    numbers still take well under a second."""
+    family = draw(st.sampled_from(list(LAMBDA_FAMILIES)))
+    n = draw(st.integers(2, 5 if family == "2000-digit" else 9))
+    m = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    values = draw(st.lists(LAMBDA_FAMILIES[family], min_size=n, max_size=n, unique=True))
+    return make_lambda(n, m, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(distinct_lambda())
+def test_distinct_matches_reference(lam):
+    assert r_closed_distinct(lam).dumps() == r_closed_distinct_reference(lam).dumps()
 
 
 def test_distinct_congruence_sparsity():
