@@ -5,13 +5,15 @@ Each `cmd_*` maps the parsed arguments to (inputs, verdict, details,
 outputs). `main` alone times it, builds the JSON report (deterministic
 apart from `timing_ms`), writes it and the outputs, and maps the verdict to
 the exit code: 0 pass, 1 fail, 3 degenerate. Exit 2 is a usage, parse or
-write error. Files go through temporary files, renamed into place only after
-the stdout report is written, so a run that exits 2 leaves no file behind.
+write error, or a size past one of the `MAX_*` limits. Files go through
+temporary files, renamed into place only after the stdout report is
+written, so a run that exits 2 leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -52,6 +54,21 @@ from aybe.tensor import (
 EXIT_USAGE = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
+# Size limits, checked before any work (exit 2). The slowest shapes each
+# limit accepts take, on 2 vCPUs: construct (28,2), where one Gram component
+# holds half the basis, 9 s; closed-form --variant distinct (40,2) with
+# --out, 11 s; bracket --check-jacobi on the distinct (9,3) tensor with
+# --m-size 2, 3 s. A bracket's cost also grows with the tensor's nonzeros,
+# which only the size of the input file bounds.
+MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
+MAX_CLOSED_FORM_N = 40  # closed-form: n
+MAX_GENERATORS = 36  # bracket: generators n * m_size^2
+
+
+def _check_limit(what: str, size: int, limit: int) -> None:
+    if size > limit:
+        raise ValueError(f"{what} = {size} exceeds the limit of {limit}")
+
 
 def _parse_lambda(text: str, n: int) -> tuple:
     parts = text.split(",")
@@ -61,6 +78,10 @@ def _parse_lambda(text: str, n: int) -> tuple:
 
 
 def _lambda(args) -> LambdaSpec:
+    if args.command == "closed-form":
+        _check_limit("n", args.n, MAX_CLOSED_FORM_N)
+    elif 0 < args.m < args.n:
+        _check_limit("basis dimension n(n-m)", args.n * (args.n - args.m), MAX_DIMENSION)
     return LambdaSpec(args.n, args.m, _parse_lambda(args.lam, args.n))
 
 
@@ -164,6 +185,7 @@ def cmd_cocycle(args) -> tuple:
 
 def cmd_bracket(args) -> tuple:
     r = _load_tensor(args.tensor)
+    _check_limit("generators n * m_size^2", r.n * args.m_size**2, MAX_GENERATORS)
     lam = None
     if args.compare_closed_2m:
         if args.m_size != 1:
@@ -243,7 +265,9 @@ def _add_lambda_args(p: argparse.ArgumentParser, m_default: int | None = None) -
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later one: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="aybe",
         description=(
@@ -253,11 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", default=None, help="write the report here instead of stdout")
 
     def command(name, fn, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--report", default=None, help="write the report here instead of stdout")
         p.set_defaults(fn=fn)
         return p
 
@@ -331,8 +354,7 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
         _check_output_paths(args)
         t0 = time.perf_counter()

@@ -2,8 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aybe.cli import main
+import aybe
+from aybe.cli import MAX_CLOSED_FORM_N, MAX_DIMENSION, MAX_GENERATORS, build_parser, main
 from aybe.closedform import r_closed_block, r_closed_m1
 from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
@@ -648,6 +651,131 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(report_path.read_text())["verdict"] == "pass"
+
+
+def _without_timing(text: str) -> dict:
+    report = json.loads(text)
+    report.pop("timing_ms")
+    return report
+
+
+def test_parser_shared_across_calls(tmp_path, capsys, monkeypatch):
+    """One parser serves every call in a process; nothing parsed in one call
+    reaches the next."""
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--n", "x"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, out, _ = run(["bracket", "r.json", "--compare-closed-2m", "--lambda=-1,3", "--out", "b.json"], capsys)
+    assert code == 0 and read_report(out)["inputs"]["lambda"] == ["-1", "3"]
+    code, out, _ = run(["closed-form", "--variant", "m1", "--n", "3", "--lambda", "0,1,5/2"], capsys)
+    inputs = read_report(out)["inputs"]
+    assert code == 0 and inputs["out"] is None and inputs["compare"] is None
+    assert inputs["lambda"] == ["0", "1", "5/2"]
+
+    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
+    Path("zero.json").write_text(Tensor4(2).dumps())
+    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    replays = [[run(argv, capsys)[:2] for argv, _, _ in PINNED_REPORTS] for _ in range(2)]
+    first, second = ([(code, _without_timing(out)) for code, out in replay] for replay in replays)
+    assert first == second
+    assert [code for code, _ in first] == [code for _, code, _ in PINNED_REPORTS]
+
+
+def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
+    """`python -m aybe.cli` builds its parser from scratch; its help text and
+    report match the in-process ones."""
+    monkeypatch.setenv("COLUMNS", "100")
+    path = tmp_path / "r.json"
+    path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    env = {**os.environ, "PYTHONPATH": str(Path(aybe.__file__).parent.parent)}
+
+    def cold(*argv):
+        proc = subprocess.run([sys.executable, "-m", "aybe.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert cold("--help") == capsys.readouterr().out
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0
+    assert _without_timing(cold("verify", str(path))) == _without_timing(out)
+
+
+class _Started(Exception):
+    """Raised in place of the first step of a command's work."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def start(*args, **kwargs):
+        raise _Started
+    for name in ("build_basis", "r_closed", "check_skew"):
+        monkeypatch.setattr(f"aybe.cli.{name}", start)
+
+
+def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
+    if cmd == "bracket":
+        path = tmp_path / f"empty{n}.json"
+        path.write_text(Tensor4(n).dumps())
+        return ["bracket", str(path), "--m-size", str(m_size), "--check-jacobi"]
+    argv = [cmd, "--n", str(n), "--m", str(m), "--lambda", ",".join(map(str, range(n)))]
+    if cmd == "closed-form":
+        argv[1:1] = ["--variant", "distinct"]
+    if cmd == "construct":
+        argv += ["--out", str(tmp_path / "r.json")]
+    return argv
+
+
+# (command, n, m, m_size): just past a limit, and far past it
+PAST_LIMITS = [
+    ("construct", 29, 1, 1),  # dimension 812
+    ("construct", 40, 4, 1),  # 1440
+    ("cocycle", 40, 4, 1),
+    ("cocycle", 200, 100, 1),  # 20000
+    ("closed-form", 41, 1, 1),
+    ("closed-form", 1000, 500, 1),
+    ("bracket", 37, 1, 1),
+    ("bracket", 10, 1, 2),  # 40 generators
+    ("bracket", 2, 1, 5),  # 50
+    ("bracket", 3000, 1, 20),
+]
+# the largest shapes each limit accepts, and the sizes the docs cite
+WITHIN_LIMITS = [
+    ("construct", 40, 20, 1),  # dimension 800
+    ("construct", 24, 12, 1),
+    ("construct", 28, 2, 1),  # 728
+    ("cocycle", 40, 20, 1),
+    ("closed-form", 40, 2, 1),
+    ("bracket", 36, 1, 1),
+    ("bracket", 4, 1, 3),  # 36 generators
+    ("bracket", 9, 1, 2),
+]
+
+
+@pytest.mark.parametrize("cmd,n,m,m_size", PAST_LIMITS)
+def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_size):
+    limit = {"bracket": MAX_GENERATORS, "closed-form": MAX_CLOSED_FORM_N}.get(cmd, MAX_DIMENSION)
+    code, out, err = run(_sized_argv(tmp_path, cmd, n, m, m_size), capsys)
+    assert code == 2 and out == ""
+    assert f"exceeds the limit of {limit}" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("cmd,n,m,m_size", WITHIN_LIMITS)
+def test_size_limit_accepts_up_to_limit(tmp_path, capsys, no_work, cmd, n, m, m_size):
+    with pytest.raises(_Started):
+        main(_sized_argv(tmp_path, cmd, n, m, m_size))
 
 
 # --- exit-code contract over generated command lines ----------------------
