@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import re
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -54,15 +55,16 @@ from aybe.tensor import (
 EXIT_USAGE = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
-# Size limits, checked before any work (exit 2). The slowest shapes each
-# limit accepts take, on 2 vCPUs: construct (28,2), where one Gram component
-# holds half the basis, 9 s; closed-form --variant distinct (40,2) with
-# --out, 11 s; bracket --check-jacobi on the distinct (9,3) tensor with
-# --m-size 2, 3 s. A bracket's cost also grows with the tensor's nonzeros,
-# which only the size of the input file bounds.
+# Size limits (exit 2), checked before any work; bracket's, once the tensor
+# file is read. The slowest shapes each limit accepts take, on 2 vCPUs:
+# construct (28,2), where one Gram component holds half the basis, 9 s;
+# closed-form --variant distinct (40,2) with --out, 11 s; bracket
+# --check-jacobi on the m1 n=12 tensor with --m-size 2, 9 s. Cost also
+# grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
-MAX_GENERATORS = 36  # bracket: generators n * m_size^2
+MAX_GENERATORS = 100  # bracket: generators n * m_size^2
+MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
 
 
 def _check_limit(what: str, size: int, limit: int) -> None:
@@ -77,11 +79,12 @@ def _parse_lambda(text: str, n: int) -> tuple:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _lambda(args) -> LambdaSpec:
-    if args.command == "closed-form":
-        _check_limit("n", args.n, MAX_CLOSED_FORM_N)
-    elif 0 < args.m < args.n:
+def _check_dimension(args) -> None:
+    if 0 < args.m < args.n:
         _check_limit("basis dimension n(n-m)", args.n * (args.n - args.m), MAX_DIMENSION)
+
+
+def _lambda(args) -> LambdaSpec:
     return LambdaSpec(args.n, args.m, _parse_lambda(args.lam, args.n))
 
 
@@ -131,6 +134,7 @@ def _tensor_checks(r: Tensor4) -> tuple[str, dict]:
 
 
 def cmd_construct(args) -> tuple:
+    _check_dimension(args)
     lam = _lambda(args)
     inputs = {**_lambda_inputs(lam), "mode": lam.mode.value, "out": args.out}
     basis = build_basis(args.n, args.m)
@@ -149,6 +153,7 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_closed_form(args) -> tuple:
+    _check_limit("n", args.n, MAX_CLOSED_FORM_N)
     lam = _lambda(args)
     inputs = {
         "variant": args.variant,
@@ -176,6 +181,7 @@ def cmd_closed_form(args) -> tuple:
 
 
 def cmd_cocycle(args) -> tuple:
+    _check_dimension(args)
     lam = _lambda(args)
     basis = build_basis(args.n, args.m)
     violations = cocycle_residual(basis, lam)
@@ -186,6 +192,7 @@ def cmd_cocycle(args) -> tuple:
 def cmd_bracket(args) -> tuple:
     r = _load_tensor(args.tensor)
     _check_limit("generators n * m_size^2", r.n * args.m_size**2, MAX_GENERATORS)
+    _check_limit("tensor nonzeros * m_size^4", r.nnz * args.m_size**4, MAX_BRACKET_TERMS)
     lam = None
     if args.compare_closed_2m:
         if args.m_size != 1:
@@ -265,9 +272,13 @@ def _add_lambda_args(p: argparse.ArgumentParser, m_default: int | None = None) -
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built on the first call and shared by every later one: do not mutate it."""
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """Every command's options, or only those of the command named; the
+    others keep the name and summary that top-level help and errors show."""
+    # argparse reads the terminal size for the formatter that each
+    # add_argument builds; read it once per build instead.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="aybe",
         description=(
@@ -275,46 +286,51 @@ def build_parser() -> argparse.ArgumentParser:
             "of the associative Yang-Baxter equation, and derive the induced "
             "quadratic Poisson brackets."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, summary):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--report", default=None, help="write the report here instead of stdout")
+        wanted = only in (None, name)
+        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=wanted)
         p.set_defaults(fn=fn)
+        if not wanted:
+            return None
+        p.add_argument("--report", default=None, help="write the report here instead of stdout")
         return p
 
-    p = command("construct", cmd_construct, "build the tensor from the matrix algebra")
-    _add_lambda_args(p)
-    p.add_argument("--out", required=True, help="tensor JSON output path")
+    if p := command("construct", cmd_construct, "build the tensor from the matrix algebra"):
+        _add_lambda_args(p)
+        p.add_argument("--out", required=True, help="tensor JSON output path")
 
-    p = command("verify", cmd_verify, "run the skew and residual checks on a tensor file")
-    p.add_argument("tensor")
+    if p := command("verify", cmd_verify, "run the skew and residual checks on a tensor file"):
+        p.add_argument("tensor")
 
-    p = command("closed-form", cmd_closed_form, "emit a closed-form tensor, optionally comparing")
-    p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    _add_lambda_args(p, m_default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--compare", default=None, help="tensor file to diff against")
+    if p := command("closed-form", cmd_closed_form,
+                    "emit a closed-form tensor, optionally comparing"):
+        p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
+        _add_lambda_args(p, m_default=1)
+        p.add_argument("--out", default=None)
+        p.add_argument("--compare", default=None, help="tensor file to diff against")
 
-    p = command("cocycle", cmd_cocycle, "check the cyclic identity over all basis triples")
-    _add_lambda_args(p)
+    if p := command("cocycle", cmd_cocycle, "check the cyclic identity over all basis triples"):
+        _add_lambda_args(p)
 
-    p = command("bracket", cmd_bracket, "derive the quadratic bracket from a tensor file")
-    p.add_argument("tensor")
-    p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
-    p.add_argument("--check-jacobi", action="store_true")
-    p.add_argument("--compare-closed-2m", action="store_true",
-                   help="compare the scalar bracket against the printed two-block formula")
-    p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
-    p.add_argument("--out", default=None, help="bracket JSON output path")
+    if p := command("bracket", cmd_bracket, "derive the quadratic bracket from a tensor file"):
+        p.add_argument("tensor")
+        p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
+        p.add_argument("--check-jacobi", action="store_true")
+        p.add_argument("--compare-closed-2m", action="store_true",
+                       help="compare the scalar bracket against the printed two-block formula")
+        p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
+        p.add_argument("--out", default=None, help="bracket JSON output path")
 
-    p = command("transform", cmd_transform, "apply a basis change or the transpose dual")
-    p.add_argument("tensor")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
-    group.add_argument("--transpose-dual", action="store_true")
-    p.add_argument("--out", required=True)
+    if p := command("transform", cmd_transform, "apply a basis change or the transpose dual"):
+        p.add_argument("tensor")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
+        group.add_argument("--transpose-dual", action="store_true")
+        p.add_argument("--out", required=True)
 
     return parser
 
@@ -354,7 +370,10 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
+    argv = _glue_negative_lambda(sys.argv[1:] if argv is None else argv)
+    # no top-level option takes a value, so the first non-option is the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         _check_output_paths(args)
         t0 = time.perf_counter()

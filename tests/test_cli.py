@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import random
@@ -16,8 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aybe
-from aybe.cli import MAX_CLOSED_FORM_N, MAX_DIMENSION, MAX_GENERATORS, build_parser, main
-from aybe.closedform import r_closed_block, r_closed_m1
+from aybe.cli import (
+    MAX_BRACKET_TERMS,
+    MAX_CLOSED_FORM_N,
+    MAX_DIMENSION,
+    MAX_GENERATORS,
+    build_parser,
+    main,
+)
+from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
@@ -659,10 +667,8 @@ def _without_timing(text: str) -> dict:
     return report
 
 
-def test_parser_shared_across_calls(tmp_path, capsys, monkeypatch):
-    """One parser serves every call in a process; nothing parsed in one call
-    reaches the next."""
-    assert build_parser() is build_parser()
+def test_no_state_carried_between_calls(tmp_path, capsys, monkeypatch):
+    """Nothing parsed in one call reaches the next in the same process."""
     monkeypatch.chdir(tmp_path)
     Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
     with pytest.raises(SystemExit) as exc:
@@ -687,6 +693,31 @@ def test_parser_shared_across_calls(tmp_path, capsys, monkeypatch):
     first, second = ([(code, _without_timing(out)) for code, out in replay] for replay in replays)
     assert first == second
     assert [code for code, _ in first] == [code for _, code, _ in PINNED_REPORTS]
+
+
+def _exit(fn, argv):
+    """The exit code, stdout and stderr of a call that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            fn(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_command_parser_matches_full_parser(monkeypatch):
+    """`main` builds options for the named command only; it parses each
+    command line as the parser of every command does, and fails on the same
+    lines with the same exit code and text."""
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in [argv for argv, _, _ in PINNED_REPORTS] + [["bracket", "r.json", "--chec"]]:
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    for argv in (
+        [], ["-h"], ["bogus"], ["-x", "verify", "r.json"], ["--", "verify", "r.json"],
+        ["verify"], ["verify", "r.json", "extra"], ["verify", "-h"], ["construct", "--n", "x"],
+        ["closed-form", "--variant", "zz"], ["cocycle", "--n", "2", "--lambda", "2,1"],
+        ["transform", "r.json", "--g", "g.json", "--transpose-dual", "--out", "t.json"],
+    ):
+        assert _exit(main, argv) == _exit(build_parser().parse_args, argv), argv
 
 
 def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
@@ -726,8 +757,11 @@ def no_work(monkeypatch):
 
 def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
     if cmd == "bracket":
-        path = tmp_path / f"empty{n}.json"
-        path.write_text(Tensor4(n).dumps())
+        # m > 1: the first m entries of an n^4 tensor, else none
+        indices = itertools.product(range(n), repeat=4)
+        items = dict.fromkeys(itertools.islice(indices, m if m > 1 else 0), 1)
+        path = tmp_path / f"r{n}.json"
+        path.write_text(Tensor4(n, items).dumps())
         return ["bracket", str(path), "--m-size", str(m_size), "--check-jacobi"]
     argv = [cmd, "--n", str(n), "--m", str(m), "--lambda", ",".join(map(str, range(n)))]
     if cmd == "closed-form":
@@ -737,7 +771,8 @@ def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
     return argv
 
 
-# (command, n, m, m_size): just past a limit, and far past it
+# (command, n, m, m_size): just past a limit, and far past it; for bracket,
+# m is the number of tensor nonzeros
 PAST_LIMITS = [
     ("construct", 29, 1, 1),  # dimension 812
     ("construct", 40, 4, 1),  # 1440
@@ -745,10 +780,13 @@ PAST_LIMITS = [
     ("cocycle", 200, 100, 1),  # 20000
     ("closed-form", 41, 1, 1),
     ("closed-form", 1000, 500, 1),
-    ("bracket", 37, 1, 1),
-    ("bracket", 10, 1, 2),  # 40 generators
-    ("bracket", 2, 1, 5),  # 50
+    ("bracket", 101, 1, 1),
+    ("bracket", 26, 1, 2),  # 104 generators
+    ("bracket", 4, 1, 6),  # 144
     ("bracket", 3000, 1, 20),
+    ("bracket", 11, 10_001, 1),  # 10001 nonzeros
+    ("bracket", 10, 626, 2),  # 626 * 2^4 = 10016
+    ("bracket", 3, 2, 9),  # 2 * 9^4 = 13122
 ]
 # the largest shapes each limit accepts, and the sizes the docs cite
 WITHIN_LIMITS = [
@@ -757,15 +795,19 @@ WITHIN_LIMITS = [
     ("construct", 28, 2, 1),  # 728
     ("cocycle", 40, 20, 1),
     ("closed-form", 40, 2, 1),
-    ("bracket", 36, 1, 1),
-    ("bracket", 4, 1, 3),  # 36 generators
-    ("bracket", 9, 1, 2),
+    ("bracket", 100, 1, 1),
+    ("bracket", 25, 1, 2),  # 100 generators
+    ("bracket", 10, 10_000, 1),  # every entry of n = 10
+    ("bracket", 10, 625, 2),  # 625 * 2^4 = 10000
 ]
 
 
 @pytest.mark.parametrize("cmd,n,m,m_size", PAST_LIMITS)
 def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_size):
-    limit = {"bracket": MAX_GENERATORS, "closed-form": MAX_CLOSED_FORM_N}.get(cmd, MAX_DIMENSION)
+    if cmd == "bracket":
+        limit = MAX_GENERATORS if n * m_size**2 > MAX_GENERATORS else MAX_BRACKET_TERMS
+    else:
+        limit = MAX_CLOSED_FORM_N if cmd == "closed-form" else MAX_DIMENSION
     code, out, err = run(_sized_argv(tmp_path, cmd, n, m, m_size), capsys)
     assert code == 2 and out == ""
     assert f"exceeds the limit of {limit}" in err
@@ -776,6 +818,16 @@ def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_
 def test_size_limit_accepts_up_to_limit(tmp_path, capsys, no_work, cmd, n, m, m_size):
     with pytest.raises(_Started):
         main(_sized_argv(tmp_path, cmd, n, m, m_size))
+
+
+def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
+    """The distinct (24,2) tensor has 24 generators but 42,528 nonzeros; its
+    Jacobi check would run for minutes."""
+    path = tmp_path / "r.json"
+    path.write_text(r_closed_distinct(make_lambda(24, 2, range(24))).dumps())
+    code, out, err = run(["bracket", str(path), "--check-jacobi"], capsys)
+    assert code == 2 and out == ""
+    assert f"tensor nonzeros * m_size^4 = 42528 exceeds the limit of {MAX_BRACKET_TERMS}" in err
 
 
 # --- exit-code contract over generated command lines ----------------------
