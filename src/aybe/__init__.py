@@ -6,10 +6,8 @@ from aybe.closedform import r_closed, r_closed_block, r_closed_distinct, r_close
 from aybe.exactlin import (
     RatMatrix,
     SingularMatrix,
-    determinant,
     format_rational,
     mat_inverse,
-    mat_mul,
     parse_rational,
 )
 from aybe.frobenius import (
@@ -20,10 +18,8 @@ from aybe.frobenius import (
     bar_index,
     build_basis,
     cocycle_residual,
-    gram_matrix,
     make_lambda,
     r_from_algebra,
-    r_from_matrices,
 )
 from aybe.poisson import (
     Polynomial,
@@ -62,14 +58,11 @@ __all__ = [
     "check_skew",
     "cocycle_residual",
     "compare_tensors",
-    "determinant",
     "format_rational",
     "gl_transform",
-    "gram_matrix",
     "jacobi_residual",
     "make_lambda",
     "mat_inverse",
-    "mat_mul",
     "matrix_bracket_from_r",
     "parse_rational",
     "r_closed",
@@ -77,7 +70,6 @@ __all__ = [
     "r_closed_distinct",
     "r_closed_m1",
     "r_from_algebra",
-    "r_from_matrices",
     "scalar_bracket_closed_2m",
     "scalar_bracket_from_r",
     "transpose_dual",

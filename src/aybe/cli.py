@@ -55,16 +55,19 @@ from aybe.tensor import (
 EXIT_USAGE = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
-# Size limits (exit 2), checked before any work; bracket's, once the tensor
-# file is read. The slowest shapes each limit accepts take, on 2 vCPUs:
-# construct (28,2), where one Gram component holds half the basis, 9 s;
-# closed-form --variant distinct (40,2) with --out, 11 s; bracket
-# --check-jacobi on the m1 n=12 tensor with --m-size 2, 9 s. Cost also
-# grows with the size of the rational entries, which no limit bounds.
+# Size limits (exit 2), checked before any work; bracket's and verify's,
+# once the tensor file is read; transform's, on the transformed tensor. The
+# slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
+# where one Gram component holds half the basis, 9 s; closed-form --variant
+# distinct (40,2) with --out, 11 s; bracket --check-jacobi on the m1 n=12
+# tensor with --m-size 2, 9 s; verify on the distinct (16,2) tensor (8,640
+# nonzeros), 5 s. Cost also grows with the size of the rational entries,
+# which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
+MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of the checked tensor
 
 
 def _check_limit(what: str, size: int, limit: int) -> None:
@@ -148,6 +151,7 @@ def cmd_construct(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     r = _load_tensor(args.tensor)
+    _check_limit("tensor nonzeros", r.nnz, MAX_TENSOR_NONZEROS)
     verdict, details = _tensor_checks(r)
     return {"tensor": args.tensor, "n": r.n}, verdict, details, {}
 
@@ -261,6 +265,7 @@ def cmd_transform(args) -> tuple:
             out = gl_transform(r, g)
         except SingularMatrix as exc:
             return inputs, "degenerate", {"g_rank": exc.rank}, {}
+    _check_limit("transformed tensor nonzeros", out.nnz, MAX_TENSOR_NONZEROS)
     verdict, checks = _tensor_checks(out)
     return inputs, verdict, {"entries": out.nnz, **checks}, {args.out: out.dumps()}
 

@@ -3,7 +3,7 @@
 Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
 or just "p" when the denominator is 1. Matrices are sparse rows (a dict
-of the nonzero entries per row); determinant, rank and inverse share one
+of the nonzero entries per row); rank and inverse come from one
 Gauss-Jordan elimination on them. Loops that only add up products of
 rationals run on integers instead, scaled by a common denominator
 (`common_denominator`).
@@ -25,7 +25,6 @@ __all__ = [
     "RatMatrix",
     "mat_mul",
     "mat_inverse",
-    "determinant",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -113,14 +112,6 @@ class RatMatrix:
         a.rows, a.cols = len(a.sparse_rows), cols
         return a
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, i: int) -> tuple:
         """Row i as a dense tuple."""
         row = self.sparse_rows[i]
@@ -134,34 +125,9 @@ class RatMatrix:
             and self.sparse_rows == other.sparse_rows
         )
 
-    def __hash__(self):
-        return hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse_rows)))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self[i]) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
-
-    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        out = []
-        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
-            row = {j: ra.get(j, 0) + sign * rb.get(j, 0) for j in ra.keys() | rb.keys()}
-            out.append({j: v for j, v in row.items() if v})
-        return RatMatrix.from_rows(self.cols, out)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix.from_rows(
-            self.cols, ({j: -v for j, v in row.items()} for row in self.sparse_rows)
-        )
 
     def transpose(self) -> "RatMatrix":
         out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
@@ -194,16 +160,14 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(b.cols, out)
 
 
-def _reduce(a: RatMatrix) -> tuple[Fraction, list[dict[int, Fraction]], dict[int, int]]:
+def _reduce(a: RatMatrix) -> tuple[list[dict[int, Fraction]], dict[int, int]]:
     """Gauss-Jordan elimination of the square matrix [a | I] on sparse rows
     (dicts of nonzero entries), with an index of the rows nonzero in each
     column, so the pivot search and the elimination touch only those rows
     and the work follows the largest block of a matrix that is
     block-diagonal up to permutation. A column's pivot is the first row not
     yet pivoted that is nonzero there; a column without one is skipped, so
-    len(pivots) is the rank. Returns (determinant, rows, pivots: column ->
-    row). Bringing the pivot row to the front of the rows not yet pivoted
-    is a cyclic shift: the sign flips at an odd position.
+    len(pivots) is the rank. Returns (rows, pivots: column -> row).
     """
     n = a.rows
     rows = [dict(row) for row in a.sparse_rows]
@@ -212,20 +176,14 @@ def _reduce(a: RatMatrix) -> tuple[Fraction, list[dict[int, Fraction]], dict[int
         row[n + i] = Fraction(1)
         for j in row:
             holds[j].add(i)
-    free = list(range(n))
     done: set[int] = set()
     pivots: dict[int, int] = {}
-    det = Fraction(1)
     for col in range(n):
         p = min(holds[col] - done, default=None)
         if p is None:
-            det = Fraction(0)
             continue
-        pos = free.index(p)
-        del free[pos]
         done.add(p)
         pivot = rows[p][col]
-        det *= -pivot if pos % 2 else pivot
         prow = rows[p] = {j: v / pivot for j, v in rows[p].items()}
         for i in holds[col] - {p}:
             row = rows[i]
@@ -239,14 +197,7 @@ def _reduce(a: RatMatrix) -> tuple[Fraction, list[dict[int, Fraction]], dict[int
                     del row[j]
                     holds[j].discard(i)
         pivots[col] = p
-    return det, rows, pivots
-
-
-def determinant(a: RatMatrix) -> Fraction:
-    """Exact determinant by sparse Gauss-Jordan elimination (see _reduce)."""
-    if not a.is_square():
-        raise ValueError("determinant needs a square matrix")
-    return _reduce(a)[0]
+    return rows, pivots
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
@@ -258,7 +209,7 @@ def mat_inverse(a: RatMatrix) -> RatMatrix:
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows
-    _, rows, pivots = _reduce(a)
+    rows, pivots = _reduce(a)
     if len(pivots) < n:
         raise SingularMatrix(len(pivots))
     return RatMatrix.from_rows(

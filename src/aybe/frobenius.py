@@ -34,9 +34,7 @@ __all__ = [
     "bar_index",
     "build_basis",
     "cocycle_residual",
-    "gram_matrix",
     "r_from_algebra",
-    "r_from_matrices",
 ]
 
 
@@ -132,7 +130,6 @@ class AlgebraBasis:
         self.n = n
         self.m = m
         self.elements = list(elements)
-        self.index_of = {(e.i, e.j): k for k, e in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -219,15 +216,15 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
     return sorted((key, v) for key, v in acc.items() if v)
 
 
-def gram_matrix(basis: AlgebraBasis, lam: LambdaSpec) -> RatMatrix:
-    """Matrix of the form over the basis ordering; antisymmetric."""
-    if basis.n != lam.n:
-        raise ValueError("basis and lambda dimensions differ")
+def r_from_algebra(basis: AlgebraBasis, lam: LambdaSpec) -> Tensor4:
+    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
+
+    G is the Gram matrix of the form over the basis. Raises DegenerateForm
+    when G is singular.
+    """
+    if basis.n != lam.n or basis.m != lam.m:
+        raise ValueError("basis and lambda shapes differ")
     items = [e.entries for e in basis.elements]
-    return RatMatrix.from_rows(len(items), _pairings(items, items, lam.values))
-
-
-def _r_from_entries(items: Sequence[Sequence[Entry]], lam: LambdaSpec) -> Tensor4:
     try:
         ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
     except SingularMatrix as exc:
@@ -239,19 +236,3 @@ def _r_from_entries(items: Sequence[Sequence[Entry]], lam: LambdaSpec) -> Tensor
             for b, d, vb in items[t]:
                 acc[(a, b, c, d)] += gva * vb
     return Tensor4(lam.n, acc)
-
-
-def r_from_matrices(mats: Sequence[RatMatrix], lam: LambdaSpec) -> Tensor4:
-    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
-
-    G is the Gram matrix of the form over the given matrices. Raises
-    DegenerateForm when G is singular.
-    """
-    return _r_from_entries([list(mat.nonzero_items()) for mat in mats], lam)
-
-
-def r_from_algebra(basis: AlgebraBasis, lam: LambdaSpec) -> Tensor4:
-    """The solution tensor for the algebra basis at the given lambda."""
-    if basis.n != lam.n or basis.m != lam.m:
-        raise ValueError("basis and lambda shapes differ")
-    return _r_from_entries([e.entries for e in basis.elements], lam)

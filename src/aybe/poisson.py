@@ -54,10 +54,6 @@ class Polynomial:
                 kept[mono] = c
         self._terms = kept
 
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> "Polynomial":
-        return cls(nvars, {(idx,): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -69,35 +65,8 @@ class Polynomial:
         """
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), [-k for k in t[0]]))
 
-    def _check_same_ring(self, other: "Polynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_same_ring(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {mono: -c for mono, c in self._terms.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_same_ring(other)
-        out: dict[Mono, Fraction] = defaultdict(Fraction)
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # sort before accumulating: (0, 1) and (1, 0) are one monomial
-                out[tuple(sorted(m1 + m2))] += c1 * c2
-        return Polynomial(self.nvars, out)
-
-    def scale(self, factor) -> "Polynomial":
-        f = Fraction(factor)
-        return Polynomial(self.nvars, {mono: f * c for mono, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -269,7 +238,8 @@ def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
 
     for n = 2m, where g' is the index with |g' - g| = m. Pairs where the
     printed denominator vanishes are reported as undefined rather than
-    silently corrected.
+    silently corrected. A defined pair has v != u', so the four monomials
+    of the expanded product are distinct.
     """
     if lam.n != 2 * lam.m:
         raise ValueError("the two-block bracket formula requires n == 2m")
@@ -286,11 +256,9 @@ def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
             if den == 0:
                 undefined.append((u, v))
                 continue
-            xu = Polynomial.variable(n, u) - Polynomial.variable(n, up)
-            xv = Polynomial.variable(n, v) - Polynomial.variable(n, vp)
-            poly = (xu * xv).scale((vals[up] - vals[vp]) / den)
-            if not poly.is_zero():
-                table[(u, v)] = poly
+            c = (vals[up] - vals[vp]) / den
+            signed = (((u, v), c), ((u, vp), -c), ((up, v), -c), ((up, vp), c))
+            table[(u, v)] = Polynomial(n, {tuple(sorted(xy)): cx for xy, cx in signed})
     return Closed2mBracket(QuadraticBracket(n, table), tuple(undefined))
 
 

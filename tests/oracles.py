@@ -1,11 +1,15 @@
+"""Shared test helpers: random inputs and dense oracles that the sparse
+library code is checked against."""
+
 import random
+from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import prod
 
 from hypothesis import strategies as st
 
-from aybe.exactlin import RatMatrix, determinant, mat_mul
+from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse
 from aybe.frobenius import LambdaSpec, make_lambda
 from aybe.tensor import Tensor4
 
@@ -50,11 +54,38 @@ def rand_matrix(rng: random.Random, n: int) -> RatMatrix:
 def rand_invertible(rng: random.Random, n: int) -> RatMatrix:
     while True:
         g = rand_matrix(rng, n)
-        if determinant(g) != 0:
-            return g
+        try:
+            mat_inverse(g)
+        except SingularMatrix:
+            continue
+        return g
 
 
 # --- dense oracles ------------------------------------------------------
+
+
+def zeros(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)])
+
+
+def identity(n: int) -> RatMatrix:
+    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def negative(a: RatMatrix) -> RatMatrix:
+    return RatMatrix([[-v for v in a[i]] for i in range(a.rows)])
+
+
+def leibniz(a: RatMatrix) -> Fraction:
+    """Determinant as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(a.rows)):
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
 
 
 def diagonal(values) -> RatMatrix:
@@ -66,7 +97,14 @@ def commutator(x: RatMatrix, y: RatMatrix) -> RatMatrix:
     """xy - yx for square matrices of equal size."""
     if not x.is_square() or not y.is_square() or x.rows != y.rows:
         raise ValueError("commutator needs square matrices of equal size")
-    return mat_mul(x, y) - mat_mul(y, x)
+    n = x.rows
+    xs, ys = [x[i] for i in range(n)], [y[i] for i in range(n)]
+    return RatMatrix(
+        [
+            [sum((xs[i][k] * ys[k][j] - ys[i][k] * xs[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def trace(a: RatMatrix) -> Fraction:
@@ -86,6 +124,25 @@ def form_eval(x: RatMatrix, y: RatMatrix, lam) -> Fraction:
         (xs[u][v] * ys[v][u] * (vals[u] - vals[v]) for u in range(n) for v in range(n) if xs[u][v]),
         Fraction(0),
     )
+
+
+def gram_dense(mats, lam) -> RatMatrix:
+    """The Gram matrix of the form over the given matrices, pair by pair."""
+    return RatMatrix([[form_eval(x, y, lam) for y in mats] for x in mats])
+
+
+def r_from_matrices(mats, lam) -> Tensor4:
+    """r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g the inverse of the
+    dense Gram matrix over the given matrices; raises SingularMatrix, with
+    the Gram rank, when the form is degenerate on them."""
+    n = lam.n
+    ginv = mat_inverse(gram_dense(mats, lam))
+    acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for s, t, g in ginv.nonzero_items():
+        for a, c, va in mats[s].nonzero_items():
+            for b, d, vb in mats[t].nonzero_items():
+                acc[(a, b, c, d)] += g * va * vb
+    return Tensor4(n, acc)
 
 
 def membership_check(a: RatMatrix, n: int, m: int) -> bool:

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from aybe.cli import main
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.frobenius import build_basis, cocycle_residual, gram_matrix, make_lambda, r_from_algebra
-from aybe.exactlin import determinant, matrix_to_json
+from aybe.frobenius import build_basis, cocycle_residual, make_lambda, r_from_algebra
+from aybe.exactlin import SingularMatrix, mat_inverse
 from aybe.poisson import (
     Polynomial,
     QuadraticBracket,
@@ -22,7 +22,9 @@ from aybe.poisson import (
     scalar_bracket_from_r,
 )
 from aybe.tensor import Tensor4, aybe_report, aybe_residual, gl_transform, transpose_dual
-from conftest import (
+from oracles import (
+    dense,
+    gram_dense,
     rand_block_lambda,
     rand_distinct_lambda,
     rand_fraction,
@@ -61,15 +63,18 @@ def test_criterion_02_block_pattern():
     for n, m in [(4, 2), (6, 2), (6, 3)]:
         lam = rand_block_lambda(rng, n, m)
         basis = build_basis(n, m)
-        g = gram_matrix(basis, lam)
+        g = gram_dense([dense(n, e.entries) for e in basis.elements], lam)
+        at = {(e.i, e.j): k for k, e in enumerate(basis.elements)}
         for pos, e in enumerate(basis.elements):
             nonzero = [(k, v) for k, v in enumerate(g[pos]) if v]
-            expected = (basis.index_of[(e.j, e.i)], lam.values[e.i] - lam.values[e.j])
+            expected = (at[(e.j, e.i)], lam.values[e.i] - lam.values[e.j])
             if len(nonzero) != 1 or nonzero[0] != expected:
                 problems.append(f"(n,m)=({n},{m}): gram row {pos} not paired")
                 break
-        if determinant(g) == 0:
-            problems.append(f"(n,m)=({n},{m}): gram determinant vanished")
+        try:
+            mat_inverse(g)
+        except SingularMatrix:
+            problems.append(f"(n,m)=({n},{m}): gram matrix singular")
         if r_from_algebra(basis, lam) != r_closed_block(lam):
             problems.append(f"(n,m)=({n},{m}): gram build differs from block closed form")
     criterion(2, "block-pattern gram structure and closed form", problems, time.perf_counter() - t0, 10.0)

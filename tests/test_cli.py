@@ -22,6 +22,7 @@ from aybe.cli import (
     MAX_CLOSED_FORM_N,
     MAX_DIMENSION,
     MAX_GENERATORS,
+    MAX_TENSOR_NONZEROS,
     build_parser,
     main,
 )
@@ -29,7 +30,7 @@ from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
-from conftest import rand_invertible
+from oracles import rand_invertible
 
 
 def run(argv, capsys):
@@ -751,18 +752,27 @@ class _Started(Exception):
 def no_work(monkeypatch):
     def start(*args, **kwargs):
         raise _Started
-    for name in ("build_basis", "r_closed", "check_skew"):
+    for name in ("build_basis", "r_closed", "check_skew", "aybe_report"):
         monkeypatch.setattr(f"aybe.cli.{name}", start)
 
 
 def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
-    if cmd == "bracket":
+    if cmd in ("bracket", "verify"):
         # m > 1: the first m entries of an n^4 tensor, else none
         indices = itertools.product(range(n), repeat=4)
         items = dict.fromkeys(itertools.islice(indices, m if m > 1 else 0), 1)
         path = tmp_path / f"r{n}.json"
         path.write_text(Tensor4(n, items).dumps())
+        if cmd == "verify":
+            return ["verify", str(path), "--report", str(tmp_path / "r.json")]
         return ["bracket", str(path), "--m-size", str(m_size), "--check-jacobi"]
+    if cmd == "transform":
+        # one nonzero, transformed by I + J (dense, with a dense inverse),
+        # has n^4 nonzeros
+        tensor, g = tmp_path / f"r{n}.json", tmp_path / "g.json"
+        tensor.write_text(Tensor4(n, {(0, 0, 0, 0): 1}).dumps())
+        g.write_text(json.dumps([[2 if i == j else 1 for j in range(n)] for i in range(n)]))
+        return ["transform", str(tensor), "--g", str(g), "--out", str(tmp_path / "r.json")]
     argv = [cmd, "--n", str(n), "--m", str(m), "--lambda", ",".join(map(str, range(n)))]
     if cmd == "closed-form":
         argv[1:1] = ["--variant", "distinct"]
@@ -771,8 +781,8 @@ def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
     return argv
 
 
-# (command, n, m, m_size): just past a limit, and far past it; for bracket,
-# m is the number of tensor nonzeros
+# (command, n, m, m_size): just past a limit, and far past it; for bracket
+# and verify, m is the number of tensor nonzeros
 PAST_LIMITS = [
     ("construct", 29, 1, 1),  # dimension 812
     ("construct", 40, 4, 1),  # 1440
@@ -787,6 +797,9 @@ PAST_LIMITS = [
     ("bracket", 11, 10_001, 1),  # 10001 nonzeros
     ("bracket", 10, 626, 2),  # 626 * 2^4 = 10016
     ("bracket", 3, 2, 9),  # 2 * 9^4 = 13122
+    ("verify", 11, 10_001, 1),
+    ("verify", 24, 42_528, 1),  # as many nonzeros as the distinct (24,2) tensor
+    ("transform", 11, 1, 1),  # 11^4 = 14641 nonzeros out
 ]
 # the largest shapes each limit accepts, and the sizes the docs cite
 WITHIN_LIMITS = [
@@ -799,6 +812,9 @@ WITHIN_LIMITS = [
     ("bracket", 25, 1, 2),  # 100 generators
     ("bracket", 10, 10_000, 1),  # every entry of n = 10
     ("bracket", 10, 625, 2),  # 625 * 2^4 = 10000
+    ("verify", 10, 10_000, 1),
+    ("verify", 16, 8_640, 1),  # as many nonzeros as the distinct (16,2) tensor
+    ("transform", 10, 1, 1),  # 10^4 = 10000 nonzeros out
 ]
 
 
@@ -806,6 +822,8 @@ WITHIN_LIMITS = [
 def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_size):
     if cmd == "bracket":
         limit = MAX_GENERATORS if n * m_size**2 > MAX_GENERATORS else MAX_BRACKET_TERMS
+    elif cmd in ("verify", "transform"):
+        limit = MAX_TENSOR_NONZEROS
     else:
         limit = MAX_CLOSED_FORM_N if cmd == "closed-form" else MAX_DIMENSION
     code, out, err = run(_sized_argv(tmp_path, cmd, n, m, m_size), capsys)

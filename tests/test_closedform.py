@@ -13,7 +13,7 @@ from aybe.closedform import (
 )
 from aybe.frobenius import build_basis, make_lambda, r_from_algebra
 from aybe.tensor import aybe_report, compare_tensors
-from conftest import r_closed_distinct_reference, rand_block_lambda, rand_distinct_lambda
+from oracles import r_closed_distinct_reference, rand_block_lambda, rand_distinct_lambda
 
 
 def test_m1_n2_frozen_values():
