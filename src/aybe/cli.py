@@ -56,18 +56,18 @@ EXIT_USAGE = 2
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
 # Size limits (exit 2), checked before any work; bracket's and verify's,
-# once the tensor file is read; transform's, on the transformed tensor. The
-# slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
-# where one Gram component holds half the basis, 9 s; closed-form --variant
-# distinct (40,2) with --out, 11 s; bracket --check-jacobi on the m1 n=12
-# tensor with --m-size 2, 9 s; verify on the distinct (16,2) tensor (8,640
-# nonzeros), 5 s. Cost also grows with the size of the rational entries,
-# which no limit bounds.
+# once the tensor file is read; transform's, on the tensor read and again
+# on the transformed one. The slowest shapes each limit accepts take, on
+# 2 vCPUs: construct (28,2), where one Gram component holds half the basis,
+# 9 s; closed-form --variant distinct (40,2) with --out, 11 s; bracket
+# --check-jacobi on the m1 n=12 tensor with --m-size 2, 2 s; verify on the
+# distinct (16,2) tensor (8,640 nonzeros), 3 s. Cost also grows with the
+# size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
-MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of the checked tensor
+MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
 
 
 def _check_limit(what: str, size: int, limit: int) -> None:
@@ -251,6 +251,7 @@ def cmd_bracket(args) -> tuple:
 
 def cmd_transform(args) -> tuple:
     r = _load_tensor(args.tensor)
+    _check_limit("tensor nonzeros", r.nnz, MAX_TENSOR_NONZEROS)
     inputs = {
         "tensor": args.tensor,
         "g": args.g,

@@ -66,19 +66,25 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+# common_denominator admits any LCM of at most this many bits: products of
+# integers this size stay a few machine words, far cheaper than Fractions.
+LCM_FLOOR_BITS = 256
+
+
 def common_denominator(values: list[Fraction]) -> tuple[int, list]:
     """(L, [v * L for v in values]) with L the LCM of the denominators, so
     every scaled value is an int and a sum of products of two of them is
     exactly L^2 times the rational sum.
 
     When the denominators share too little for L to stay small (its bit
-    length past 4 * max_den_bits + 64), the integers would cost more than
-    the Fractions they replace: every product grows with L and every
-    nonzero sum is reduced against L^2. The values then come back
-    unchanged with L = 1, and the caller's loop runs on Fractions.
+    length past both 4 * max_den_bits + 64 and LCM_FLOOR_BITS), the
+    integers would cost more than the Fractions they replace: every
+    product grows with L and every nonzero sum is reduced against L^2. The
+    values then come back unchanged with L = 1, and the caller's loop runs
+    on Fractions.
     """
     dens = {v.denominator for v in values}
-    limit = 4 * max((d.bit_length() for d in dens), default=0) + 64
+    limit = max(4 * max((d.bit_length() for d in dens), default=0) + 64, LCM_FLOOR_BITS)
     lcm = 1
     for d in dens:
         lcm = math.lcm(lcm, d)

@@ -146,16 +146,24 @@ def check_skew(r: Tensor4) -> list[tuple[Quad, Fraction]]:
 
     Empty result means the tensor is skew-symmetric. The involution fixes
     quadruples with a == b and c == d, forcing those components to vanish.
+    Each entry is visited with its partner once, and the sum is recorded
+    for both quadruples.
     """
-    candidates = set()
-    for (a, b, c, d) in r._entries:
-        candidates.add((a, b, c, d))
-        candidates.add((b, a, d, c))
+    entries = r._entries
     violations = []
-    for (a, b, c, d) in sorted(candidates):
-        s = r.get(a, b, c, d) + r.get(b, a, d, c)
+    for key, s in entries.items():
+        a, b, c, d = key
+        partner = (b, a, d, c)
+        w = entries.get(partner)
+        if w is not None:
+            if partner < key:
+                continue  # visited with its partner
+            s += w  # 2 * s when the quadruple is its own partner
         if s:
-            violations.append(((a, b, c, d), s))
+            violations.append((key, s))
+            if partner != key:
+                violations.append((partner, s))
+    violations.sort()
     return violations
 
 
@@ -168,30 +176,59 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
               + r^{ms}_{be,ta} r^{ul}_{s,al}
               + r^{us}_{ta,al} r^{lm}_{s,be} ].
 
-    Only entry pairs that can contribute are visited; the result is
-    identical to the naive loop over all index tuples (see
-    aybe_residual_naive, kept as the test oracle). The join multiplies
-    integers: each entry scaled by the LCM L of the denominators
-    (exactlin.common_denominator), so a residual sums to an int v and is
-    returned as Fraction(v, L^2). When L would grow far past the largest
-    denominator, the helper keeps the Fractions and the same join runs on
-    them.
+    The first term is T(l,m,u,al,be,ta), and the others are T o rho and
+    T o rho^2 with rho(l,m,u,al,be,ta) = (m,u,l,be,ta,al). So T is
+    accumulated with one product and one dict update per pair of entries
+    that share s, at an integer key holding the base-n^2 digits (l,al),
+    (m,be), (u,ta), which rho rotates; the residual is then the sum of T
+    over a rho-orbit of keys (one or three), taken once per orbit, and a
+    key is decoded only when that sum is nonzero. The result is identical
+    to the naive loop over all index tuples (see aybe_residual_naive, kept
+    as the test oracle).
+
+    The join multiplies integers: each entry scaled by the LCM L of the
+    denominators (exactlin.common_denominator), so a residual sums to an
+    int v and is returned as Fraction(v, L^2), reduced once per orbit.
+    When L would grow far past the largest denominator, the helper keeps
+    the Fractions and the same join runs on them.
     """
+    n = r.n
+    nn = n * n
+    top = nn * nn  # the weight of the digit (l, al)
     lcm, scaled = common_denominator(list(r._entries.values()))
-    entries = list(zip(r._entries, scaled))
-    by_lower0: dict[int, list] = defaultdict(list)
-    for (a, b, c, d), v in entries:
-        by_lower0[c].append((a, b, d, v))
-    acc: dict[tuple[int, ...], int | Fraction] = defaultdict(int)
-    for (a1, b1, c1, d1), v1 in entries:
-        for (a2, b2, d2, v2) in by_lower0[b1]:
-            p = v1 * v2
-            # the three terms are cyclic relabelings of one join pattern
-            acc[(a1, a2, b2, c1, d1, d2)] += p
-            acc[(b2, a1, a2, d2, c1, d1)] += p
-            acc[(a2, b2, a1, d1, d2, c1)] += p
+    # r^{ls}_{al,be} gives the digits l, al, be of the key; r^{mu}_{s,ta}
+    # gives m, u, ta
+    lefts = []
+    rights: dict[int, list] = defaultdict(list)
+    for (a, b, c, d), v in zip(r._entries, scaled):
+        lefts.append((b, (a * n + c) * top + d * nn, v))
+        rights[c].append((a * n * nn + b * n + d, v))
+    t: dict[int, int | Fraction] = defaultdict(int)
+    for s, k1, v1 in lefts:
+        for k2, v2 in rights.get(s, ()):
+            t[k1 + k2] += v1 * v2
+
+    def indices(k: int) -> tuple[int, ...]:
+        hi, lo = divmod(k, top)
+        mid, lo = divmod(lo, nn)
+        (l, al), (m, be), (u, ta) = divmod(hi, n), divmod(mid, n), divmod(lo, n)
+        return l, m, u, al, be, ta
+
     den = lcm * lcm
-    return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
+    out = []
+    while t:  # one orbit per step, its keys popped together
+        k, v = t.popitem()
+        k1 = k % top * nn + k // top
+        if k1 == k:
+            orbit, v = (k,), 3 * v
+        else:
+            k2 = k1 % top * nn + k1 // top
+            orbit, v = (k, k1, k2), v + t.pop(k1, 0) + t.pop(k2, 0)
+        if v:
+            value = Fraction(v, den) if den > 1 else Fraction(v)
+            out.extend((indices(key), value) for key in orbit)
+    out.sort()
+    return out
 
 
 def aybe_residual_naive(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:

@@ -9,7 +9,7 @@ from math import prod
 
 from hypothesis import strategies as st
 
-from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse
+from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse
 from aybe.frobenius import LambdaSpec, make_lambda
 from aybe.tensor import Tensor4
 
@@ -201,6 +201,28 @@ def r_closed_distinct_reference(lam: LambdaSpec) -> Tensor4:
         if v:
             entries[(a, b, c, d)] = v
     return Tensor4(n, entries)
+
+
+def aybe_residual_join(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The AYBE residual by the sparse join with one update per term: each
+    pair of entries that share the summed index adds its product to the
+    three cyclic relabelings of its index tuple, summed on the integers of
+    common_denominator (or on the Fractions it keeps)."""
+    items = list(r.iter_items())
+    lcm, scaled = common_denominator([v for _, v in items])
+    entries = [(k, v) for (k, _), v in zip(items, scaled)]
+    by_lower0: dict[int, list] = defaultdict(list)
+    for (a, b, c, d), v in entries:
+        by_lower0[c].append((a, b, d, v))
+    acc: dict[tuple[int, ...], int | Fraction] = defaultdict(int)
+    for (a1, b1, c1, d1), v1 in entries:
+        for (a2, b2, d2, v2) in by_lower0[b1]:
+            p = v1 * v2
+            acc[(a1, a2, b2, c1, d1, d2)] += p
+            acc[(b2, a1, a2, d2, c1, d1)] += p
+            acc[(a2, b2, a1, d1, d2, c1)] += p
+    den = lcm * lcm
+    return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
 
 
 def negate(r: Tensor4) -> Tensor4:

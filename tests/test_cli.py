@@ -748,23 +748,30 @@ class _Started(Exception):
     """Raised in place of the first step of a command's work."""
 
 
+def _start(*args, **kwargs):
+    raise _Started
+
+
 @pytest.fixture
 def no_work(monkeypatch):
-    def start(*args, **kwargs):
-        raise _Started
     for name in ("build_basis", "r_closed", "check_skew", "aybe_report"):
-        monkeypatch.setattr(f"aybe.cli.{name}", start)
+        monkeypatch.setattr(f"aybe.cli.{name}", _start)
 
 
 def _sized_argv(tmp_path, cmd, n, m=1, m_size=1):
-    if cmd in ("bracket", "verify"):
-        # m > 1: the first m entries of an n^4 tensor, else none
+    if cmd in ("bracket", "verify") or (cmd == "transform" and m > 1):
+        # m > 1: the first m entries of an n^4 tensor (transform: by the
+        # identity), else none
         indices = itertools.product(range(n), repeat=4)
         items = dict.fromkeys(itertools.islice(indices, m if m > 1 else 0), 1)
         path = tmp_path / f"r{n}.json"
         path.write_text(Tensor4(n, items).dumps())
         if cmd == "verify":
             return ["verify", str(path), "--report", str(tmp_path / "r.json")]
+        if cmd == "transform":
+            g = tmp_path / "g.json"
+            g.write_text(json.dumps([[int(i == j) for j in range(n)] for i in range(n)]))
+            return ["transform", str(path), "--g", str(g), "--out", str(tmp_path / "r.json")]
         return ["bracket", str(path), "--m-size", str(m_size), "--check-jacobi"]
     if cmd == "transform":
         # one nonzero, transformed by I + J (dense, with a dense inverse),
@@ -800,6 +807,8 @@ PAST_LIMITS = [
     ("verify", 11, 10_001, 1),
     ("verify", 24, 42_528, 1),  # as many nonzeros as the distinct (24,2) tensor
     ("transform", 11, 1, 1),  # 11^4 = 14641 nonzeros out
+    ("transform", 11, 10_001, 1),  # 10001 nonzeros in
+    ("transform", 24, 42_528, 1),  # the distinct (24,2) tensor's nonzeros in
 ]
 # the largest shapes each limit accepts, and the sizes the docs cite
 WITHIN_LIMITS = [
@@ -815,11 +824,16 @@ WITHIN_LIMITS = [
     ("verify", 10, 10_000, 1),
     ("verify", 16, 8_640, 1),  # as many nonzeros as the distinct (16,2) tensor
     ("transform", 10, 1, 1),  # 10^4 = 10000 nonzeros out
+    ("transform", 10, 10_000, 1),  # 10000 nonzeros in
 ]
 
 
 @pytest.mark.parametrize("cmd,n,m,m_size", PAST_LIMITS)
-def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_size):
+def test_size_limit_refused_before_work(tmp_path, capsys, monkeypatch, no_work, cmd, n, m, m_size):
+    if cmd == "transform" and m > 1:
+        # refused on its input: the transform itself never starts
+        for name in ("gl_transform", "transpose_dual"):
+            monkeypatch.setattr(f"aybe.cli.{name}", _start)
     if cmd == "bracket":
         limit = MAX_GENERATORS if n * m_size**2 > MAX_GENERATORS else MAX_BRACKET_TERMS
     elif cmd in ("verify", "transform"):
@@ -833,7 +847,9 @@ def test_size_limit_refused_before_work(tmp_path, capsys, no_work, cmd, n, m, m_
 
 
 @pytest.mark.parametrize("cmd,n,m,m_size", WITHIN_LIMITS)
-def test_size_limit_accepts_up_to_limit(tmp_path, capsys, no_work, cmd, n, m, m_size):
+def test_size_limit_accepts_up_to_limit(tmp_path, capsys, monkeypatch, no_work, cmd, n, m, m_size):
+    if cmd == "transform" and m > 1:
+        monkeypatch.setattr("aybe.cli.gl_transform", _start)
     with pytest.raises(_Started):
         main(_sized_argv(tmp_path, cmd, n, m, m_size))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aybe.closedform import r_closed_distinct, r_closed_m1
 from aybe.exactlin import (
+    LCM_FLOOR_BITS,
     RatMatrix,
     SingularMatrix,
     common_denominator,
@@ -281,6 +282,10 @@ def test_common_denominator_sides_of_the_guard():
     # four unrelated 2000-digit denominators: L just under 4 * max_den_bits + 64
     values_sets = [[v for _, v in r.items()] for r in tensors]
     values_sets.append([Fraction(k, d) for k, d in enumerate(unrelated_denominators(4), 1)])
+    # fourteen 10-bit primes: L past 4 * 10 + 64 bits, but under the floor
+    primes = [p for p in range(600, 1024) if all(p % q for q in range(2, 32))][:14]
+    assert 4 * 10 + 64 < math.prod(primes).bit_length() <= LCM_FLOOR_BITS
+    values_sets.append([Fraction(1, p) for p in primes])
     for values in values_sets:
         lcm, scaled = common_denominator(values)
         assert lcm == math.lcm(*(v.denominator for v in values)) > 1

@@ -28,7 +28,15 @@ from aybe.tensor import (
     gl_transform,
     transpose_dual,
 )
-from oracles import identity, leibniz, mixed_denominator_skew_tensor, rand_fraction, rand_invertible
+from oracles import (
+    aybe_residual_join,
+    identity,
+    leibniz,
+    mixed_denominator_skew_tensor,
+    rand_fraction,
+    rand_invertible,
+    unrelated_denominators,
+)
 
 
 def rand_skew_tensor(rng: random.Random, n: int, dense: bool = False) -> Tensor4:
@@ -100,6 +108,54 @@ def test_residual_matches_naive_with_large_denominators(drawn):
     values = [v for _, v in r.items()]
     assert (common_denominator(values)[1] is values) == unrelated
     assert aybe_residual(r) == aybe_residual_naive(r)
+
+
+@st.composite
+def join_tensor(draw):
+    """(r, unrelated): a random tensor, skew or not, at n <= 6, or a sparse
+    one declared with n = 60 whose indices sit at both ends of the range.
+
+    unrelated: its entries carry all five unrelated_denominators, so
+    exactlin.common_denominator keeps the Fractions; otherwise the
+    denominators are at most 12 and the join runs on integers. Half the
+    time, two entries r^{xs}_{yy} and r^{xx}_{sy} are added, whose product
+    lands on the rotation-fixed tuple (x, x, x, y, y, y).
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 60]))
+    idx = st.sampled_from([0, 1, 58, 59]) if n == 60 else st.integers(0, n - 1)
+    unrelated = draw(st.booleans())
+    quads = st.tuples(idx, idx, idx, idx)
+    keys = draw(st.lists(quads, min_size=5 if unrelated else 0, max_size=24, unique=True))
+    if draw(st.booleans()):
+        x, s, y = draw(idx), draw(idx), draw(idx)
+        keys += [k for k in ((x, s, y, y), (x, x, s, y)) if k not in keys]
+    if unrelated:
+        dens = unrelated_denominators(5) * len(keys)
+    else:
+        dens = draw(st.lists(st.integers(1, 12), min_size=len(keys), max_size=len(keys)))
+    nums = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(keys), max_size=len(keys)))
+    entries = {k: Fraction(num, den) for k, num, den in zip(keys, nums, dens)}
+    return Tensor4(n, entries), unrelated
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_tensor())
+def test_residual_matches_join_oracle(drawn):
+    r, unrelated = drawn
+    values = [v for _, v in r.items()]
+    assert (common_denominator(values)[1] is values) == unrelated
+    assert aybe_residual(r) == aybe_residual_join(r)
+
+
+@pytest.mark.parametrize("n", [3, 60])
+def test_residual_on_rotation_fixed_tuples(n):
+    # the one join pair r^{xs}_{yy} r^{xx}_{sy} lands on (x, x, x, y, y, y),
+    # which the rotation fixes: its residual is three equal terms
+    x, s, y = n - 1, 1, 0
+    r = Tensor4(n, {(x, s, y, y): Fraction(2, 3), (x, x, s, y): Fraction(-5)})
+    assert aybe_residual(r) == aybe_residual_join(r) == [((x, x, x, y, y, y), Fraction(-10))]
+    r = Tensor4(n, {(x, x, x, x): Fraction(2, 3)})
+    assert aybe_residual(r) == aybe_residual_join(r) == [((x,) * 6, Fraction(4, 3))]
 
 
 @pytest.mark.parametrize("seed", range(5))
