@@ -59,7 +59,7 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # once the tensor file is read; transform's, on the tensor read and again
 # on the transformed one. The slowest shapes each limit accepts take, on
 # 2 vCPUs: construct (28,2), where one Gram component holds half the basis,
-# 9 s; closed-form --variant distinct (40,2) with --out, 11 s; bracket
+# 5 s; closed-form --variant distinct (40,2) with --out, 3 s; bracket
 # --check-jacobi on the m1 n=12 tensor with --m-size 2, 2 s; verify on the
 # distinct (16,2) tensor (8,640 nonzeros), 3 s. Cost also grows with the
 # size of the rational entries, which no limit bounds.

@@ -29,7 +29,7 @@ __all__ = [
     "matrix_from_json",
 ]
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 _ZERO = Fraction(0)
 
 # Exact values outgrow Python's 4300-digit int/str limit (a residual
@@ -50,15 +50,16 @@ class SingularMatrix(Exception):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction. Decimal input is rejected."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), den)
 
 
 def format_rational(value: Fraction) -> str:

@@ -37,6 +37,14 @@ __all__ = [
 
 Quad = tuple[int, int, int, int]
 
+# The layout json.dumps(obj, indent=2) gives a tensor's JSON object.
+_EMPTY = '{\n  "n": %d,\n  "entries": []\n}\n'
+_FILE = '{\n  "n": %d,\n  "entries": [\n%s\n  ]\n}\n'
+_ENTRY = (
+    '    {\n      "upper": [\n        %d,\n        %d\n      ],\n'
+    '      "lower": [\n        %d,\n        %d\n      ],\n      "value": "%s"\n    }'
+)
+
 
 class Tensor4:
     """Sparse 4-index tensor over exact rationals, immutable after construction."""
@@ -50,11 +58,12 @@ class Tensor4:
         kept: dict[Quad, Fraction] = {}
         for key, value in (entries or {}).items():
             a, b, c, d = key
-            if not all(0 <= idx < n for idx in (a, b, c, d)):
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
                 raise ValueError(f"index out of range for n={n}: {key}")
-            v = Fraction(value)
-            if v:
-                kept[(a, b, c, d)] = v
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if value:
+                kept[(a, b, c, d)] = value
         self._entries = kept
 
     def get(self, a: int, b: int, c: int, d: int) -> Fraction:
@@ -84,28 +93,26 @@ class Tensor4:
     def __repr__(self) -> str:
         return f"Tensor4(n={self.n}, nnz={self.nnz})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [
-                {
-                    "upper": [a, b],
-                    "lower": [c, d],
-                    "value": format_rational(v),
-                }
-                for (a, b, c, d), v in self.items()
-            ],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """The tensor as JSON text: {"n": n, "entries": [{"upper": [a, b],
+        "lower": [c, d], "value": "p/q"}, ...]} in items() order, laid out
+        exactly as json.dumps(..., indent=2) lays it out, plus a newline.
+        Written from a fixed template; the values need no escaping, since
+        format_rational writes only "-", digits and "/"."""
+        if not self._entries:
+            return _EMPTY % self.n
+        body = ",\n".join([_ENTRY % (*key, format_rational(v)) for key, v in self.items()])
+        return _FILE % (self.n, body)
 
     @classmethod
-    def from_json_obj(cls, obj) -> "Tensor4":
+    def loads(cls, text: str) -> "Tensor4":
+        """Parse the text dumps writes, checking each entry once; the
+        indices are range-checked by the constructor, after every entry."""
+        obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("tensor JSON must be an object")
         n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if type(n) is not int or n < 1:  # type(), as JSON true decodes to bool, an int
             raise ValueError("tensor JSON needs a positive integer 'n'")
         raw = obj.get("entries")
         if not isinstance(raw, list):
@@ -121,8 +128,10 @@ class Tensor4:
                 or not isinstance(lower, list)
                 or len(upper) != 2
                 or len(lower) != 2
-                or not all(isinstance(i, int) and not isinstance(i, bool) for i in upper + lower)
             ):
+                raise ValueError(f"bad index pair in tensor entry: {item!r}")
+            (a, b), (c, d) = upper, lower
+            if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 raise ValueError(f"bad index pair in tensor entry: {item!r}")
             value = item.get("value")
             if not isinstance(value, str):
@@ -130,15 +139,11 @@ class Tensor4:
             v = parse_rational(value)
             if v == 0:
                 raise ValueError("explicit zero entry in tensor file")
-            key = (upper[0], upper[1], lower[0], lower[1])
+            key = (a, b, c, d)
             if key in entries:
                 raise ValueError(f"duplicate tensor entry at {key}")
             entries[key] = v
         return cls(n, entries)
-
-    @classmethod
-    def loads(cls, text: str) -> "Tensor4":
-        return cls.from_json_obj(json.loads(text))
 
 
 def check_skew(r: Tensor4) -> list[tuple[Quad, Fraction]]:

@@ -2,6 +2,7 @@
 library code is checked against."""
 
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -9,7 +10,7 @@ from math import prod
 
 from hypothesis import strategies as st
 
-from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse
+from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
 from aybe.frobenius import LambdaSpec, make_lambda
 from aybe.tensor import Tensor4
 
@@ -223,6 +224,87 @@ def aybe_residual_join(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
             acc[(a2, b2, a1, d1, d2, c1)] += p
     den = lcm * lcm
     return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
+
+
+def tensor_json_obj(r: Tensor4) -> dict:
+    """The JSON object of r's file: json.dumps(tensor_json_obj(r), indent=2)
+    + "\\n" is the text r.dumps() writes."""
+    return {
+        "n": r.n,
+        "entries": [
+            {"upper": [a, b], "lower": [c, d], "value": format_rational(v)}
+            for (a, b, c, d), v in r.items()
+        ],
+    }
+
+
+def tensor_init_old(n: int, entries=None) -> Tensor4:
+    """Tensor4(n, entries) as the constructor built it with an all() over
+    the indices and a Fraction() of every value."""
+    if n < 1:
+        raise ValueError("tensor dimension must be >= 1")
+    kept: dict = {}
+    for key, value in (entries or {}).items():
+        a, b, c, d = key
+        if not all(0 <= idx < n for idx in (a, b, c, d)):
+            raise ValueError(f"index out of range for n={n}: {key}")
+        v = Fraction(value)
+        if v:
+            kept[(a, b, c, d)] = v
+    r = object.__new__(Tensor4)
+    r.n, r._entries = n, kept
+    return r
+
+
+def _parse_rational_old(text: str) -> Fraction:
+    s = text.strip()
+    if not re.match(r"-?[0-9]+(?:/[0-9]+)?\Z", s):
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    if "/" in s:
+        num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
+
+
+def tensor_from_json_obj_old(obj) -> Tensor4:
+    """Tensor4.loads(text) as it was read from json.loads(text) in a second
+    pass, with isinstance checks, a split of each "p/q" and the old
+    constructor: the oracle for the one-pass reader."""
+    if not isinstance(obj, dict):
+        raise ValueError("tensor JSON must be an object")
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("tensor JSON needs a positive integer 'n'")
+    raw = obj.get("entries")
+    if not isinstance(raw, list):
+        raise ValueError("tensor JSON needs an 'entries' list")
+    entries: dict = {}
+    for item in raw:
+        if not isinstance(item, dict):
+            raise ValueError("tensor entries must be objects")
+        upper = item.get("upper")
+        lower = item.get("lower")
+        if (
+            not isinstance(upper, list)
+            or not isinstance(lower, list)
+            or len(upper) != 2
+            or len(lower) != 2
+            or not all(isinstance(i, int) and not isinstance(i, bool) for i in upper + lower)
+        ):
+            raise ValueError(f"bad index pair in tensor entry: {item!r}")
+        value = item.get("value")
+        if not isinstance(value, str):
+            raise ValueError("tensor entry values must be rational strings")
+        v = _parse_rational_old(value)
+        if v == 0:
+            raise ValueError("explicit zero entry in tensor file")
+        key = (upper[0], upper[1], lower[0], lower[1])
+        if key in entries:
+            raise ValueError(f"duplicate tensor entry at {key}")
+        entries[key] = v
+    return tensor_init_old(n, entries)
 
 
 def negate(r: Tensor4) -> Tensor4:

@@ -1,5 +1,5 @@
 import contextlib
-import copy
+import hashlib
 import io
 import itertools
 import json
@@ -30,7 +30,7 @@ from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
-from oracles import rand_invertible
+from oracles import rand_invertible, tensor_from_json_obj_old, tensor_json_obj
 
 
 def run(argv, capsys):
@@ -643,6 +643,36 @@ def test_reports_pinned(tmp_path, capsys, monkeypatch):
         assert head + "\n}\n" == json.dumps(json.loads(expected), indent=2) + "\n"
 
 
+GRID = {n: ",".join(format_rational(Fraction(k * k + 1, k + 2)) for k in range(n)) for n in (4, 6, 8)}
+
+# (argv, output file, SHA-256 of its bytes), recorded while Tensor4.dumps
+# still called json.dumps(..., indent=2)
+PINNED_OUTPUTS = [
+    (["construct", "--n", "4", "--m", "2", "--lambda", GRID[4], "--out", "c42.json"], "c42.json",
+     "c0b7a912b666565fab2582138598c5ce75cac575bebd1fde713451a66e0fcb3c"),
+    (["construct", "--n", "6", "--m", "3", "--lambda", GRID[6], "--out", "c63.json"], "c63.json",
+     "6a0c0df99a44830a6416e18d5207e88e5f6863e62096217a83198500cd5154e4"),
+    (["construct", "--n", "8", "--m", "4", "--lambda", GRID[8], "--out", "c84.json"], "c84.json",
+     "08ca4de02cf59ece653a3f10e04a37d60b9f08b1b5f3cfb4c0d1cbd71307873a"),
+    (["closed-form", "--variant", "distinct", "--n", "8", "--m", "2", "--lambda", GRID[8],
+      "--out", "d82.json"], "d82.json",
+     "e480e67805a2e17c97464ff55050f277edb0a44f255d1168f028216620fcf29a"),
+    (["transform", "c63.json", "--transpose-dual", "--out", "t63.json"], "t63.json",
+     "471bc46247f807909caf87ba0a464bcbd97135f4cd25cdb7859ab2fb325b02b2"),
+]
+
+
+def test_output_files_pinned(tmp_path, capsys, monkeypatch):
+    """Tensor files byte for byte, the last one read back from the second."""
+    monkeypatch.chdir(tmp_path)
+    got = []
+    for argv, out, _ in PINNED_OUTPUTS:
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        got.append(hashlib.sha256(Path(out).read_bytes()).hexdigest())
+    assert got == [digest for _, _, digest in PINNED_OUTPUTS]
+
+
 def test_m_required_except_closed_form(tmp_path, capsys):
     for argv in (["construct", "--out", str(tmp_path / "r.json")], ["cocycle"]):
         with pytest.raises(SystemExit) as exc:
@@ -906,7 +936,7 @@ def tensor_file(draw):
         except ValueError:
             obj = None
     else:
-        obj = copy.deepcopy(draw(st.sampled_from(VALID_TENSORS)).to_json_obj())
+        obj = tensor_json_obj(draw(st.sampled_from(VALID_TENSORS)))
         if kind == "perturbed" and obj["entries"]:
             entry = draw(st.sampled_from(obj["entries"]))
             field = draw(st.sampled_from(["value", "upper", "lower", "n", "dup"]))
@@ -921,6 +951,31 @@ def tensor_file(draw):
         text = json.dumps(obj)
     n = obj.get("n") if isinstance(obj, dict) else None
     return text, n if isinstance(n, int) else 0
+
+
+def _one_entry_file(n, upper, lower, value="1"):
+    return json.dumps({"n": n, "entries": [{"upper": upper, "lower": lower, "value": value}]}), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_file())
+@example(_one_entry_file(2, [0, 1], [1, True]))
+@example(_one_entry_file(2, [0.0, 1], [1, 0]))
+@example(_one_entry_file(2, [0, "1"], [1, 0]))
+@example(_one_entry_file(2, [0, 1], [1, 2]))
+@example(_one_entry_file(2, [0, -1], [1, 0], "1/0"))
+@example(_one_entry_file(3, [0, 1], [1, 2], " -6/4 "))
+def test_loads_matches_old_reader(file):
+    """The same tensor as the two-pass reader, or the same error message."""
+    text, _ = file
+    try:
+        expected = tensor_from_json_obj_old(json.loads(text))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Tensor4.loads(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert Tensor4.loads(text) == expected
 
 
 @st.composite

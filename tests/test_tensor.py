@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aybe
@@ -35,6 +36,8 @@ from oracles import (
     mixed_denominator_skew_tensor,
     rand_fraction,
     rand_invertible,
+    tensor_init_old,
+    tensor_json_obj,
     unrelated_denominators,
 )
 
@@ -265,8 +268,31 @@ def test_json_round_trip_and_ordering():
     again = Tensor4.loads(text)
     assert again == r
     assert again.dumps() == text
-    keys = [tuple(e["upper"] + e["lower"]) for e in r.to_json_obj()["entries"]]
+    keys = [tuple(e["upper"] + e["lower"]) for e in tensor_json_obj(r)["entries"]]
     assert keys == sorted(keys)
+
+
+# 4301-5001 digits, past the default int/str limit; built as text
+HUGE_VALUE = st.builds(
+    lambda sign, lead, tens, den: Fraction(int(f"{sign}{lead}{'0123456789' * tens}"), den),
+    st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(430, 500), st.integers(1, 9),
+)
+VALUE = st.fractions(max_denominator=50) | st.integers(-10**6, 10**6) | HUGE_VALUE
+
+
+@st.composite
+def random_tensor(draw):
+    n = draw(st.integers(1, 12))
+    idx = st.integers(0, n - 1)
+    return Tensor4(n, draw(st.dictionaries(st.tuples(idx, idx, idx, idx), VALUE, max_size=30)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_tensor())
+@example(Tensor4(1))
+@example(Tensor4(12, {(11, 0, 3, 11): Fraction(-(10**4400) - 1, 7), (0, 0, 0, 0): Fraction(5)}))
+def test_dumps_is_json_dumps_indent_2(r):
+    assert r.dumps() == json.dumps(tensor_json_obj(r), indent=2) + "\n"
 
 
 def test_json_round_trip_past_the_digit_limit():
@@ -308,10 +334,10 @@ def test_json_round_trip_past_the_digit_limit():
     ],
 )
 def test_json_rejects_malformed(mutate):
-    obj = Tensor4(2).to_json_obj()
+    obj = tensor_json_obj(Tensor4(2))
     mutate(obj)
     with pytest.raises(ValueError):
-        Tensor4.from_json_obj(obj)
+        Tensor4.loads(json.dumps(obj))
 
 
 def test_compare_tensors():
@@ -331,6 +357,37 @@ def test_checks_independent_of_insertion_order():
     assert check_skew(a) == check_skew(b)
     assert aybe_residual(a) == aybe_residual(b)
     assert a.dumps() == b.dumps()
+
+
+@st.composite
+def constructor_args(draw):
+    """(n, entries) with int, bool and Fraction values, zeros among them,
+    and now and then a key with an index of -1 or n at a random place."""
+    n = draw(st.integers(1, 4))
+    idx = st.integers(0, n - 1)
+    value = st.integers(-3, 3) | st.booleans() | st.fractions(max_denominator=6)
+    items = list(draw(st.dictionaries(st.tuples(idx, idx, idx, idx), value, max_size=6)).items())
+    if draw(st.booleans()):
+        key = draw(st.lists(idx, min_size=4, max_size=4))
+        key[draw(st.integers(0, 3))] = draw(st.sampled_from([-1, n]))
+        items.insert(draw(st.integers(0, len(items))), (tuple(key), draw(value)))
+    return n, dict(items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructor_args())
+def test_constructor_matches_old(args):
+    """Equal tensors holding only Fractions, or the same error."""
+    n, entries = args
+    try:
+        expected = tensor_init_old(n, entries)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Tensor4(n, entries)
+        assert str(got.value) == str(exc)
+    else:
+        r = Tensor4(n, entries)
+        assert r == expected and all(type(v) is Fraction for _, v in r.iter_items())
 
 
 def test_entries_validated():
