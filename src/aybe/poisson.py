@@ -25,6 +25,7 @@ from aybe.tensor import Tensor4, check_skew
 __all__ = [
     "Polynomial",
     "QuadraticBracket",
+    "NotSkewSymmetric",
     "scalar_bracket_from_r",
     "matrix_bracket_from_r",
     "jacobi_residual",
@@ -135,13 +136,22 @@ class QuadraticBracket:
         return not self._table
 
 
+class NotSkewSymmetric(ValueError):
+    """A bracket asked of a tensor that is not skew-symmetric; `violations`
+    is check_skew's list, so a caller can report it without a second pass."""
+
+    def __init__(self, violations: list):
+        super().__init__(
+            f"tensor is not skew-symmetric ({len(violations)} violating components); "
+            "the induced bracket would not be antisymmetric"
+        )
+        self.violations = violations
+
+
 def _require_skew(r: Tensor4) -> None:
     bad = check_skew(r)
     if bad:
-        raise ValueError(
-            f"tensor is not skew-symmetric ({len(bad)} violating components); "
-            "the induced bracket would not be antisymmetric"
-        )
+        raise NotSkewSymmetric(bad)
 
 
 def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
@@ -150,7 +160,6 @@ def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
     Walks the tensor's nonzero components r^{ge}_{ab} with a <= b, the
     only lower-index groups that reach a pair u < v.
     """
-    _require_skew(r)
     mm = m * m
     acc: dict[tuple[int, int], dict[Mono, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
     for (g, e, a, b), val in r.iter_items():
@@ -165,13 +174,17 @@ def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
 
 
 def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
-    """{x_a, x_b} = sum r^{ge}_{ab} x_g x_e on r.n commuting generators."""
+    """{x_a, x_b} = sum r^{ge}_{ab} x_g x_e on r.n commuting generators.
+    Raises NotSkewSymmetric unless r is skew-symmetric."""
+    _require_skew(r)
     return QuadraticBracket(r.n, _bracket_table(r, 1), _scalar_names(r.n))
 
 
 def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
     """Bracket on r.n * m^2 generators indexed (a, i, j); m == 1 reduces to
-    the scalar bracket with identical generator numbering."""
+    the scalar bracket with identical generator numbering. The skew check
+    comes first, as in scalar_bracket_from_r."""
+    _require_skew(r)
     if m < 1:
         raise ValueError("matrix size must be >= 1")
     return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _matrix_names(r.n, m))

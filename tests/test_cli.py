@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -23,6 +24,10 @@ from aybe.cli import (
     MAX_DIMENSION,
     MAX_GENERATORS,
     MAX_TENSOR_NONZEROS,
+    COMMANDS,
+    _command_parser,
+    _glue_negative_lambda,
+    _parse,
     build_parser,
     main,
 )
@@ -736,19 +741,90 @@ def _exit(fn, argv):
 
 
 def test_command_parser_matches_full_parser(monkeypatch):
-    """`main` builds options for the named command only; it parses each
-    command line as the parser of every command does, and fails on the same
-    lines with the same exit code and text."""
+    """`main` parses a line that starts with a command with that command's
+    parser alone. That parser reads each line it accepts as the full tree
+    does, and `main` fails on the same lines with the same exit code and
+    text."""
     monkeypatch.setenv("COLUMNS", "100")
-    for argv in [argv for argv, _, _ in PINNED_REPORTS] + [["bracket", "r.json", "--chec"]]:
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-    for argv in (
-        [], ["-h"], ["bogus"], ["-x", "verify", "r.json"], ["--", "verify", "r.json"],
-        ["verify"], ["verify", "r.json", "extra"], ["verify", "-h"], ["construct", "--n", "x"],
-        ["closed-form", "--variant", "zz"], ["cocycle", "--n", "2", "--lambda", "2,1"],
+    negative = {
+        "construct": ["--n", "3", "--m", "1", "--out", "r.json"],
+        "closed-form": ["--variant", "m1", "--n", "3"],
+        "cocycle": ["--n", "3", "--m", "1"],
+        "bracket": ["r.json", "--compare-closed-2m"],
+    }
+    lines = [argv for argv, _, _ in PINNED_REPORTS] + [
+        ["bracket", "r.json", "--chec"],
+        ["verify", "--", "r.json"],
+        ["transform", "--transpose-dual", "--out", "t.json", "--", "r.json"],
+        *([cmd, *args, "--lambda", "-1,0,1"] for cmd, args in negative.items()),
+    ]
+    for argv in lines:
+        argv = _glue_negative_lambda(argv)
+        assert _command_parser(argv[0]).parse_args(argv[1:]) == build_parser().parse_args(argv), argv
+    takes_lambda = {cmd for cmd in COMMANDS if "--lambda" in _command_parser(cmd).format_usage()}
+    assert set(negative) == takes_lambda
+
+    exits = [
+        [], ["-h"], ["--help"], ["bogus"], ["-x", "verify", "r.json"], ["--", "verify", "r.json"],
+        ["verify"], ["construct", "--n", "x"], ["closed-form", "--variant", "zz"],
+        ["cocycle", "--n", "2", "--lambda", "2,1"],
         ["transform", "r.json", "--g", "g.json", "--transpose-dual", "--out", "t.json"],
-    ):
+        # abbreviated options
+        ["bracket", "--chec"], ["bracket", "r.json", "--m", "x"], ["construct", "--n", "2", "--l"],
+        # `--` ends the options: what follows is positional
+        ["construct", "--", "--n", "2"], ["construct", "--", "-h"], ["bracket", "--", "r.json", "--m-size"],
+        # arguments the command does not take: the full tree reports them
+        ["verify", "r.json", "extra"], ["verify", "r.json", "--bogus"], ["verify", "r.json", "--", "x"],
+        ["transform", "r.json", "--transpose-dual", "--out", "t", "--"],
+        ["cocycle", "--n", "2", "--m", "1", "--lambda", "2,1", "--"],
+        ["cocycle", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", "o.json"],
+        ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1", "-x", "1"],
+        ["bracket", "r.json", "r.json"], ["transform", "r.json", "--transpose-dual", "--out", "t", "-v"],
+        ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", "r.json", "--n=3", "x"],
+        # a help request wins over a stray argument before it
+        ["verify", "--bogus", "-h"],
+    ]
+    for cmd in COMMANDS:
+        exits += [[cmd, "-h"], [cmd, "--help"], [cmd, "--he"], [cmd, "--report"]]
+    for argv in exits:
         assert _exit(main, argv) == _exit(build_parser().parse_args, argv), argv
+    # unglued, `--lambda -1,0,1` is an option missing its value in both
+    for cmd, args in negative.items():
+        argv = [cmd, *args, "--lambda", "-1,0,1"]
+        assert _exit(_parse, argv) == _exit(build_parser().parse_args, argv), argv
+
+
+def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
+    """A call that names a command and gives it only its own arguments
+    builds that command's parser and no other; help, a missing or unknown
+    command and stray arguments build the full tree of seven."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
+    Path("zero.json").write_text(Tensor4(2).dumps())
+    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, expected_code, _ in PINNED_REPORTS:
+        built.clear()
+        assert run(argv, capsys)[0] == expected_code
+        assert built == [f"aybe {argv[0]}"], argv
+    assert {argv[0] for argv, _, _ in PINNED_REPORTS} == set(COMMANDS)
+
+    tree = ["aybe", *(f"aybe {name}" for name in COMMANDS)]
+    for argv, code in ([["-h"], 0], [["bogus"], 2], [[], 2]):
+        built.clear()
+        assert _exit(main, argv)[0] == code
+        assert built == tree, argv
+    built.clear()
+    assert _exit(main, ["verify", "zero.json", "extra"])[0] == 2
+    assert built == ["aybe verify", *tree]
 
 
 def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
@@ -784,7 +860,8 @@ def _start(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    for name in ("build_basis", "r_closed", "check_skew", "aybe_report"):
+    for name in ("build_basis", "r_closed", "scalar_bracket_from_r", "matrix_bracket_from_r",
+                 "aybe_report"):
         monkeypatch.setattr(f"aybe.cli.{name}", _start)
 
 

@@ -11,6 +11,7 @@ from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import common_denominator
 from aybe.frobenius import build_basis, make_lambda, r_from_algebra
 from aybe.poisson import (
+    NotSkewSymmetric,
     Polynomial,
     QuadraticBracket,
     bracket_to_json,
@@ -95,8 +96,15 @@ def test_scalar_bracket_family_is_zero():
 
 
 def test_scalar_bracket_rejects_non_skew():
-    with pytest.raises(ValueError):
-        scalar_bracket_from_r(Tensor4(2, {(0, 1, 0, 1): 1}))
+    r = Tensor4(2, {(0, 1, 0, 1): 1})
+    for build in (scalar_bracket_from_r, lambda r: matrix_bracket_from_r(r, 2),
+                  lambda r: matrix_bracket_from_r(r, 0)):
+        with pytest.raises(NotSkewSymmetric) as exc:
+            build(r)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value) == ("tensor is not skew-symmetric (2 violating components); "
+                                  "the induced bracket would not be antisymmetric")
+        assert exc.value.violations == check_skew(r)
 
 
 def test_matrix_bracket_m1_reduction():
