@@ -70,8 +70,8 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # on the transformed one. The slowest shapes each limit accepts take, on
 # 2 vCPUs: construct (28,2), where one Gram component holds half the basis,
 # 5 s; closed-form --variant distinct (40,2) with --out, 3 s; bracket
-# --check-jacobi on the m1 n=12 tensor with --m-size 2, 2 s; verify on the
-# distinct (16,2) tensor (8,640 nonzeros), 3 s. Cost also grows with the
+# --check-jacobi on the distinct (16,2) tensor (8,640 nonzeros), scalar,
+# 2.1 s; verify on that tensor, 3 s. Cost also grows with the
 # size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
@@ -234,7 +234,7 @@ def cmd_bracket(args) -> tuple:
     outputs = {}
     if args.out:
         outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
-    details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket.pairs())}
+    details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket._table)}
     verdict = "pass"
     if args.check_jacobi:
         violations = jacobi_residual(bracket)

@@ -190,6 +190,16 @@ def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
     return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _matrix_names(r.n, m))
 
 
+def _monomial(key: int) -> Mono:
+    """The sorted index tuple of a cubic monomial key sum 4^k (see
+    jacobi_residual): the top index is half the key's top bit position."""
+    mono = []
+    for _ in range(3):
+        mono.append((key.bit_length() - 1) >> 1)
+        key -= 1 << 2 * mono[-1]
+    return tuple(reversed(mono))
+
+
 def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Polynomial]]:
     """Triples u < v < w where {x_u,{x_v,x_w}} + cyclic is nonzero.
 
@@ -205,26 +215,40 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Pol
     residual coefficient sums to an int v and is returned as
     Fraction(v, L^2). When L would grow far past the largest denominator,
     the helper keeps the Fractions and the same contraction runs on them.
+
+    Monomials are additive base-4 keys: generator k weighs 4^k, so x_g x_e
+    is 4^g + 4^e and multiplying it by x_k adds 4^k. An exponent is at most
+    3, so no base-4 digit carries and a key determines its monomial. Each
+    table entry is a list of (key, coefficient); a key is decoded into its
+    sorted index tuple only for the nonzero coefficients of a residual.
     """
     pairs = b.pairs()
     lcm, scaled = common_denominator([c for _, poly in pairs for c in poly._terms.values()])
     coeffs = iter(scaled)
-    rows: dict[int, dict[int, dict[Mono, int | Fraction]]] = {}
+    weight = [1 << 2 * k for k in range(b.n_gens)]
+    # quadratic key of x_g x_e -> the (k, weight of the other) pairs of
+    # {x_u, x_g x_e} = {x_u, x_g} x_e + {x_u, x_e} x_g
+    halves: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    rows: dict[int, dict[int, list[tuple[int, int | Fraction]]]] = {}
     for (u, v), poly in pairs:
-        terms = {mono: next(coeffs) for mono in poly._terms}
+        terms = []
+        for g, e in poly._terms:
+            key = weight[g] + weight[e]
+            halves[key] = ((g, weight[e]), (e, weight[g]))
+            terms.append((key, next(coeffs)))
         rows.setdefault(u, {})[v] = terms
-        rows.setdefault(v, {})[u] = {mono: -c for mono, c in terms.items()}
+        rows.setdefault(v, {})[u] = [(key, -c) for key, c in terms]
     den = lcm * lcm
     out = []
     for u, v, w in combinations(sorted(rows), 3):
-        acc: dict[Mono, int | Fraction] = defaultdict(int)
+        acc: dict[int, int | Fraction] = defaultdict(int)
         for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
             row = rows[x]
-            for (g, e), c in rows[y].get(z, {}).items():
-                for k, other in ((g, e), (e, g)):
-                    for (p, q), d in row.get(k, {}).items():
-                        acc[tuple(sorted((p, q, other)))] += c * d
-        total = {mono: Fraction(c, den) if den > 1 else c for mono, c in acc.items() if c}
+            for key, c in rows[y].get(z, ()):
+                for k, other in halves[key]:
+                    for key2, d in row.get(k, ()):
+                        acc[key2 + other] += c * d
+        total = {_monomial(key): Fraction(c, den) if den > 1 else c for key, c in acc.items() if c}
         if total:
             out.append(((u, v, w), Polynomial(b.n_gens, total)))
     return out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
 from aybe.frobenius import LambdaSpec, make_lambda
+from aybe.poisson import Polynomial, QuadraticBracket
 from aybe.tensor import Tensor4
 
 
@@ -224,6 +225,34 @@ def aybe_residual_join(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
             acc[(a2, b2, a1, d1, d2, c1)] += p
     den = lcm * lcm
     return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
+
+
+def jacobi_residual_tuples(b: QuadraticBracket) -> list:
+    """poisson.jacobi_residual with monomials as sorted index tuples: the
+    same triples and integer (or Fraction fallback) contraction, but every
+    update builds its cubic monomial with tuple(sorted(...))."""
+    pairs = b.pairs()
+    lcm, scaled = common_denominator([c for _, poly in pairs for c in poly._terms.values()])
+    coeffs = iter(scaled)
+    rows: dict = {}
+    for (u, v), poly in pairs:
+        terms = {mono: next(coeffs) for mono in poly._terms}
+        rows.setdefault(u, {})[v] = terms
+        rows.setdefault(v, {})[u] = {mono: -c for mono, c in terms.items()}
+    den = lcm * lcm
+    out = []
+    for u, v, w in combinations(sorted(rows), 3):
+        acc: dict = defaultdict(int)
+        for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+            row = rows[x]
+            for (g, e), c in rows[y].get(z, {}).items():
+                for k, other in ((g, e), (e, g)):
+                    for (p, q), d in row.get(k, {}).items():
+                        acc[tuple(sorted((p, q, other)))] += c * d
+        total = {mono: Fraction(c, den) if den > 1 else c for mono, c in acc.items() if c}
+        if total:
+            out.append(((u, v, w), Polynomial(b.n_gens, total)))
+    return out
 
 
 def tensor_json_obj(r: Tensor4) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aybe.cli import MAX_GENERATORS
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import common_denominator
 from aybe.frobenius import build_basis, make_lambda, r_from_algebra
@@ -16,13 +17,14 @@ from aybe.poisson import (
     QuadraticBracket,
     bracket_to_json,
     compare_to_closed_2m,
+    _monomial,
     jacobi_residual,
     matrix_bracket_from_r,
     scalar_bracket_closed_2m,
     scalar_bracket_from_r,
 )
 from aybe.tensor import Tensor4, aybe_residual, check_skew
-from oracles import mixed_denominator_skew_tensor
+from oracles import jacobi_residual_tuples, mixed_denominator_skew_tensor
 
 
 def poly_st(nvars=3, max_terms=5):
@@ -287,6 +289,78 @@ def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
     for m_size in m_sizes:
         b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
         assert jacobi_residual(b) == []
+
+
+def grid(n, shift=0):
+    return [Fraction(k * k + 1, k + 2) + shift for k in range(n)]
+
+
+def perturbed(r):
+    """r with one entry moved by 2/3 and its skew partner by -2/3: still
+    skew, no longer a solution of the AYBE."""
+    entries = dict(r.iter_items())
+    a, b, c, d = min(k for k in entries if k != (k[1], k[0], k[3], k[2]))
+    entries[(a, b, c, d)] += Fraction(2, 3)
+    entries[(b, a, d, c)] = entries.get((b, a, d, c), Fraction(0)) - Fraction(2, 3)
+    return Tensor4(r.n, entries)
+
+
+def term_lists(residual):
+    return [(t, list(p._terms.items())) for t, p in residual]
+
+
+@pytest.mark.parametrize(
+    "r, m_size, fails",
+    [
+        (r_closed_distinct(make_lambda(8, 2, grid(8, -7))), 1, False),
+        (r_closed_distinct(make_lambda(6, 3, grid(6, 11))), 1, False),
+        (r_closed_distinct(make_lambda(4, 2, grid(4, 3))), 2, False),
+        (perturbed(r_closed_distinct(make_lambda(6, 3, grid(6, 11)))), 1, True),
+        (r_closed_m1(make_lambda(4, 1, grid(4, -2))), 2, False),
+    ],
+    ids=["distinct-8x2", "distinct-6x3", "distinct-4x2-m2", "non-aybe-6x3", "m1-4-m2"],
+)
+def test_jacobi_matches_tuple_oracle_on_bench_shapes(r, m_size, fails):
+    # the shapes of the bracket benchmark: same triples, monomials,
+    # coefficients and order as the sort-based contraction
+    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    got = jacobi_residual(b)
+    assert term_lists(got) == term_lists(jacobi_residual_tuples(b))
+    assert bool(got) == fails
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_denominator_skew_tensor(), st.integers(min_value=1, max_value=2))
+def test_jacobi_matches_tuple_oracle_with_large_denominators(drawn, m_size):
+    # covers both the integer path and the Fraction fallback
+    r, _ = drawn
+    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    assert term_lists(jacobi_residual(b)) == term_lists(jacobi_residual_tuples(b))
+
+
+def test_jacobi_keys_at_generator_limit():
+    # generator 99 weighs 4^99: x_99^3 is the largest key and x_0 x_99^2
+    # joins the lowest digit to the top one
+    n = MAX_GENERATORS
+    b = QuadraticBracket(
+        n,
+        {
+            (97, 98): x_sq(n, 99),
+            (96, 99): x_sq(n, 99),
+            (0, 1): Polynomial(n, {(0, 99): Fraction(1, 3)}),
+        },
+    )
+    got = jacobi_residual(b)
+    assert [(t, p._terms) for t, p in got] == [
+        ((0, 1, 96), {(0, 99, 99): Fraction(1, 3)}),
+        ((96, 97, 98), {(99, 99, 99): Fraction(2)}),
+    ]
+    assert term_lists(got) == term_lists(jacobi_residual_tuples(b))
+
+
+def test_monomial_decodes_every_cubic_key():
+    for mono in combinations_with_replacement(range(MAX_GENERATORS), 3):
+        assert _monomial(sum(4**k for k in mono)) == mono
 
 
 # --- the printed two-block formula ----------------------------------------
