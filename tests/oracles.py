@@ -340,6 +340,20 @@ def negate(r: Tensor4) -> Tensor4:
     return Tensor4(r.n, {k: -v for k, v in r.iter_items()})
 
 
+def grid(n, shift=0):
+    return [Fraction(k * k + 1, k + 2) + shift for k in range(n)]
+
+
+def perturbed(r):
+    """r with one entry moved by 2/3 and its skew partner by -2/3: still
+    skew, no longer a solution of the AYBE."""
+    entries = dict(r.iter_items())
+    a, b, c, d = min(k for k in entries if k != (k[1], k[0], k[3], k[2]))
+    entries[(a, b, c, d)] += Fraction(2, 3)
+    entries[(b, a, d, c)] = entries.get((b, a, d, c), Fraction(0)) - Fraction(2, 3)
+    return Tensor4(r.n, entries)
+
+
 def unrelated_denominators(count: int) -> list[int]:
     """2000-digit denominators 10^1999 k + 1, k = 1..count: two of them share
     at most a factor dividing the difference of their k, so their LCM has

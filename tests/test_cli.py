@@ -35,7 +35,7 @@ from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
-from oracles import rand_invertible, tensor_from_json_obj_old, tensor_json_obj
+from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
 
 
 def run(argv, capsys):
@@ -630,16 +630,38 @@ PINNED_REPORTS = [
     (["transform", "r.json", "--g", "s.json", "--out", "t.json"], 3,
      '{"command": "transform", "inputs": {"tensor": "r.json", "g": "s.json", "transpose_dual": false, '
      '"out": "t.json"}, "verdict": "degenerate", "details": {"g_rank": 1}}'),
+    # recorded while bracket entries and Jacobi residuals were `Polynomial`s
+    (["bracket", "p63.json", "--check-jacobi"], 1,
+     '{"command": "bracket", "inputs": {"tensor": "p63.json", "m_size": 1, "check_jacobi": true, '
+     '"out": null}, "verdict": "fail", "details": {"generators": 6, "nonzero_pairs": 15, '
+     '"jacobi_violations": [{"triple": [0, 1, 3], "residual": [{"exps": [1, 0, 0, 1, 1, 0], "coeff": '
+     '"-40/117"}, {"exps": [1, 1, 0, 1, 0, 0], "coeff": "40/117"}, {"exps": [2, 0, 0, 0, 1, 0], '
+     '"coeff": "76/117"}, {"exps": [2, 1, 0, 0, 0, 0], "coeff": "-76/117"}]}, {"triple": [0, 2, 3], '
+     '"residual": [{"exps": [1, 0, 0, 1, 0, 1], "coeff": "-128/207"}, {"exps": [1, 0, 1, 1, 0, 0], '
+     '"coeff": "128/207"}, {"exps": [2, 0, 0, 0, 0, 1], "coeff": "8/9"}, {"exps": [2, 0, 1, 0, 0, 0], '
+     '"coeff": "-8/9"}]}, {"triple": [0, 3, 4], "residual": [{"exps": [1, 0, 0, 1, 1, 0], "coeff": '
+     '"-64/117"}, {"exps": [1, 1, 0, 1, 0, 0], "coeff": "64/117"}, {"exps": [2, 0, 0, 0, 1, 0], '
+     '"coeff": "28/117"}, {"exps": [2, 1, 0, 0, 0, 0], "coeff": "-28/117"}]}, {"triple": [0, 3, 5], '
+     '"residual": [{"exps": [1, 0, 0, 1, 0, 1], "coeff": "-56/207"}, {"exps": [1, 0, 1, 1, 0, 0], '
+     '"coeff": "56/207"}]}]}}'),
 ]
+
+
+def _write_report_inputs():
+    """The files the PINNED_REPORTS lines read besides r.json, which the
+    first line writes: p63.json is a perturbed, skew, non-AYBE distinct
+    (6,3) tensor."""
+    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
+    Path("zero.json").write_text(Tensor4(2).dumps())
+    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
+    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    Path("p63.json").write_text(perturbed(r_closed_distinct(make_lambda(6, 3, grid(6, 11)))).dumps())
 
 
 def test_reports_pinned(tmp_path, capsys, monkeypatch):
     """Report text, key order included, with only `timing_ms` left out."""
     monkeypatch.chdir(tmp_path)
-    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
-    Path("zero.json").write_text(Tensor4(2).dumps())
-    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
-    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    _write_report_inputs()
     for argv, expected_code, expected in PINNED_REPORTS:
         code, out, _ = run(argv, capsys)
         assert code == expected_code
@@ -664,12 +686,24 @@ PINNED_OUTPUTS = [
      "e480e67805a2e17c97464ff55050f277edb0a44f255d1168f028216620fcf29a"),
     (["transform", "c63.json", "--transpose-dual", "--out", "t63.json"], "t63.json",
      "471bc46247f807909caf87ba0a464bcbd97135f4cd25cdb7859ab2fb325b02b2"),
+    # bracket files, recorded while bracket entries were `Polynomial`s; c42.json
+    # is also the distinct (4,2) closed form
+    (["closed-form", "--variant", "m1", "--n", "3", "--lambda", "0,1,5/2", "--out", "m13.json"],
+     "m13.json", "b0f6b5c97079e3cd69b15c9bd3d4961f20bd1b3120cc9c839a37a9f3ad21a239"),
+    (["bracket", "m13.json", "--out", "b13.json"], "b13.json",
+     "5ca0b0b2680d5aba1ec8de85243675582c70a83b81d7c79245bad2590792b61a"),
+    (["bracket", "c42.json", "--m-size", "2", "--out", "b42.json"], "b42.json",
+     "506c26b7ce62e4d4d7e7da817e7740e66cf6e7a180eec9d4edf7ceeaf6df1eb5"),
+    (["bracket", "p63.json", "--out", "bp63.json"], "bp63.json",
+     "ddc203f74ab0fcc6568cd08d485b702c9b3f56b3a8cbe3dd7698ae2eaba53ce2"),
 ]
 
 
 def test_output_files_pinned(tmp_path, capsys, monkeypatch):
-    """Tensor files byte for byte, the last one read back from the second."""
+    """Tensor and bracket files byte for byte; transform and bracket read
+    tensors that earlier lines or _write_report_inputs wrote."""
     monkeypatch.chdir(tmp_path)
+    _write_report_inputs()
     got = []
     for argv, out, _ in PINNED_OUTPUTS:
         code, _, _ = run(argv, capsys)
@@ -721,10 +755,7 @@ def test_no_state_carried_between_calls(tmp_path, capsys, monkeypatch):
     assert code == 0 and inputs["out"] is None and inputs["compare"] is None
     assert inputs["lambda"] == ["0", "1", "5/2"]
 
-    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
-    Path("zero.json").write_text(Tensor4(2).dumps())
-    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
-    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    _write_report_inputs()
     replays = [[run(argv, capsys)[:2] for argv, _, _ in PINNED_REPORTS] for _ in range(2)]
     first, second = ([(code, _without_timing(out)) for code, out in replay] for replay in replays)
     assert first == second
@@ -799,10 +830,7 @@ def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
     builds that command's parser and no other; help, a missing or unknown
     command and stray arguments build the full tree of seven."""
     monkeypatch.chdir(tmp_path)
-    Path("bad.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
-    Path("zero.json").write_text(Tensor4(2).dumps())
-    Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
-    Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
+    _write_report_inputs()
     built = []
     init = argparse.ArgumentParser.__init__
 

@@ -24,7 +24,7 @@ from aybe.poisson import (
     scalar_bracket_from_r,
 )
 from aybe.tensor import Tensor4, aybe_residual, check_skew
-from oracles import jacobi_residual_tuples, mixed_denominator_skew_tensor
+from oracles import grid, jacobi_residual_tuples, mixed_denominator_skew_tensor, perturbed
 
 
 def poly_st(nvars=3, max_terms=5):
@@ -289,20 +289,6 @@ def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
     for m_size in m_sizes:
         b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
         assert jacobi_residual(b) == []
-
-
-def grid(n, shift=0):
-    return [Fraction(k * k + 1, k + 2) + shift for k in range(n)]
-
-
-def perturbed(r):
-    """r with one entry moved by 2/3 and its skew partner by -2/3: still
-    skew, no longer a solution of the AYBE."""
-    entries = dict(r.iter_items())
-    a, b, c, d = min(k for k in entries if k != (k[1], k[0], k[3], k[2]))
-    entries[(a, b, c, d)] += Fraction(2, 3)
-    entries[(b, a, d, c)] = entries.get((b, a, d, c), Fraction(0)) - Fraction(2, 3)
-    return Tensor4(r.n, entries)
 
 
 def term_lists(residual):
