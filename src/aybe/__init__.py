@@ -22,7 +22,6 @@ from aybe.frobenius import (
     r_from_algebra,
 )
 from aybe.poisson import (
-    Polynomial,
     QuadraticBracket,
     jacobi_residual,
     matrix_bracket_from_r,
@@ -46,7 +45,6 @@ __all__ = [
     "DegenerateForm",
     "LambdaMode",
     "LambdaSpec",
-    "Polynomial",
     "QuadraticBracket",
     "RatMatrix",
     "SingularMatrix",

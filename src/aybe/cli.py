@@ -5,9 +5,11 @@ Each `cmd_*` maps the parsed arguments to (inputs, verdict, details,
 outputs). `main` alone times it, builds the JSON report (deterministic
 apart from `timing_ms`), writes it and the outputs, and maps the verdict to
 the exit code: 0 pass, 1 fail, 3 degenerate. Exit 2 is a usage, parse or
-write error, or a size past one of the `MAX_*` limits. Files go through
-temporary files, renamed into place only after the stdout report is
-written, so a run that exits 2 leaves no file behind.
+write error, or a size past one of the `MAX_*` limits. Exit 4 is an
+internal error: any other exception a command raises, a fault in the
+program rather than a verdict on the input. Files go through temporary
+files, renamed into place only after the stdout report is written, so a
+run that exits 2 or 4 leaves no file behind.
 
 Each `main` call builds its own parsers from the `COMMANDS` table. When
 the first argument names a command, that command's parser alone reads the
@@ -50,6 +52,7 @@ from aybe.poisson import (
     jacobi_residual,
     matrix_bracket_from_r,
     scalar_bracket_from_r,
+    terms_json,
 )
 from aybe.tensor import (
     Tensor4,
@@ -63,6 +66,7 @@ from aybe.tensor import (
 )
 
 EXIT_USAGE = 2
+EXIT_INTERNAL = 4  # an unexpected exception: never 0 or 1, which are verdicts
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
 # Size limits (exit 2), checked before any work; bracket's and verify's,
@@ -234,13 +238,13 @@ def cmd_bracket(args) -> tuple:
     outputs = {}
     if args.out:
         outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
-    details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket._table)}
+    details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket.pairs())}
     verdict = "pass"
     if args.check_jacobi:
         violations = jacobi_residual(bracket)
         details["jacobi_violations"] = [
-            {"triple": list(t), "residual": poly.to_json_obj()}
-            for t, poly in violations
+            {"triple": list(t), "residual": terms_json(bracket.n_gens, terms)}
+            for t, terms in violations
         ]
         if violations:
             verdict = "fail"
@@ -438,6 +442,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RecursionError) as exc:
         print(f"aybe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"aybe: internal error in {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_CODES[verdict]
 
 

@@ -7,7 +7,8 @@ Generators commute. For the scalar case the bracket of generators is
 x^{j2}_{i1,g} x^{j1}_{i2,e}. Skew-symmetry of r makes both antisymmetric.
 
 A monomial is the sorted tuple of its generator indices, so x_0^2 x_3 is
-(0, 0, 3). Dense exponent vectors appear only in the JSON form.
+(0, 0, 3), and a polynomial is a plain dict from monomials to nonzero
+Fractions. Dense exponent vectors appear only in the JSON form (terms_json).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from aybe.frobenius import LambdaSpec
 from aybe.tensor import Tensor4, check_skew
 
 __all__ = [
-    "Polynomial",
     "QuadraticBracket",
     "NotSkewSymmetric",
     "scalar_bracket_from_r",
@@ -33,58 +33,10 @@ __all__ = [
     "scalar_bracket_closed_2m",
     "compare_to_closed_2m",
     "bracket_to_json",
+    "terms_json",
 ]
 
 Mono = tuple[int, ...]
-
-
-class Polynomial:
-    """Sparse polynomial: map from sorted generator-index tuples to coefficients."""
-
-    __slots__ = ("nvars", "_terms")
-
-    def __init__(self, nvars: int, terms: Mapping[Mono, Fraction] | None = None):
-        self.nvars = nvars
-        kept: dict[Mono, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
-            if list(mono) != sorted(mono) or not all(0 <= k < nvars for k in mono):
-                raise ValueError(f"bad monomial {mono} for {nvars} variables")
-            c = Fraction(coeff)
-            if c:
-                kept[mono] = c
-        self._terms = kept
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in graded-lexicographic order of their exponent vectors.
-
-        Within one degree a larger sorted index tuple has the smaller
-        exponent vector, hence the negated indices in the key.
-        """
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), [-k for k in t[0]]))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {mono: -c for mono, c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
-
-    def to_json_obj(self) -> list[dict]:
-        """Terms as dense exponent vectors, the bracket file format."""
-        out = []
-        for mono, c in self.terms():
-            exps = [0] * self.nvars
-            for k in mono:
-                exps[k] += 1
-            out.append({"exps": exps, "coeff": format_rational(c)})
-        return out
 
 
 def _scalar_names(n: int) -> list[str]:
@@ -103,34 +55,41 @@ def _matrix_names(n: int, m: int) -> list[str]:
 class QuadraticBracket:
     """Bracket table on commuting generators; antisymmetric by construction.
 
-    Only pairs u < v with a nonzero polynomial are stored; entry(u, v)
-    fills in the rest by antisymmetry. Every entry is homogeneous
-    quadratic, which jacobi_residual relies on.
+    `table` maps pairs u < v to {x_u, x_v} as a dict {(g, e): c}, g <= e.
+    The constructor alone checks these dicts, converts each c with Fraction
+    and drops zeros and empty entries; entry(u, v) fills in the other pairs
+    by antisymmetry. Every entry is homogeneous quadratic, which
+    jacobi_residual relies on. Returned dicts are the bracket's own: do not
+    modify them.
     """
 
-    def __init__(self, n_gens: int, table: Mapping[tuple[int, int], Polynomial], names=None):
+    def __init__(self, n_gens: int, table: Mapping[tuple[int, int], Mapping], names=None):
         self.n_gens = n_gens
         self.names = list(names) if names is not None else _scalar_names(n_gens)
-        self._table: dict[tuple[int, int], Polynomial] = {}
-        for (u, v), poly in table.items():
+        self._table: dict[tuple[int, int], dict[Mono, Fraction]] = {}
+        for (u, v), terms in sorted(table.items()):
             if not (0 <= u < v < n_gens):
                 raise ValueError(f"bracket table keys must have 0 <= u < v < {n_gens}")
-            if poly.nvars != n_gens:
-                raise ValueError("bracket polynomial has wrong variable count")
-            if any(len(mono) != 2 for mono in poly._terms):
-                raise ValueError("bracket polynomials must be homogeneous quadratic")
-            if not poly.is_zero():
-                self._table[(u, v)] = poly
+            kept = {}
+            for mono, coeff in terms.items():
+                if len(mono) != 2 or not (0 <= mono[0] <= mono[1] < n_gens):
+                    raise ValueError(f"bad quadratic monomial {mono} for {n_gens} generators")
+                c = Fraction(coeff)
+                if c:
+                    kept[mono] = c
+            if kept:
+                self._table[(u, v)] = kept
 
-    def entry(self, u: int, v: int) -> Polynomial:
+    def entry(self, u: int, v: int) -> dict[Mono, Fraction]:
         if u < v:
-            return self._table.get((u, v), Polynomial(self.n_gens))
+            return self._table.get((u, v), {})
         if u > v:
-            return -self._table.get((v, u), Polynomial(self.n_gens))
-        return Polynomial(self.n_gens)
+            return {mono: -c for mono, c in self._table.get((v, u), {}).items()}
+        return {}
 
-    def pairs(self) -> list[tuple[tuple[int, int], Polynomial]]:
-        return sorted(self._table.items())
+    def pairs(self) -> list[tuple[tuple[int, int], dict[Mono, Fraction]]]:
+        """The nonzero entries u < v, in increasing (u, v)."""
+        return list(self._table.items())
 
     def is_zero(self) -> bool:
         return not self._table
@@ -154,7 +113,7 @@ def _require_skew(r: Tensor4) -> None:
         raise NotSkewSymmetric(bad)
 
 
-def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
+def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], dict[Mono, Fraction]]:
     """{x_u, x_v} for u < v on generators (a, i, j) numbered a*m*m + i*m + j.
 
     Walks the tensor's nonzero components r^{ge}_{ab} with a <= b, the
@@ -170,7 +129,7 @@ def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], Polynomial]:
             if u < v:
                 x, y = g * mm + i1 * m + j2, e * mm + i2 * m + j1
                 acc[(u, v)][(x, y) if x <= y else (y, x)] += val
-    return {uv: Polynomial(r.n * mm, terms) for uv, terms in acc.items()}
+    return acc
 
 
 def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
@@ -200,8 +159,9 @@ def _monomial(key: int) -> Mono:
     return tuple(reversed(mono))
 
 
-def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Polynomial]]:
-    """Triples u < v < w where {x_u,{x_v,x_w}} + cyclic is nonzero.
+def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], dict[Mono, Fraction]]]:
+    """Triples u < v < w where {x_u,{x_v,x_w}} + cyclic is nonzero, each
+    with that residual as a dict {cubic monomial: nonzero Fraction}.
 
     Checking generator triples suffices: the Leibniz extension propagates
     the identity to all polynomials. A triple vanishes when an index
@@ -223,21 +183,21 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Pol
     sorted index tuple only for the nonzero coefficients of a residual.
     """
     pairs = b.pairs()
-    lcm, scaled = common_denominator([c for _, poly in pairs for c in poly._terms.values()])
+    lcm, scaled = common_denominator([c for _, terms in pairs for c in terms.values()])
     coeffs = iter(scaled)
     weight = [1 << 2 * k for k in range(b.n_gens)]
     # quadratic key of x_g x_e -> the (k, weight of the other) pairs of
     # {x_u, x_g x_e} = {x_u, x_g} x_e + {x_u, x_e} x_g
     halves: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     rows: dict[int, dict[int, list[tuple[int, int | Fraction]]]] = {}
-    for (u, v), poly in pairs:
-        terms = []
-        for g, e in poly._terms:
+    for (u, v), terms in pairs:
+        row = []
+        for g, e in terms:
             key = weight[g] + weight[e]
             halves[key] = ((g, weight[e]), (e, weight[g]))
-            terms.append((key, next(coeffs)))
-        rows.setdefault(u, {})[v] = terms
-        rows.setdefault(v, {})[u] = [(key, -c) for key, c in terms]
+            row.append((key, next(coeffs)))
+        rows.setdefault(u, {})[v] = row
+        rows.setdefault(v, {})[u] = [(key, -c) for key, c in row]
     den = lcm * lcm
     out = []
     for u, v, w in combinations(sorted(rows), 3):
@@ -248,9 +208,10 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], Pol
                 for k, other in halves[key]:
                     for key2, d in row.get(k, ()):
                         acc[key2 + other] += c * d
-        total = {_monomial(key): Fraction(c, den) if den > 1 else c for key, c in acc.items() if c}
+        total = {_monomial(key): Fraction(c, den) if den > 1 else Fraction(c)
+                 for key, c in acc.items() if c}
         if total:
-            out.append(((u, v, w), Polynomial(b.n_gens, total)))
+            out.append(((u, v, w), total))
     return out
 
 
@@ -284,7 +245,7 @@ def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
         raise ValueError("lambda values must be pairwise distinct")
     n, m = lam.n, lam.m
     vals = lam.values
-    table: dict[tuple[int, int], Polynomial] = {}
+    table: dict[tuple[int, int], dict[Mono, Fraction]] = {}
     undefined: list[tuple[int, int]] = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -295,7 +256,7 @@ def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
                 continue
             c = (vals[up] - vals[vp]) / den
             signed = (((u, v), c), ((u, vp), -c), ((up, v), -c), ((up, vp), c))
-            table[(u, v)] = Polynomial(n, {tuple(sorted(xy)): cx for xy, cx in signed})
+            table[(u, v)] = {tuple(sorted(xy)): cx for xy, cx in signed}
     return Closed2mBracket(QuadraticBracket(n, table), tuple(undefined))
 
 
@@ -309,21 +270,30 @@ def compare_to_closed_2m(derived: QuadraticBracket, lam: LambdaSpec) -> list[dic
     report = []
     for u in range(lam.n):
         for v in range(u + 1, lam.n):
-            item = {
-                "pair": [u, v],
-                "derived": derived.entry(u, v).to_json_obj(),
-            }
+            derived_terms = derived.entry(u, v)
+            item = {"pair": [u, v], "derived": terms_json(lam.n, derived_terms)}
             if (u, v) in undefined:
                 item["status"] = "undefined"
                 item["closed"] = None
             else:
-                closed_poly = closed.bracket.entry(u, v)
-                item["status"] = (
-                    "match" if closed_poly == derived.entry(u, v) else "mismatch"
-                )
-                item["closed"] = closed_poly.to_json_obj()
+                closed_terms = closed.bracket.entry(u, v)
+                item["status"] = "match" if closed_terms == derived_terms else "mismatch"
+                item["closed"] = terms_json(lam.n, closed_terms)
             report.append(item)
     return report
+
+
+def terms_json(n_gens: int, terms: Mapping[Mono, Fraction]) -> list[dict]:
+    """Terms as dense exponent vectors in graded-lexicographic order, the
+    bracket file format. Within one degree a larger sorted index tuple has
+    the smaller exponent vector, hence the negated indices in the key."""
+    out = []
+    for mono, c in sorted(terms.items(), key=lambda t: (len(t[0]), [-k for k in t[0]])):
+        exps = [0] * n_gens
+        for k in mono:
+            exps[k] += 1
+        out.append({"exps": exps, "coeff": format_rational(c)})
+    return out
 
 
 def bracket_to_json(b: QuadraticBracket) -> dict:
@@ -331,7 +301,7 @@ def bracket_to_json(b: QuadraticBracket) -> dict:
         "generators": b.n_gens,
         "names": list(b.names),
         "table": [
-            {"u": u, "v": v, "poly": poly.to_json_obj()}
-            for (u, v), poly in b.pairs()
+            {"u": u, "v": v, "poly": terms_json(b.n_gens, terms)}
+            for (u, v), terms in b.pairs()
         ],
     }

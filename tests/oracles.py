@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
 from aybe.frobenius import LambdaSpec, make_lambda
-from aybe.poisson import Polynomial, QuadraticBracket
+from aybe.poisson import QuadraticBracket
 from aybe.tensor import Tensor4
 
 
@@ -232,11 +232,11 @@ def jacobi_residual_tuples(b: QuadraticBracket) -> list:
     same triples and integer (or Fraction fallback) contraction, but every
     update builds its cubic monomial with tuple(sorted(...))."""
     pairs = b.pairs()
-    lcm, scaled = common_denominator([c for _, poly in pairs for c in poly._terms.values()])
+    lcm, scaled = common_denominator([c for _, entry in pairs for c in entry.values()])
     coeffs = iter(scaled)
     rows: dict = {}
-    for (u, v), poly in pairs:
-        terms = {mono: next(coeffs) for mono in poly._terms}
+    for (u, v), entry in pairs:
+        terms = {mono: next(coeffs) for mono in entry}
         rows.setdefault(u, {})[v] = terms
         rows.setdefault(v, {})[u] = {mono: -c for mono, c in terms.items()}
     den = lcm * lcm
@@ -249,9 +249,9 @@ def jacobi_residual_tuples(b: QuadraticBracket) -> list:
                 for k, other in ((g, e), (e, g)):
                     for (p, q), d in row.get(k, {}).items():
                         acc[tuple(sorted((p, q, other)))] += c * d
-        total = {mono: Fraction(c, den) if den > 1 else c for mono, c in acc.items() if c}
+        total = {mono: Fraction(c, den) if den > 1 else Fraction(c) for mono, c in acc.items() if c}
         if total:
-            out.append(((u, v, w), Polynomial(b.n_gens, total)))
+            out.append(((u, v, w), total))
     return out
 
 

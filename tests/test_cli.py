@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import aybe
 from aybe.cli import (
+    EXIT_INTERNAL,
     MAX_BRACKET_TERMS,
     MAX_CLOSED_FORM_N,
     MAX_DIMENSION,
@@ -878,8 +879,9 @@ def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
     assert _without_timing(cold("verify", str(path))) == _without_timing(out)
 
 
-class _Started(Exception):
-    """Raised in place of the first step of a command's work."""
+class _Started(BaseException):
+    """Raised in place of the first step of a command's work. Not an
+    Exception, so main's internal-error exit (4) lets it through."""
 
 
 def _start(*args, **kwargs):
@@ -1180,3 +1182,28 @@ def test_exit_code_contract(case):
             if "--report" in argv:
                 report = Path(resolved[argv.index("--report") + 1]).read_text()
             assert json.loads(report)["verdict"] == {0: "pass", 1: "fail", 3: "degenerate"}[code]
+
+
+def _raising(error):
+    def command(args):
+        raise error
+
+    return command
+
+
+@pytest.mark.parametrize("command, message", [
+    (_raising(TypeError("unsupported operand")), "TypeError: unsupported operand"),
+    (_raising(MemoryError()), "MemoryError: "),
+    # a fault while the outputs are written: the temporary files go too
+    (lambda args: ({}, "pass", {}, {args.out: None}), "TypeError: data must be str, not NoneType"),
+])
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch, command, message):
+    """Any other exception is a fault in the program, not a verdict: exit 4,
+    the command named on stderr, no report and no file."""
+    monkeypatch.setitem(COMMANDS, "construct", (command, *COMMANDS["construct"][1:]))
+    argv = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", str(tmp_path / "r.json")]
+    for extra in ([], ["--report", str(tmp_path / "report.json")]):
+        code, stdout, err = run(argv + extra, capsys)
+        assert code == EXIT_INTERNAL == 4 and stdout == ""
+        assert err.endswith(f"aybe: internal error in construct: {message}\n")
+        assert list(tmp_path.iterdir()) == []

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from aybe.cli import MAX_GENERATORS
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.exactlin import common_denominator
+from aybe.exactlin import common_denominator, format_rational
 from aybe.frobenius import build_basis, make_lambda, r_from_algebra
 from aybe.poisson import (
     NotSkewSymmetric,
-    Polynomial,
     QuadraticBracket,
     bracket_to_json,
     compare_to_closed_2m,
@@ -22,57 +21,92 @@ from aybe.poisson import (
     matrix_bracket_from_r,
     scalar_bracket_closed_2m,
     scalar_bracket_from_r,
+    terms_json,
 )
 from aybe.tensor import Tensor4, aybe_residual, check_skew
 from oracles import grid, jacobi_residual_tuples, mixed_denominator_skew_tensor, perturbed
 
 
+def x_sq(i, c=1):
+    return {(i, i): Fraction(c)}
+
+
+def neg(terms):
+    return {mono: -c for mono, c in terms.items()}
+
+
+# --- polynomials: term dicts ----------------------------------------------
+
+
 def poly_st(nvars=3, max_terms=5):
-    monos = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars).map(
-        lambda exps: tuple(k for k, e in enumerate(exps) for _ in range(e))
-    )
+    """Quadratic term dicts, zero coefficients included."""
+    idx = st.integers(min_value=0, max_value=nvars - 1)
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    return st.dictionaries(monos, coeff, max_size=max_terms).map(
-        lambda terms: Polynomial(nvars, terms)
-    )
+    return st.dictionaries(st.tuples(idx, idx).map(lambda xy: tuple(sorted(xy))), coeff, max_size=max_terms)
 
 
-def x_sq(nvars, i):
-    return Polynomial(nvars, {(i, i): Fraction(1)})
-
-
-# --- polynomial engine -----------------------------------------------------
+def exps_of(nvars, mono):
+    return [mono.count(k) for k in range(nvars)]
 
 
 def test_polynomial_basics():
-    p = Polynomial(2, {(0, 0): 1, (0, 1): 0, (1, 1): Fraction(-1)})
-    assert p.terms() == [((1, 1), Fraction(-1)), ((0, 0), Fraction(1))]
-    assert -p == Polynomial(2, {(0, 0): -1, (1, 1): 1})
-    assert -(-p) == p
-    assert Polynomial(2, {(0, 1): 0}).is_zero() and not p.is_zero()
+    # the bracket converts coefficients to Fractions and drops zeros and
+    # empty entries; entry(v, u) is the negated entry(u, v)
+    b = QuadraticBracket(2, {(0, 1): {(0, 0): 1, (0, 1): 0, (1, 1): Fraction(-1)}})
+    assert b.entry(0, 1) == {(0, 0): 1, (1, 1): -1}
+    assert all(type(c) is Fraction for c in b.entry(0, 1).values())
+    assert b.entry(1, 0) == {(0, 0): -1, (1, 1): 1} == neg(b.entry(0, 1))
+    assert b.entry(0, 0) == b.entry(1, 1) == {}
+    assert QuadraticBracket(2, {(0, 1): {(0, 1): 0}}).is_zero() and not b.is_zero()
 
 
 def test_polynomial_terms_graded_lex():
-    p = Polynomial(2, {(1, 1): 1, (0,): 1, (0, 0): 1, (): 1})
-    assert [e for e, _ in p.terms()] == [(), (0,), (1, 1), (0, 0)]
-
-
-def test_polynomial_ring_mismatch():
-    # a monomial outside the ring, or unsorted, is rejected; polynomials in
-    # two rings differ, and a bracket takes only its own ring's
-    with pytest.raises(ValueError):
-        Polynomial(2, {(2,): 1})
-    with pytest.raises(ValueError):
-        Polynomial(2, {(1, 0): 1})
-    assert Polynomial(2) != Polynomial(3)
-    with pytest.raises(ValueError):
-        QuadraticBracket(3, {(0, 1): Polynomial(2, {(0, 1): 1})})
+    got = terms_json(2, {(1, 1): 1, (0,): 1, (0, 0): 1, (): 1})
+    assert [t["exps"] for t in got] == [[0, 0], [1, 0], [0, 2], [2, 0]]
 
 
 @settings(max_examples=50, deadline=None)
-@given(poly_st())
-def test_polynomial_canonical_idempotent(p):
-    assert Polynomial(p.nvars, dict(p.terms())) == p
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.dictionaries(
+                st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3).map(
+                    lambda ks: tuple(sorted(ks))
+                ),
+                st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_terms_json_graded_lex(case):
+    # the order jacobi_reference sorts its residuals in: (degree, exps)
+    n, terms = case
+    expected = sorted(((exps_of(n, mono), c) for mono, c in terms.items()), key=lambda t: (sum(t[0]), t[0]))
+    assert terms_json(n, terms) == [{"exps": e, "coeff": format_rational(c)} for e, c in expected]
+
+
+def test_polynomial_ring_mismatch():
+    # a pair key outside u < v < n_gens, or a monomial that is out of range,
+    # unsorted or not quadratic, is rejected
+    bad_tables = [
+        {(1, 0): {(0, 1): 1}}, {(1, 1): {(0, 1): 1}}, {(0, 3): {(0, 1): 1}}, {(-1, 0): {(0, 1): 1}},
+        {(0, 1): {(0, 3): 1}}, {(0, 1): {(-1, 0): 1}}, {(0, 1): {(1, 0): 1}},
+        {(0, 1): {(0,): 1}}, {(0, 1): {(0, 1, 2): 1}}, {(0, 1): {(): 1}},
+    ]
+    for table in bad_tables:
+        with pytest.raises(ValueError):
+            QuadraticBracket(3, table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]), poly_st()))
+def test_polynomial_canonical_idempotent(table):
+    b = QuadraticBracket(3, table)
+    kept = {uv: {mono: c for mono, c in terms.items() if c} for uv, terms in table.items()}
+    assert b.pairs() == sorted((uv, terms) for uv, terms in kept.items() if terms)
+    assert QuadraticBracket(3, dict(b.pairs())).pairs() == b.pairs()
 
 
 # --- brackets from tensors -------------------------------------------------
@@ -86,10 +120,10 @@ def test_scalar_bracket_zero_tensor():
 def test_scalar_bracket_n2_value():
     # {x_0, x_1} = -(x_0 - x_1)^2
     b = scalar_bracket_from_r(r_closed_m1(make_lambda(2, 1, [2, 1])))
-    expected = Polynomial(2, {(0, 0): -1, (0, 1): 2, (1, 1): -1})
+    expected = {(0, 0): -1, (0, 1): 2, (1, 1): -1}
     assert b.entry(0, 1) == expected
-    assert b.entry(1, 0) == -expected
-    assert b.entry(0, 0).is_zero()
+    assert b.entry(1, 0) == neg(expected)
+    assert b.entry(0, 0) == {}
 
 
 def test_scalar_bracket_family_is_zero():
@@ -130,7 +164,7 @@ def test_matrix_bracket_example():
     v = gen(1, 1, 1)  # x^1_{1,1}
     t1 = tuple(sorted((gen(1, 0, 1), gen(0, 1, 0))))
     t2 = tuple(sorted((gen(0, 0, 1), gen(1, 1, 0))))
-    expected = Polynomial(8, {t1: Fraction(1), t2: Fraction(-1)})
+    expected = {t1: Fraction(1), t2: Fraction(-1)}
     assert b.entry(u, v) == expected
 
 
@@ -143,7 +177,7 @@ def test_bracket_antisymmetry_table():
     b = scalar_bracket_from_r(r)
     for u in range(3):
         for v in range(3):
-            assert b.entry(u, v) == -b.entry(v, u)
+            assert b.entry(u, v) == neg(b.entry(v, u))
 
 
 # --- Jacobi ----------------------------------------------------------------
@@ -162,18 +196,18 @@ def test_jacobi_solution_brackets_pass():
 def test_jacobi_nonposson_control():
     # B(0,1)=x0^2, B(1,2)=x1^2, B(2,0)=x2^2; hand expansion of the only
     # strict triple gives 2(x0^2 x1 + x1^2 x2 + x2^2 x0)
-    b = QuadraticBracket(3, {(0, 1): x_sq(3, 0), (1, 2): x_sq(3, 1), (0, 2): -x_sq(3, 2)})
+    b = QuadraticBracket(3, {(0, 1): x_sq(0), (1, 2): x_sq(1), (0, 2): x_sq(2, -1)})
     violations = jacobi_residual(b)
     assert len(violations) == 1
     (triple, poly), = violations
     assert triple == (0, 1, 2)
-    assert poly == Polynomial(3, {(0, 0, 1): 2, (1, 1, 2): 2, (0, 2, 2): 2})
+    assert poly == {(0, 0, 1): 2, (1, 1, 2): 2, (0, 2, 2): 2}
 
 
 def test_cyclic_squares_bracket_is_poisson():
     # B(0,1)=x2^2, B(1,2)=x0^2, B(2,0)=x1^2 has a cubic conserved quantity;
     # every cyclic term vanishes, so it is NOT a usable negative control
-    b = QuadraticBracket(3, {(0, 1): x_sq(3, 2), (1, 2): x_sq(3, 0), (0, 2): -x_sq(3, 1)})
+    b = QuadraticBracket(3, {(0, 1): x_sq(2), (1, 2): x_sq(0), (0, 2): x_sq(1, -1)})
     assert jacobi_residual(b) == []
 
 
@@ -183,7 +217,7 @@ def test_failing_tensor_gives_failing_bracket():
     bad = Tensor4(3, {(1, 1, 0, 1): 1, (1, 1, 1, 0): -1, (0, 0, 1, 2): 1, (0, 0, 2, 1): -1})
     assert aybe_residual(bad)
     violations = jacobi_residual(scalar_bracket_from_r(bad))
-    assert violations == [((0, 1, 2), Polynomial(3, {(0, 0, 1): Fraction(-2)}))]
+    assert violations == [((0, 1, 2), {(0, 0, 1): Fraction(-2)})]
 
 
 def test_jacobi_matrix_case():
@@ -249,7 +283,7 @@ def skew_tensor_st(draw):
 )
 def test_jacobi_matches_leibniz_reference(r, m_size):
     b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
-    got = [(t, p.to_json_obj()) for t, p in jacobi_residual(b)]
+    got = [(t, terms_json(b.n_gens, p)) for t, p in jacobi_residual(b)]
     assert got == jacobi_reference(bracket_to_json(b))
 
 
@@ -261,10 +295,10 @@ def test_jacobi_matches_leibniz_reference_with_large_denominators(drawn, data):
     # 2000-digit denominators; both sides share the contraction loop
     m_size = data.draw(st.integers(min_value=1, max_value=1 if unrelated else 2))
     b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
-    coeffs = [c for _, poly in b.pairs() for _, c in poly.terms()]
+    coeffs = [c for _, poly in b.pairs() for c in poly.values()]
     assert (common_denominator(coeffs)[1] is coeffs) == unrelated
     # residual coefficients pass 4300 digits; exactlin lifts that limit
-    got = [(t, p.to_json_obj()) for t, p in jacobi_residual(b)]
+    got = [(t, terms_json(b.n_gens, p)) for t, p in jacobi_residual(b)]
     assert got == jacobi_reference(bracket_to_json(b))
 
 
@@ -291,8 +325,18 @@ def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
         assert jacobi_residual(b) == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(skew_tensor_st(), st.just(r_closed_m1(make_lambda(3, 1, [0, 1, 2])))))
+def test_jacobi_at_m3_iff_aybe(r):
+    # Odesskii-Rubtsov-Sokolov in both directions: the bracket on 3 x 3
+    # matrix entries is Poisson exactly when the skew r solves the AYBE.
+    # The scalar bracket alone cannot decide: many skew non-solutions pass
+    # its Jacobi check.
+    assert (jacobi_residual(matrix_bracket_from_r(r, 3)) == []) == (aybe_residual(r) == [])
+
+
 def term_lists(residual):
-    return [(t, list(p._terms.items())) for t, p in residual]
+    return [(t, list(p.items())) for t, p in residual]
 
 
 @pytest.mark.parametrize(
@@ -331,13 +375,13 @@ def test_jacobi_keys_at_generator_limit():
     b = QuadraticBracket(
         n,
         {
-            (97, 98): x_sq(n, 99),
-            (96, 99): x_sq(n, 99),
-            (0, 1): Polynomial(n, {(0, 99): Fraction(1, 3)}),
+            (97, 98): x_sq(99),
+            (96, 99): x_sq(99),
+            (0, 1): {(0, 99): Fraction(1, 3)},
         },
     )
     got = jacobi_residual(b)
-    assert [(t, p._terms) for t, p in got] == [
+    assert got == [
         ((0, 1, 96), {(0, 99, 99): Fraction(1, 3)}),
         ((96, 97, 98), {(99, 99, 99): Fraction(2)}),
     ]
@@ -371,7 +415,7 @@ def test_closed_2m_42():
     # {x_0, x_1} = (x_0 - x_2)(x_1 - x_3)(l_2 - l_3)/((l_0 - l_3)(l_1 - l_3))
     #            = -(x_0 x_1 - x_0 x_3 - x_1 x_2 + x_2 x_3) / 6
     sixth = Fraction(1, 6)
-    expected = Polynomial(4, {(0, 1): -sixth, (0, 3): sixth, (1, 2): sixth, (2, 3): -sixth})
+    expected = {(0, 1): -sixth, (0, 3): sixth, (1, 2): sixth, (2, 3): -sixth}
     assert res.bracket.entry(0, 1) == expected
 
 
@@ -397,7 +441,7 @@ def test_closed_2m_matches_printed_formula(data):
                 continue
             expected = (x[a] - x[ap]) * (x[b] - x[bp]) * (vals[ap] - vals[bp]) / den
             poly = res.bracket.entry(a, b)
-            assert sum(c * prod(x[k] for k in mono) for mono, c in poly.terms()) == expected
+            assert sum(c * prod(x[k] for k in mono) for mono, c in poly.items()) == expected
     assert list(res.undefined_pairs) == undefined
 
 
