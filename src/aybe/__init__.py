@@ -11,9 +11,7 @@ from aybe.exactlin import (
     parse_rational,
 )
 from aybe.frobenius import (
-    AlgebraBasis,
     DegenerateForm,
-    LambdaMode,
     LambdaSpec,
     bar_index,
     build_basis,
@@ -29,7 +27,6 @@ from aybe.poisson import (
     scalar_bracket_from_r,
 )
 from aybe.tensor import (
-    AybeReport,
     Tensor4,
     aybe_report,
     aybe_residual,
@@ -40,10 +37,7 @@ from aybe.tensor import (
 )
 
 __all__ = [
-    "AlgebraBasis",
-    "AybeReport",
     "DegenerateForm",
-    "LambdaMode",
     "LambdaSpec",
     "QuadraticBracket",
     "RatMatrix",

@@ -35,13 +35,13 @@ from aybe.closedform import VARIANTS, r_closed
 from aybe.exactlin import (
     SingularMatrix,
     format_rational,
+    load_json,
     matrix_from_json,
     parse_rational,
 )
 from aybe.frobenius import (
     DegenerateForm,
     LambdaSpec,
-    build_basis,
     cocycle_residual,
     r_from_algebra,
 )
@@ -82,6 +82,15 @@ MAX_CLOSED_FORM_N = 40  # closed-form: n
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
 MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
+# Every input file (tensor, --compare, --g), checked before it is parsed:
+# 800 bytes per admitted nonzero. An entry as Tensor4.dumps lays it out
+# takes about 125 bytes besides its value, and the distinct (24,2) tensor
+# (42,528 nonzeros, 6.4 MB) still reads, so that MAX_BRACKET_TERMS and
+# MAX_TENSOR_NONZEROS, not the byte count, say why it is refused. Reading
+# a tensor file at this limit takes 0.6 s with 61,528 one-digit entries,
+# and 8.2 s with 66 entries at exactlin.MAX_LITERAL_CHARS, the slowest
+# such file, since int() costs time quadratic in a literal's length.
+MAX_INPUT_BYTES = 800 * MAX_TENSOR_NONZEROS
 
 
 def _check_limit(what: str, size: int, limit: int) -> None:
@@ -132,8 +141,24 @@ def _write(outputs: dict[str, str], report: str, report_path: str | None) -> Non
             temp.unlink(missing_ok=True)
 
 
+def _read(path: str) -> str:
+    """An input file's text. At most MAX_INPUT_BYTES + 1 bytes are read, so
+    a larger file, or a device that never ends, is refused at that cost.
+    A regular file is read into a buffer of its own size (read(k) allocates
+    k bytes first); a pipe, whose size reads 0, or a file that grew since,
+    is read on to the limit."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        data = f.read(min(size, MAX_INPUT_BYTES) + 1)
+        if len(data) > size:
+            data += f.read(MAX_INPUT_BYTES + 1 - len(data))
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"input file {path!r} exceeds the limit of {MAX_INPUT_BYTES} bytes")
+    return data.decode()
+
+
 def _load_tensor(path: str) -> Tensor4:
-    return Tensor4.loads(Path(path).read_text())
+    return Tensor4.loads(_read(path))
 
 
 def _violation_items(violations) -> list[dict]:
@@ -142,24 +167,23 @@ def _violation_items(violations) -> list[dict]:
 
 def _tensor_checks(r: Tensor4) -> tuple[str, dict]:
     """The skew and residual checks as (verdict, details)."""
-    rep = aybe_report(r)
+    skew, residual = aybe_report(r)
     details = {
-        "skew_violations": _violation_items(rep.skew_violations),
-        "residual_violations": _violation_items(rep.residual_violations),
+        "skew_violations": _violation_items(skew),
+        "residual_violations": _violation_items(residual),
     }
-    return ("pass" if rep.passed else "fail"), details
+    return ("fail" if skew or residual else "pass"), details
 
 
 def cmd_construct(args) -> tuple:
     _check_dimension(args)
     lam = _lambda(args)
-    inputs = {**_lambda_inputs(lam), "mode": lam.mode.value, "out": args.out}
-    basis = build_basis(args.n, args.m)
+    inputs = {**_lambda_inputs(lam), "mode": lam.mode, "out": args.out}
     try:
-        r = r_from_algebra(basis, lam)
+        r = r_from_algebra(lam)
     except DegenerateForm as exc:
         return inputs, "degenerate", {"gram_rank": exc.rank}, {}
-    details = {"dimension": len(basis), "entries": r.nnz}
+    details = {"dimension": lam.n * (lam.n - lam.m), "entries": r.nnz}
     return inputs, "pass", details, {args.out: r.dumps()}
 
 
@@ -201,9 +225,8 @@ def cmd_closed_form(args) -> tuple:
 def cmd_cocycle(args) -> tuple:
     _check_dimension(args)
     lam = _lambda(args)
-    basis = build_basis(args.n, args.m)
-    violations = cocycle_residual(basis, lam)
-    details = {"dimension": len(basis), "violations": _violation_items(violations)}
+    violations = cocycle_residual(lam)
+    details = {"dimension": lam.n * (lam.n - lam.m), "violations": _violation_items(violations)}
     return _lambda_inputs(lam), ("fail" if violations else "pass"), details, {}
 
 
@@ -220,8 +243,7 @@ def cmd_bracket(args) -> tuple:
         if args.lam is None:
             raise ValueError("--compare-closed-2m requires --lambda")
         lam = LambdaSpec(r.n, r.n // 2, _parse_lambda(args.lam, r.n))
-        if len(set(lam.values)) != lam.n:
-            raise ValueError("lambda values must be pairwise distinct")
+        lam.require_distinct()
     inputs = {
         "tensor": args.tensor,
         "m_size": args.m_size,
@@ -275,7 +297,7 @@ def cmd_transform(args) -> tuple:
     if args.transpose_dual:
         out = transpose_dual(r)
     else:
-        g = matrix_from_json(json.loads(Path(args.g).read_text()))
+        g = matrix_from_json(load_json(_read(args.g)))
         try:
             out = gl_transform(r, g)
         except SingularMatrix as exc:

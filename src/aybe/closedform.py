@@ -25,11 +25,6 @@ __all__ = [
 ]
 
 
-def _require_distinct(lam: LambdaSpec) -> None:
-    if len(set(lam.values)) != lam.n:
-        raise ValueError("lambda values must be pairwise distinct")
-
-
 def r_closed_m1(lam: LambdaSpec) -> Tensor4:
     """Single-block family: for every ordered pair (a, b), a != b,
 
@@ -39,7 +34,7 @@ def r_closed_m1(lam: LambdaSpec) -> Tensor4:
     """
     if lam.m != 1:
         raise ValueError("the m1 family requires m == 1")
-    _require_distinct(lam)
+    lam.require_distinct()
     vals = lam.values
     entries: dict[tuple[int, int, int, int], Fraction] = {}
     for a, b in product(range(lam.n), repeat=2):
@@ -100,7 +95,7 @@ def r_closed_distinct(lam: LambdaSpec) -> Tensor4:
     then visits only the n^4/m^2 congruent quadruples, going through the
     residue classes, with O(1) Fraction operations each.
     """
-    _require_distinct(lam)
+    lam.require_distinct()
     n, m = lam.n, lam.m
     vals = lam.values
     classes = [range(r, n, m) for r in range(m)]

@@ -16,8 +16,6 @@ the lambda pattern matches the blocks or when all lambda are distinct.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,11 +23,8 @@ from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse
 from aybe.tensor import Tensor4
 
 __all__ = [
-    "LambdaMode",
     "LambdaSpec",
     "make_lambda",
-    "BasisElement",
-    "AlgebraBasis",
     "DegenerateForm",
     "bar_index",
     "build_basis",
@@ -38,60 +33,44 @@ __all__ = [
 ]
 
 
-class LambdaMode(Enum):
-    BLOCK = "BLOCK"
-    DISTINCT = "DISTINCT"
-    OTHER = "OTHER"
-
-
-@dataclass(frozen=True)
 class LambdaSpec:
     """Parameter vector with its degeneracy pattern classified.
 
-    BLOCK means lambda_i == lambda_j exactly when i and j share a block of
-    m consecutive indices; DISTINCT means all values pairwise distinct.
-    When m == 1 the two patterns coincide and DISTINCT is reported. The
-    mode is always recomputed from the values.
+    `mode` is "DISTINCT" exactly when the values are pairwise distinct,
+    for every m; "BLOCK" when lambda_i == lambda_j exactly when i and j
+    share a block of m > 1 consecutive indices; "OTHER" otherwise. When
+    m == 1 the two patterns coincide and DISTINCT is reported. Immutable
+    after construction.
     """
 
-    n: int
-    m: int
-    values: tuple[Fraction, ...]
-    mode: LambdaMode = field(init=False)
+    __slots__ = ("n", "m", "values", "mode")
 
-    def __post_init__(self):
-        if self.m < 1 or self.m >= self.n or self.n % self.m != 0:
-            raise ValueError(f"m={self.m} is not a proper divisor of n={self.n}")
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} lambda values, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        object.__setattr__(self, "mode", self._classify())
-
-    def _classify(self) -> LambdaMode:
-        vals = self.values
-        distinct = len(set(vals)) == self.n
-        if self.m == 1:
-            return LambdaMode.DISTINCT if distinct else LambdaMode.OTHER
-        block = all(
-            (vals[i] == vals[j]) == (i // self.m == j // self.m)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-        if block:
-            return LambdaMode.BLOCK
-        if distinct:
-            return LambdaMode.DISTINCT
-        return LambdaMode.OTHER
+    def __init__(self, n: int, m: int, values: Iterable):
+        if m < 1 or m >= n or n % m != 0:
+            raise ValueError(f"m={m} is not a proper divisor of n={n}")
+        values = tuple(values)
+        if len(values) != n:
+            raise ValueError(f"expected {n} lambda values, got {len(values)}")
+        self.n, self.m = n, m
+        self.values = vals = tuple(Fraction(v) for v in values)
+        if len(set(vals)) == n:
+            self.mode = "DISTINCT"
+        elif all((vals[i] == vals[j]) == (i // m == j // m) for i in range(n) for j in range(i + 1, n)):
+            self.mode = "BLOCK"
+        else:
+            self.mode = "OTHER"
 
     def has_block_pattern(self) -> bool:
         """True when values are equal exactly within blocks, for any m."""
-        if self.m == 1:
-            return self.mode is LambdaMode.DISTINCT
-        return self.mode is LambdaMode.BLOCK
+        return self.mode == ("DISTINCT" if self.m == 1 else "BLOCK")
+
+    def require_distinct(self) -> None:
+        if self.mode != "DISTINCT":
+            raise ValueError("lambda values must be pairwise distinct")
 
 
 def make_lambda(n: int, m: int, values: Iterable) -> LambdaSpec:
-    return LambdaSpec(n, m, tuple(Fraction(v) for v in values))
+    return LambdaSpec(n, m, values)
 
 
 class DegenerateForm(Exception):
@@ -110,41 +89,18 @@ def bar_index(i: int, j: int, m: int) -> int:
 Entry = tuple[int, int, int | Fraction]  # (row, col, value) of a nonzero matrix entry
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """e_{i,j} = E_{i,j} - E_{bar,j}, with bar = bar_index(i, j, m) != i."""
-
-    i: int
-    j: int
-    bar: int
-
-    @property
-    def entries(self) -> tuple[Entry, Entry]:
-        return ((self.i, self.j, 1), (self.bar, self.j, -1))
-
-
-class AlgebraBasis:
-    """Ordered basis e_{i,j} for the column-residue algebra, sorted by (j, i)."""
-
-    def __init__(self, n: int, m: int, elements: Sequence[BasisElement]):
-        self.n = n
-        self.m = m
-        self.elements = list(elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def build_basis(n: int, m: int) -> AlgebraBasis:
-    """All n(n-m) basis elements, in (j, i) order."""
+def build_basis(n: int, m: int) -> list[tuple[int, int, int]]:
+    """All n(n-m) basis elements e_{i,j} as triples (i, j, bar), with
+    bar = bar_index(i, j, m) != i, in (j, i) order."""
     if m < 1 or m >= n or n % m != 0:
         raise ValueError(f"m={m} is not a proper divisor of n={n}")
-    pairs = sorted(
-        ((i, j) for i in range(n) for j in range(n) if i // m != j // m),
-        key=lambda ij: (ij[1], ij[0]),
-    )
-    elements = [BasisElement(i, j, bar_index(i, j, m)) for (i, j) in pairs]
-    return AlgebraBasis(n, m, elements)
+    return [(i, j, bar_index(i, j, m)) for j in range(n) for i in range(n) if i // m != j // m]
+
+
+def _entries(e: tuple[int, int, int]) -> tuple[Entry, Entry]:
+    """The two nonzero entries of e_{i,j} = E_{i,j} - E_{bar,j}."""
+    i, j, bar = e
+    return ((i, j, 1), (bar, j, -1))
 
 
 def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
@@ -183,7 +139,7 @@ def _pairings(
     return rows
 
 
-def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
+def cocycle_residual(lam: LambdaSpec) -> list:
     """Nonzero values of (x, yz) + (y, zx) + (z, xy) over all basis triples.
 
     Expected empty for every lambda; degeneracy of the form does not
@@ -192,9 +148,7 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
     products are paired with the basis, and each pairing (e_i, e_j e_k) is
     a term of the identity at the triples (i, j, k), (k, i, j) and (j, k, i).
     """
-    if basis.n != lam.n:
-        raise ValueError("basis and lambda dimensions differ")
-    items = [e.entries for e in basis.elements]
+    items = [_entries(e) for e in build_basis(lam.n, lam.m)]
     by_row: dict[int, list[int]] = defaultdict(list)
     for k, z in enumerate(items):
         for row, _, _ in z:
@@ -216,15 +170,13 @@ def cocycle_residual(basis: AlgebraBasis, lam: LambdaSpec) -> list:
     return sorted((key, v) for key, v in acc.items() if v)
 
 
-def r_from_algebra(basis: AlgebraBasis, lam: LambdaSpec) -> Tensor4:
+def r_from_algebra(lam: LambdaSpec) -> Tensor4:
     """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
 
-    G is the Gram matrix of the form over the basis. Raises DegenerateForm
-    when G is singular.
+    G is the Gram matrix of the form over build_basis(lam.n, lam.m).
+    Raises DegenerateForm when G is singular.
     """
-    if basis.n != lam.n or basis.m != lam.m:
-        raise ValueError("basis and lambda shapes differ")
-    items = [e.entries for e in basis.elements]
+    items = [_entries(e) for e in build_basis(lam.n, lam.m)]
     try:
         ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
     except SingularMatrix as exc:

@@ -14,7 +14,6 @@ Fractions. Dense exponent vectors appear only in the JSON form (terms_json).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping
@@ -29,7 +28,6 @@ __all__ = [
     "scalar_bracket_from_r",
     "matrix_bracket_from_r",
     "jacobi_residual",
-    "Closed2mBracket",
     "scalar_bracket_closed_2m",
     "compare_to_closed_2m",
     "bracket_to_json",
@@ -141,11 +139,12 @@ def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
 
 def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
     """Bracket on r.n * m^2 generators indexed (a, i, j); m == 1 reduces to
-    the scalar bracket with identical generator numbering. The skew check
-    comes first, as in scalar_bracket_from_r."""
-    _require_skew(r)
+    the scalar bracket with identical generator numbering. Raises
+    ValueError for m < 1 before the skew check, which raises
+    NotSkewSymmetric as in scalar_bracket_from_r."""
     if m < 1:
         raise ValueError("matrix size must be >= 1")
+    _require_skew(r)
     return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _matrix_names(r.n, m))
 
 
@@ -215,34 +214,27 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], dic
     return out
 
 
-@dataclass(frozen=True)
-class Closed2mBracket:
-    """Result of the printed pairing formula: the evaluable part of the
-    table plus the generator pairs whose denominator vanishes."""
-
-    bracket: QuadraticBracket
-    undefined_pairs: tuple[tuple[int, int], ...]
-
-
 def _partner(g: int, m: int) -> int:
     return g + m if g < m else g - m
 
 
-def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
+def scalar_bracket_closed_2m(
+    lam: LambdaSpec,
+) -> tuple[QuadraticBracket, tuple[tuple[int, int], ...]]:
     """Literal evaluation of the printed two-block bracket formula
 
         {x_a, x_b} = (x_a - x_a')(x_b - x_b')(l_a' - l_b')
                      / ((l_a - l_b')(l_b - l_b'))
 
-    for n = 2m, where g' is the index with |g' - g| = m. Pairs where the
+    for n = 2m, where g' is the index with |g' - g| = m, as the pair
+    (bracket of the defined pairs, undefined_pairs). Pairs where the
     printed denominator vanishes are reported as undefined rather than
     silently corrected. A defined pair has v != u', so the four monomials
     of the expanded product are distinct.
     """
     if lam.n != 2 * lam.m:
         raise ValueError("the two-block bracket formula requires n == 2m")
-    if len(set(lam.values)) != lam.n:
-        raise ValueError("lambda values must be pairwise distinct")
+    lam.require_distinct()
     n, m = lam.n, lam.m
     vals = lam.values
     table: dict[tuple[int, int], dict[Mono, Fraction]] = {}
@@ -257,16 +249,16 @@ def scalar_bracket_closed_2m(lam: LambdaSpec) -> Closed2mBracket:
             c = (vals[up] - vals[vp]) / den
             signed = (((u, v), c), ((u, vp), -c), ((up, v), -c), ((up, vp), c))
             table[(u, v)] = {tuple(sorted(xy)): cx for xy, cx in signed}
-    return Closed2mBracket(QuadraticBracket(n, table), tuple(undefined))
+    return QuadraticBracket(n, table), tuple(undefined)
 
 
 def compare_to_closed_2m(derived: QuadraticBracket, lam: LambdaSpec) -> list[dict]:
     """Per-pair verdicts comparing a derived bracket with the printed
     formula: 'match', 'mismatch', or 'undefined' (denominator vanished)."""
-    closed = scalar_bracket_closed_2m(lam)
+    closed, undefined_pairs = scalar_bracket_closed_2m(lam)
     if derived.n_gens != lam.n:
         raise ValueError("derived bracket generator count differs from n")
-    undefined = set(closed.undefined_pairs)
+    undefined = set(undefined_pairs)
     report = []
     for u in range(lam.n):
         for v in range(u + 1, lam.n):
@@ -276,7 +268,7 @@ def compare_to_closed_2m(derived: QuadraticBracket, lam: LambdaSpec) -> list[dic
                 item["status"] = "undefined"
                 item["closed"] = None
             else:
-                closed_terms = closed.bracket.entry(u, v)
+                closed_terms = closed.entry(u, v)
                 item["status"] = "match" if closed_terms == derived_terms else "mismatch"
                 item["closed"] = terms_json(lam.n, closed_terms)
             report.append(item)

@@ -8,9 +8,7 @@ are kept; an absent quadruple is an exact zero.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
@@ -19,6 +17,7 @@ from aybe.exactlin import (
     RatMatrix,
     common_denominator,
     format_rational,
+    load_json,
     mat_inverse,
     parse_rational,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "aybe_residual_naive",
     "gl_transform",
     "transpose_dual",
-    "AybeReport",
     "aybe_report",
     "compare_tensors",
 ]
@@ -87,9 +85,6 @@ class Tensor4:
             and self._entries == other._entries
         )
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self._entries.items())))
-
     def __repr__(self) -> str:
         return f"Tensor4(n={self.n}, nnz={self.nnz})"
 
@@ -108,7 +103,7 @@ class Tensor4:
     def loads(cls, text: str) -> "Tensor4":
         """Parse the text dumps writes, checking each entry once; the
         indices are range-checked by the constructor, after every entry."""
-        obj = json.loads(text)
+        obj = load_json(text)
         if not isinstance(obj, dict):
             raise ValueError("tensor JSON must be an object")
         n = obj.get("n")
@@ -279,20 +274,9 @@ def transpose_dual(r: Tensor4) -> Tensor4:
     return Tensor4(r.n, {(c, d, a, b): v for (a, b, c, d), v in r.iter_items()})
 
 
-@dataclass(frozen=True)
-class AybeReport:
-    """Verdict carrier for the two component checks."""
-
-    skew_violations: list = field(default_factory=list)
-    residual_violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.skew_violations and not self.residual_violations
-
-
-def aybe_report(r: Tensor4) -> AybeReport:
-    return AybeReport(check_skew(r), aybe_residual(r))
+def aybe_report(r: Tensor4) -> tuple[list, list]:
+    """(check_skew(r), aybe_residual(r)): r is a skew solution when both are empty."""
+    return check_skew(r), aybe_residual(r)
 
 
 def compare_tensors(r1: Tensor4, r2: Tensor4) -> list[tuple[Quad, Fraction, Fraction]]:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from aybe.cli import (
     MAX_CLOSED_FORM_N,
     MAX_DIMENSION,
     MAX_GENERATORS,
+    MAX_INPUT_BYTES,
     MAX_TENSOR_NONZEROS,
     COMMANDS,
     _command_parser,
@@ -33,7 +35,7 @@ from aybe.cli import (
     main,
 )
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.exactlin import RatMatrix, format_rational, matrix_to_json, parse_rational
+from aybe.exactlin import MAX_LITERAL_CHARS, RatMatrix, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
 from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
@@ -442,6 +444,19 @@ def test_bracket_non_skew_exit_1(tmp_path, capsys):
     code, out, _ = run(["bracket", str(path)], capsys)
     assert code == 1
     assert read_report(out)["details"]["skew_violations"]
+
+
+@pytest.mark.parametrize("m_size", ["0", "-1"])
+def test_bracket_m_size_below_1_exit_2(tmp_path, capsys, m_size):
+    """A matrix size below 1 is a usage error whatever the tensor: it is
+    checked before the skew check, so a non-skew tensor exits 2, not 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(Tensor4(2, {(0, 1, 0, 1): 1}).dumps())
+    out_path = tmp_path / "b.json"
+    code, out, err = run(["bracket", str(path), "--m-size", m_size, "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "aybe: error: matrix size must be >= 1\n"
+    assert not out_path.exists()
 
 
 def test_bracket_compare_closed_2m(tmp_path, capsys):
@@ -879,6 +894,18 @@ def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
     assert _without_timing(cold("verify", str(path))) == _without_timing(out)
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    """A cold `import aybe.cli` loads neither `dataclasses` nor the
+    `inspect` it pulls in (with `ast`, `dis` and `tokenize`), which would
+    add about 10 ms to every process that compiles them."""
+    src = str(Path(aybe.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import aybe.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class _Started(BaseException):
     """Raised in place of the first step of a command's work. Not an
     Exception, so main's internal-error exit (4) lets it through."""
@@ -890,8 +917,8 @@ def _start(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    for name in ("build_basis", "r_closed", "scalar_bracket_from_r", "matrix_bracket_from_r",
-                 "aybe_report"):
+    for name in ("r_from_algebra", "cocycle_residual", "r_closed", "scalar_bracket_from_r",
+                 "matrix_bracket_from_r", "aybe_report"):
         monkeypatch.setattr(f"aybe.cli.{name}", _start)
 
 
@@ -999,6 +1026,71 @@ def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
     code, out, err = run(["bracket", str(path), "--check-jacobi"], capsys)
     assert code == 2 and out == ""
     assert f"tensor nonzeros * m_size^4 = 42528 exceeds the limit of {MAX_BRACKET_TERMS}" in err
+
+
+# (argv, the input file padded with trailing whitespace); paths are
+# relative to the test's directory
+BYTE_LIMIT_CASES = [
+    (["verify", "t.json"], "t.json"),
+    (["bracket", "t.json", "--out", "o.json"], "t.json"),
+    (["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1", "--compare", "t.json",
+      "--out", "o.json"], "t.json"),
+    (["transform", "t.json", "--g", "g.json", "--out", "o.json"], "t.json"),
+    (["transform", "t.json", "--g", "g.json", "--out", "o.json"], "g.json"),
+]
+
+
+@pytest.mark.parametrize("argv, padded", BYTE_LIMIT_CASES)
+def test_input_file_byte_limit(tmp_path, capsys, monkeypatch, argv, padded):
+    """An input file of MAX_INPUT_BYTES bytes is read; one byte more is
+    refused with exit 2 before it is parsed, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    texts = {"t.json": r_closed_m1(make_lambda(2, 1, [2, 1])).dumps(),
+             "g.json": json.dumps([["1", "0"], ["0", "1"]])}
+    for size, expected in ((MAX_INPUT_BYTES, 0), (MAX_INPUT_BYTES + 1, 2)):
+        for name, text in texts.items():
+            Path(name).write_text(text.ljust(size) if name == padded else text)
+        code, out, err = run(argv, capsys)
+        assert code == expected, err
+        if expected == 2:
+            assert out == ""
+            assert err == f"aybe: error: input file {padded!r} exceeds the limit of {MAX_INPUT_BYTES} bytes\n"
+            assert not Path("o.json").exists()
+        Path("o.json").unlink(missing_ok=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_input_pipe_byte_limit(tmp_path, capsys):
+    """A pipe's size reads 0, so it is read on to the limit: MAX_INPUT_BYTES
+    bytes are parsed, and one more is refused without reading further."""
+    fifo = tmp_path / "t.json"
+    os.mkfifo(fifo)
+    text = r_closed_m1(make_lambda(2, 1, [2, 1])).dumps()
+    for size, expected in ((MAX_INPUT_BYTES, 0), (MAX_INPUT_BYTES + 1, 2)):
+        writer = threading.Thread(target=fifo.write_text, args=(text.ljust(size),), daemon=True)
+        writer.start()
+        code, out, err = run(["verify", str(fifo)], capsys)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == expected, err
+        if expected == 2:
+            assert out == "" and f"exceeds the limit of {MAX_INPUT_BYTES} bytes" in err
+
+
+def test_literal_limit_in_input_files(tmp_path, capsys):
+    """A tensor value of MAX_LITERAL_CHARS characters is read; one more,
+    or a JSON integer that long, exits 2 naming the limit."""
+    value = "3" * MAX_LITERAL_CHARS
+    path = tmp_path / "t.json"
+    path.write_text(_one_entry_file(2, [0, 1], [0, 1], value)[0])
+    code, _, _ = run(["verify", str(path)], capsys)
+    assert code == 1  # not skew-symmetric
+    for text in (_one_entry_file(2, [0, 1], [0, 1], value + "3")[0],
+                 json.dumps({"n": 2, "entries": []}).replace("2", "2" * (MAX_LITERAL_CHARS + 1))):
+        path.write_text(text)
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"exceeds the limit of {MAX_LITERAL_CHARS}\n" in err
 
 
 # --- exit-code contract over generated command lines ----------------------

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from aybe.closedform import r_closed_distinct, r_closed_m1
 from aybe.exactlin import (
     LCM_FLOOR_BITS,
+    MAX_LITERAL_CHARS,
     RatMatrix,
     SingularMatrix,
     common_denominator,
     format_rational,
+    load_json,
     mat_inverse,
     mat_mul,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
 )
-from aybe.frobenius import build_basis, make_lambda, r_from_algebra
+from aybe.frobenius import make_lambda, r_from_algebra
 from oracles import (
     commutator,
     identity,
@@ -55,6 +57,21 @@ def test_parse_rational_canonical_forms():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_literal_length_limit():
+    # a literal of MAX_LITERAL_CHARS characters is read, one more is
+    # refused before int() sees it: as a rational and as a JSON integer
+    at = "-" + "7" * (MAX_LITERAL_CHARS - 3) + "/9"
+    assert parse_rational(at) == Fraction(-int(at[1:-2]), 9)
+    digits = "7" * MAX_LITERAL_CHARS
+    assert load_json(f"[{digits}]") == [int(digits)]
+    message = f"literal length = {MAX_LITERAL_CHARS + 1} characters exceeds the limit of {MAX_LITERAL_CHARS}"
+    for bad in (at + "1", "1" + digits):
+        with pytest.raises(ValueError, match=message):
+            parse_rational(bad)
+    with pytest.raises(ValueError, match=message):
+        load_json(f'{{"n": {digits}1}}')
 
 
 def test_format_rational_round_trip():
@@ -277,7 +294,7 @@ def test_common_denominator_sides_of_the_guard():
     tensors = [
         r_closed_m1(make_lambda(4, 1, [0, 1, 3, 7])),
         r_closed_distinct(make_lambda(6, 2, [Fraction(k * k + 1, k + 2) for k in range(6)])),
-        r_from_algebra(build_basis(6, 2), make_lambda(6, 2, wide)),
+        r_from_algebra(make_lambda(6, 2, wide)),
     ]
     # four unrelated 2000-digit denominators: L just under 4 * max_den_bits + 64
     values_sets = [[v for _, v in r.items()] for r in tensors]

@@ -11,9 +11,8 @@ from aybe import frobenius
 from aybe.closedform import r_closed_block, r_closed_m1
 from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse, mat_mul
 from aybe.frobenius import (
-    AlgebraBasis,
     DegenerateForm,
-    LambdaMode,
+    _entries,
     _pairings,
     _product,
     bar_index,
@@ -47,13 +46,13 @@ ALL_NM = [(n, m) for n in range(2, 9) for m in range(1, n) if n % m == 0]
 
 def gram(basis, lam):
     """The Gram matrix as r_from_algebra builds it, from _pairings."""
-    items = [e.entries for e in basis.elements]
+    items = [_entries(e) for e in basis]
     return RatMatrix.from_rows(len(items), frobenius._pairings(items, items, lam.values))
 
 
 def positions(basis):
     """(i, j) -> position of e_{i,j} in the basis."""
-    return {(e.i, e.j): k for k, e in enumerate(basis.elements)}
+    return {(i, j): k for k, (i, j, _) in enumerate(basis)}
 
 
 def test_bar_index_same_block():
@@ -73,12 +72,33 @@ def test_bar_index_m1():
 
 
 def test_lambda_modes():
-    assert make_lambda(2, 1, [2, 1]).mode is LambdaMode.DISTINCT
-    assert make_lambda(4, 2, [1, 1, 0, 0]).mode is LambdaMode.BLOCK
-    assert make_lambda(4, 2, [0, 1, 2, 3]).mode is LambdaMode.DISTINCT
-    assert make_lambda(4, 2, [1, 1, 1, 1]).mode is LambdaMode.OTHER
-    assert make_lambda(4, 2, [1, 2, 3, 3]).mode is LambdaMode.OTHER
-    assert make_lambda(2, 1, [1, 1]).mode is LambdaMode.OTHER
+    assert make_lambda(2, 1, [2, 1]).mode == "DISTINCT"
+    assert make_lambda(4, 2, [1, 1, 0, 0]).mode == "BLOCK"
+    assert make_lambda(4, 2, [0, 1, 2, 3]).mode == "DISTINCT"
+    assert make_lambda(4, 2, [1, 1, 1, 1]).mode == "OTHER"
+    assert make_lambda(4, 2, [1, 2, 3, 3]).mode == "OTHER"
+    assert make_lambda(2, 1, [1, 1]).mode == "OTHER"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lambda_modes_distinct_iff_pairwise_distinct(data):
+    # require_distinct reads the mode: "DISTINCT" must mean pairwise
+    # distinct values for every proper divisor m, block patterns included
+    n, m = data.draw(st.sampled_from(ALL_NM))
+    if data.draw(st.booleans()):
+        per_block = data.draw(st.lists(st.integers(-2, 2), min_size=n // m, max_size=n // m))
+        values = [per_block[i // m] for i in range(n)]
+    else:
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    lam = make_lambda(n, m, values)
+    distinct = len(set(values)) == n
+    assert (lam.mode == "DISTINCT") == distinct
+    if distinct:
+        lam.require_distinct()
+    else:
+        with pytest.raises(ValueError, match="lambda values must be pairwise distinct"):
+            lam.require_distinct()
 
 
 def test_lambda_validation():
@@ -94,17 +114,17 @@ def test_build_basis_n2_m1():
     basis = build_basis(2, 1)
     assert len(basis) == 2
     # (j, i) ordering: e_{1,0} before e_{0,1}
-    assert [(e.i, e.j) for e in basis.elements] == [(1, 0), (0, 1)]
-    assert dense(2, basis.elements[0].entries) == RatMatrix([[-1, 0], [1, 0]])
-    assert dense(2, basis.elements[1].entries) == RatMatrix([[0, 1], [0, -1]])
+    assert [(i, j) for i, j, _ in basis] == [(1, 0), (0, 1)]
+    assert dense(2, _entries(basis[0])) == RatMatrix([[-1, 0], [1, 0]])
+    assert dense(2, _entries(basis[1])) == RatMatrix([[0, 1], [0, -1]])
 
 
 @pytest.mark.parametrize("n,m", ALL_NM)
 def test_build_basis_count_and_membership(n, m):
     basis = build_basis(n, m)
     assert len(basis) == n * (n - m)
-    for e in basis.elements:
-        assert membership_check(dense(n, e.entries), n, m)
+    for e in basis:
+        assert membership_check(dense(n, _entries(e)), n, m)
 
 
 def test_build_basis_rejects_bad_m():
@@ -135,15 +155,15 @@ def test_form_pairing_values():
     lam = make_lambda(2, 1, [2, 1])
     basis = build_basis(2, 1)
     at = positions(basis)
-    e01 = dense(2, basis.elements[at[(0, 1)]].entries)
-    e10 = dense(2, basis.elements[at[(1, 0)]].entries)
+    e01 = dense(2, _entries(basis[at[(0, 1)]]))
+    e10 = dense(2, _entries(basis[at[(1, 0)]]))
     assert form_eval(e01, e10, lam) == 1
 
     lam42 = make_lambda(4, 2, [1, 1, 0, 0])
     b42 = build_basis(4, 2)
     at = positions(b42)
-    e02 = dense(4, b42.elements[at[(0, 2)]].entries)
-    e20 = dense(4, b42.elements[at[(2, 0)]].entries)
+    e02 = dense(4, _entries(b42[at[(0, 2)]]))
+    e20 = dense(4, _entries(b42[at[(2, 0)]]))
     assert form_eval(e02, e20, lam42) == 1
 
 
@@ -159,27 +179,23 @@ def test_form_matches_trace_definition(seed):
 
 
 def test_cocycle_empty_on_examples():
-    basis = build_basis(2, 1)
     lam = make_lambda(2, 1, [2, 1])
-    assert cocycle_residual(basis, lam) == []
+    assert cocycle_residual(lam) == []
 
     rng = random.Random(11)
-    basis42 = build_basis(4, 2)
     lam_random = make_lambda(4, 2, [rand_fraction(rng) for _ in range(4)])
-    assert cocycle_residual(basis42, lam_random) == []
+    assert cocycle_residual(lam_random) == []
 
 
 def test_cocycle_empty_with_repeated_lambda():
-    basis = build_basis(4, 2)
-    assert cocycle_residual(basis, make_lambda(4, 2, [1, 1, 1, 1])) == []
+    assert cocycle_residual(make_lambda(4, 2, [1, 1, 1, 1])) == []
 
 
 def test_gram_example_custom_order():
     # explicit ordering (e_{0,1}, e_{1,0}) gives [[0, 1], [-1, 0]]
     lam = make_lambda(2, 1, [2, 1])
-    default = build_basis(2, 1)
-    by_pair = {(e.i, e.j): e for e in default.elements}
-    basis = AlgebraBasis(2, 1, [by_pair[(0, 1)], by_pair[(1, 0)]])
+    by_pair = {e[:2]: e for e in build_basis(2, 1)}
+    basis = [by_pair[(0, 1)], by_pair[(1, 0)]]
     g = gram(basis, lam)
     assert g == RatMatrix([[0, 1], [-1, 0]])
 
@@ -207,9 +223,9 @@ def _products(n, m):
     """The nonzero products e_j e_k of the basis at (n, m), sparse and dense
     (test_sparse_product_matches_dense checks that the zero ones agree)."""
     basis = build_basis(n, m)
-    pairs = [(y, z, mat_mul(dense(n, y.entries), dense(n, z.entries))) for y in basis.elements for z in basis.elements]
+    pairs = [(y, z, mat_mul(dense(n, _entries(y)), dense(n, _entries(z)))) for y in basis for z in basis]
     pairs = [(y, z, yz) for y, z, yz in pairs if yz != zeros(n, n)]
-    return [_product(y.entries, z.entries) for y, z, _ in pairs], [yz for _, _, yz in pairs]
+    return [_product(_entries(y), _entries(z)) for y, z, _ in pairs], [yz for _, _, yz in pairs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,12 +237,12 @@ def test_gram_matches_dense_form(data):
     pool = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3))
     lam = make_lambda(n, m, data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     basis = build_basis(n, m)
-    mats = [dense(n, e.entries) for e in basis.elements]
+    mats = [dense(n, _entries(e)) for e in basis]
     assert gram(basis, lam) == gram_dense(mats, lam)
     # the same pairing routine against the products the cocycle check uses
     sparse, dense_products = _products(n, m)
     grid = [{t: v for t, yz in enumerate(dense_products) if (v := form_eval(x, yz, lam))} for x in mats]
-    assert _pairings([e.entries for e in basis.elements], sparse, lam.values) == grid
+    assert _pairings([_entries(e) for e in basis], sparse, lam.values) == grid
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
@@ -237,13 +253,13 @@ def test_gram_block_mode_structure(n, m):
     g = gram(basis, lam)
     at = positions(basis)
     # exactly one nonzero per row, pairing (i,j) with (j,i), value l_i - l_j
-    for pos, e in enumerate(basis.elements):
+    for pos, (i, j, _) in enumerate(basis):
         row = g[pos]
         nonzero = [(k, v) for k, v in enumerate(row) if v]
         assert len(nonzero) == 1
         k, v = nonzero[0]
-        assert k == at[(e.j, e.i)]
-        assert v == lam.values[e.i] - lam.values[e.j]
+        assert k == at[(j, i)]
+        assert v == lam.values[i] - lam.values[j]
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 2), (6, 3)])
@@ -256,7 +272,7 @@ def test_gram_distinct_mode_nondegenerate(n, m):
 
 def test_r_from_algebra_n2_matches_closed_form():
     lam = make_lambda(2, 1, [2, 1])
-    r = r_from_algebra(build_basis(2, 1), lam)
+    r = r_from_algebra(lam)
     expected = {
         (0, 0, 0, 1): Fraction(-1),
         (0, 0, 1, 0): Fraction(1),
@@ -274,7 +290,7 @@ def test_r_from_algebra_n2_matches_closed_form():
 def test_r_from_algebra_degenerate():
     lam = make_lambda(2, 1, [1, 1])
     with pytest.raises(DegenerateForm) as exc:
-        r_from_algebra(build_basis(2, 1), lam)
+        r_from_algebra(lam)
     assert exc.value.rank == 0
 
 
@@ -289,16 +305,15 @@ def test_r_from_algebra_degenerate():
 )
 def test_degenerate_gram_rank(n, m, values, dim, rank):
     """Degenerate lambdas where the Gram matrix keeps part of its rank."""
-    basis = build_basis(n, m)
-    assert len(basis.elements) == dim
+    assert len(build_basis(n, m)) == dim
     with pytest.raises(DegenerateForm) as exc:
-        r_from_algebra(basis, make_lambda(n, m, values))
+        r_from_algebra(make_lambda(n, m, values))
     assert exc.value.rank == rank
 
 
 def test_r_from_algebra_matches_block_closed_form():
     lam = make_lambda(4, 2, [1, 1, 0, 0])
-    r = r_from_algebra(build_basis(4, 2), lam)
+    r = r_from_algebra(lam)
     assert compare_tensors(r, r_closed_block(lam)) == []
 
 
@@ -314,31 +329,30 @@ def test_r_from_algebra_matches_block_closed_form():
 )
 def test_r_from_algebra_solves_equation(n, m, values):
     lam = make_lambda(n, m, values)
-    r = r_from_algebra(build_basis(n, m), lam)
-    assert aybe_report(r).passed
+    r = r_from_algebra(lam)
+    assert aybe_report(r) == ([], [])
 
 
 def test_other_mode_attempted_not_prerejected():
     # repeated lambda outside the block pattern: construction is attempted,
     # and an invertible form still yields a valid solution
     lam = make_lambda(4, 2, [0, 0, 1, 2])
-    assert lam.mode is LambdaMode.OTHER
-    r = r_from_algebra(build_basis(4, 2), lam)
-    assert aybe_report(r).passed
+    assert lam.mode == "OTHER"
+    r = r_from_algebra(lam)
+    assert aybe_report(r) == ([], [])
 
     with pytest.raises(DegenerateForm):
-        r_from_algebra(build_basis(4, 2), make_lambda(4, 2, [1, 1, 1, 1]))
+        r_from_algebra(make_lambda(4, 2, [1, 1, 1, 1]))
 
 
 def test_transposed_basis_gives_negated_dual():
     # transposition flips the sign of the trace form, so building from the
     # transposed algebra yields the negative of the index-swapped dual
     lam = make_lambda(4, 2, [1, 1, 0, 0])
-    basis = build_basis(4, 2)
-    r = r_from_algebra(basis, lam)
-    r_t = r_from_matrices([dense(4, e.entries).transpose() for e in basis.elements], lam)
+    r = r_from_algebra(lam)
+    r_t = r_from_matrices([dense(4, _entries(e)).transpose() for e in build_basis(4, 2)], lam)
     assert r_t == negate(transpose_dual(r))
-    assert aybe_report(r_t).passed
+    assert aybe_report(r_t) == ([], [])
 
 
 DENSE_NM = [(4, 1), (4, 2), (6, 3)]
@@ -349,10 +363,10 @@ def test_sparse_product_matches_dense(n, m):
     # (x,yz) + (y,zx) + (z,xy) = 0 holds for any matrices, so an empty
     # cocycle residual cannot catch a product that drops terms
     basis = build_basis(n, m)
-    for y in basis.elements:
-        for z in basis.elements:
-            expected = mat_mul(dense(n, y.entries), dense(n, z.entries))
-            assert dense(n, _product(y.entries, z.entries)) == expected
+    for y in basis:
+        for z in basis:
+            expected = mat_mul(dense(n, _entries(y)), dense(n, _entries(z)))
+            assert dense(n, _product(_entries(y), _entries(z))) == expected
 
 
 @pytest.mark.parametrize("n,m", DENSE_NM)
@@ -372,7 +386,7 @@ def test_cocycle_places_each_pairing_at_three_rotations(n, m, monkeypatch):
     monkeypatch.setattr(frobenius, "_pairings", doubled)
     lam = make_lambda(n, m, [Fraction(k * k + 1, k + 2) for k in range(n)])
     basis = build_basis(n, m)
-    mats = [dense(n, e.entries) for e in basis.elements]
+    mats = [dense(n, _entries(e)) for e in basis]
     first = {(j, k): form_eval(mats[0], mat_mul(y, z), lam) for j, y in enumerate(mats) for k, z in enumerate(mats)}
     expected = []
     for a, b, c in product(range(len(mats)), repeat=3):
@@ -381,13 +395,12 @@ def test_cocycle_places_each_pairing_at_three_rotations(n, m, monkeypatch):
             expected.append(((a, b, c), v))
     assert expected and all(0 in key for key, _ in expected)
     assert gram(basis, lam) == gram_dense(mats, lam)
-    assert cocycle_residual(basis, lam) == expected
+    assert cocycle_residual(lam) == expected
 
 
 @pytest.mark.parametrize("n,m", DENSE_NM)
 def test_r_from_algebra_matches_dense_matrices(n, m):
-    basis = build_basis(n, m)
-    mats = [dense(n, e.entries) for e in basis.elements]
+    mats = [dense(n, _entries(e)) for e in build_basis(n, m)]
     patterns = [
         [Fraction(k * k + 1, k + 2) for k in range(n)],
         [i // m for i in range(n)],
@@ -398,7 +411,7 @@ def test_r_from_algebra_matches_dense_matrices(n, m):
     for values in patterns:
         lam = make_lambda(n, m, values)
         try:
-            r = r_from_algebra(basis, lam)
+            r = r_from_algebra(lam)
         except DegenerateForm as exc:
             degenerate += 1
             with pytest.raises(SingularMatrix) as dense_exc:
@@ -410,8 +423,5 @@ def test_r_from_algebra_matches_dense_matrices(n, m):
 
 
 def test_shape_mismatch_errors():
-    basis = build_basis(4, 2)
-    with pytest.raises(ValueError):
-        r_from_algebra(basis, make_lambda(6, 2, [0, 1, 2, 3, 4, 5]))
     with pytest.raises(ValueError):
         form_eval(identity(3), identity(3), make_lambda(2, 1, [0, 1]))
