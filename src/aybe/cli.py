@@ -143,15 +143,9 @@ def _write(outputs: dict[str, str], report: str, report_path: str | None) -> Non
 
 def _read(path: str) -> str:
     """An input file's text. At most MAX_INPUT_BYTES + 1 bytes are read, so
-    a larger file, or a device that never ends, is refused at that cost.
-    A regular file is read into a buffer of its own size (read(k) allocates
-    k bytes first); a pipe, whose size reads 0, or a file that grew since,
-    is read on to the limit."""
+    a larger file, or a device that never ends, is refused at that cost."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        data = f.read(min(size, MAX_INPUT_BYTES) + 1)
-        if len(data) > size:
-            data += f.read(MAX_INPUT_BYTES + 1 - len(data))
+        data = f.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
         raise ValueError(f"input file {path!r} exceeds the limit of {MAX_INPUT_BYTES} bytes")
     return data.decode()

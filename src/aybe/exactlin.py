@@ -65,7 +65,8 @@ class SingularMatrix(Exception):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction. Decimal input is rejected, and
-    so is a text longer than MAX_LITERAL_CHARS."""
+    so is a text longer than MAX_LITERAL_CHARS. format_rational has no
+    such limit: the text of a larger computed value is refused here."""
     _check_literal(text)
     match = _RATIONAL_RE.match(text.strip())
     if not match:
@@ -85,10 +86,7 @@ def _json_int(text: str) -> int:
 
 
 def load_json(text: str):
-    """json.loads, refusing an integer literal longer than MAX_LITERAL_CHARS.
-    A text no longer than that holds none, and skips the per-integer check."""
-    if len(text) <= MAX_LITERAL_CHARS:
-        return json.loads(text)
+    """json.loads, refusing an integer literal longer than MAX_LITERAL_CHARS."""
     return json.loads(text, parse_int=_json_int)
 
 

@@ -39,8 +39,8 @@ class LambdaSpec:
     `mode` is "DISTINCT" exactly when the values are pairwise distinct,
     for every m; "BLOCK" when lambda_i == lambda_j exactly when i and j
     share a block of m > 1 consecutive indices; "OTHER" otherwise. When
-    m == 1 the two patterns coincide and DISTINCT is reported. Immutable
-    after construction.
+    m == 1 the two patterns coincide and DISTINCT is reported. The
+    attributes are not meant to be reassigned: `mode` is not recomputed.
     """
 
     __slots__ = ("n", "m", "values", "mode")

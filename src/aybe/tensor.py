@@ -14,6 +14,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from aybe.exactlin import (
+    MAX_LITERAL_CHARS,
     RatMatrix,
     common_denominator,
     format_rational,
@@ -93,16 +94,26 @@ class Tensor4:
         "lower": [c, d], "value": "p/q"}, ...]} in items() order, laid out
         exactly as json.dumps(..., indent=2) lays it out, plus a newline.
         Written from a fixed template; the values need no escaping, since
-        format_rational writes only "-", digits and "/"."""
+        format_rational writes only "-", digits and "/". A value longer than
+        MAX_LITERAL_CHARS, which loads would refuse, is refused here too."""
         if not self._entries:
             return _EMPTY % self.n
-        body = ",\n".join([_ENTRY % (*key, format_rational(v)) for key, v in self.items()])
+        items = self.items()
+        texts = [format_rational(v) for _, v in items]
+        longest = max(map(len, texts))
+        if longest > MAX_LITERAL_CHARS:
+            raise ValueError(
+                f"tensor entry length = {longest} characters exceeds the limit of "
+                f"{MAX_LITERAL_CHARS} (MAX_LITERAL_CHARS) that a tensor file can be read with"
+            )
+        body = ",\n".join([_ENTRY % (*key, text) for (key, _), text in zip(items, texts)])
         return _FILE % (self.n, body)
 
     @classmethod
     def loads(cls, text: str) -> "Tensor4":
         """Parse the text dumps writes, checking each entry once; the
-        indices are range-checked by the constructor, after every entry."""
+        indices are range-checked by the constructor, after every entry.
+        A value or JSON integer longer than MAX_LITERAL_CHARS is refused."""
         obj = load_json(text)
         if not isinstance(obj, dict):
             raise ValueError("tensor JSON must be an object")

@@ -1093,6 +1093,30 @@ def test_literal_limit_in_input_files(tmp_path, capsys):
         assert f"exceeds the limit of {MAX_LITERAL_CHARS}\n" in err
 
 
+def test_transform_refuses_output_past_literal_limit(tmp_path, capsys):
+    """transform writes an entry of MAX_LITERAL_CHARS characters, which
+    verify reads; an output entry one character longer exits 2 naming the
+    limit and writes no file, so every tensor file written can be read."""
+    k = (MAX_LITERAL_CHARS - 2) // 2  # g = diag(10^k, 1) scales r^{00}_{11} by 10^(2k)
+    g_path, out_path = tmp_path / "g.json", tmp_path / "o.json"
+    g_path.write_text(json.dumps([["1" + "0" * k, "0"], ["0", "1"]]))
+    for value, expected in (("30", 1), ("300", 2)):
+        path = tmp_path / "t.json"
+        path.write_text(_one_entry_file(2, [0, 0], [1, 1], value)[0])
+        code, out, err = run(["transform", str(path), "--g", str(g_path), "--out", str(out_path)], capsys)
+        assert code == expected, err
+        if expected == 1:
+            assert read_report(out)["verdict"] == "fail"
+            assert run(["verify", str(out_path)], capsys)[0] == 1
+        else:
+            assert out == "" and not out_path.exists()
+            assert err == (
+                f"aybe: error: tensor entry length = {MAX_LITERAL_CHARS + 1} characters exceeds the limit "
+                f"of {MAX_LITERAL_CHARS} (MAX_LITERAL_CHARS) that a tensor file can be read with\n"
+            )
+        out_path.unlink(missing_ok=True)
+
+
 # --- exit-code contract over generated command lines ----------------------
 
 INT_JUNK = ["", "x", "1.5", "2/1", "--"]  # none of these parses as an int

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 import aybe
 from aybe.closedform import r_closed_m1
 from aybe.exactlin import (
+    MAX_LITERAL_CHARS,
     RatMatrix,
     SingularMatrix,
     common_denominator,
+    format_rational,
     mat_inverse,
 )
 from aybe.frobenius import make_lambda
@@ -293,6 +295,17 @@ def random_tensor(draw):
 @example(Tensor4(12, {(11, 0, 3, 11): Fraction(-(10**4400) - 1, 7), (0, 0, 0, 0): Fraction(5)}))
 def test_dumps_is_json_dumps_indent_2(r):
     assert r.dumps() == json.dumps(tensor_json_obj(r), indent=2) + "\n"
+
+
+def test_dumps_refuses_what_loads_refuses():
+    # an entry of MAX_LITERAL_CHARS characters is written and read back;
+    # one more character is refused by dumps, as loads would refuse it
+    at = Tensor4(2, {(0, 1, 0, 1): Fraction(-(10 ** (MAX_LITERAL_CHARS - 4)), 7)})
+    assert len(format_rational(at.get(0, 1, 0, 1))) == MAX_LITERAL_CHARS
+    assert Tensor4.loads(at.dumps()) == at
+    past = Tensor4(2, {(0, 1, 0, 1): Fraction(-(10 ** (MAX_LITERAL_CHARS - 3)), 7), (1, 0, 1, 0): 1})
+    with pytest.raises(ValueError, match=f"length = {MAX_LITERAL_CHARS + 1} characters exceeds the limit of {MAX_LITERAL_CHARS} "):
+        past.dumps()
 
 
 def test_json_round_trip_past_the_digit_limit():
