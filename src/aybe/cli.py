@@ -73,10 +73,10 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # once the tensor file is read; transform's, on the tensor read and again
 # on the transformed one. The slowest shapes each limit accepts take, on
 # 2 vCPUs: construct (28,2), where one Gram component holds half the basis,
-# 5 s; closed-form --variant distinct (40,2) with --out, 3 s; bracket
-# --check-jacobi on the distinct (16,2) tensor (8,640 nonzeros), scalar,
-# 2.1 s; verify on that tensor, 3 s. Cost also grows with the
-# size of the rational entries, which no limit bounds.
+# 4 s (3 s of it the Gram inverse); closed-form --variant distinct (40,2)
+# with --out, 3 s; bracket --check-jacobi on the distinct (16,2) tensor
+# (8,640 nonzeros), scalar, 2.1 s; verify on that tensor, 3 s. Cost also
+# grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2

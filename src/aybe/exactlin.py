@@ -6,7 +6,9 @@ or just "p" when the denominator is 1. Matrices are sparse rows (a dict
 of the nonzero entries per row); rank and inverse come from one
 Gauss-Jordan elimination on them. Loops that only add up products of
 rationals run on integers instead, scaled by a common denominator
-(`common_denominator`).
+(`common_denominator`): the AYBE and Jacobi residuals, the cocycle
+pairings, the tensor assembly from the inverse Gram matrix, and the
+contraction passes of `gl_transform`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 __all__ = [
     "SingularMatrix",
@@ -80,14 +82,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), den)
 
 
-def _json_int(text: str) -> int:
-    _check_literal(text)
-    return int(text)
+# A run of digits, with its leading "-", longer than MAX_LITERAL_CHARS: its
+# first character and at least MAX_LITERAL_CHARS digits. The lookbehind lets
+# a match start only where a run starts, so one scan tries each run once.
+_LONG_RUN_RE = re.compile(r"(?<![-0-9])[-0-9][0-9]{%d,}" % MAX_LITERAL_CHARS)
 
 
 def load_json(text: str):
-    """json.loads, refusing an integer literal longer than MAX_LITERAL_CHARS."""
-    return json.loads(text, parse_int=_json_int)
+    """json.loads, refusing a text with a run of digits (its "-" counted)
+    longer than MAX_LITERAL_CHARS anywhere, so no integer literal past the
+    limit reaches int(); such a run inside a string is refused too."""
+    run = _LONG_RUN_RE.search(text)
+    if run:
+        _check_literal(run.group())
+    return json.loads(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -16,11 +16,11 @@ the lambda pattern matches the blocks or when all lambda are distinct.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse
-from aybe.tensor import Tensor4
+from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse
+from aybe.tensor import Tensor4, _from_keys
 
 __all__ = [
     "LambdaSpec",
@@ -115,13 +115,15 @@ def _product(x: Sequence[Entry], y: Sequence[Entry]) -> list[Entry]:
 
 def _pairings(
     xs: Sequence[Sequence[Entry]], ys: Sequence[Sequence[Entry]], values
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """Row s holds the nonzero values (xs[s], ys[t]) of the form.
 
     tr([x, y] D) = sum x_{uv} y_{vu} (lambda_u - lambda_v): x and y pair
     only where an entry (u, v) of x meets an entry (v, u) of y, so each row
     is read off an index of ys by entry position and the work follows the
-    nonzero pairings.
+    nonzero pairings. With the values scaled to ints by L (as
+    common_denominator scales them) and int entries, the rows are ints, L
+    times the form's.
     """
     at: dict[tuple[int, int], list] = defaultdict(list)
     for t, y in enumerate(ys):
@@ -129,7 +131,7 @@ def _pairings(
             at[(p, q)].append((t, yv))
     rows = []
     for x in xs:
-        row: dict[int, Fraction] = defaultdict(Fraction)
+        row: dict[int, int | Fraction] = defaultdict(int)
         for u, v, xv in x:
             d = values[u] - values[v]
             if d:
@@ -147,27 +149,37 @@ def cocycle_residual(lam: LambdaSpec) -> list:
     have a row at a column of e_j, read off an index by row; the nonzero
     products are paired with the basis, and each pairing (e_i, e_j e_k) is
     a term of the identity at the triples (i, j, k), (k, i, j) and (j, k, i).
+    The pairings are ints, on lambda scaled by its common denominator L,
+    added at the int key (i*N + j)*N + k and reduced as Fraction(v, L)
+    only where a sum is nonzero.
     """
     items = [_entries(e) for e in build_basis(lam.n, lam.m)]
+    size = len(items)
+    sq = size * size
     by_row: dict[int, list[int]] = defaultdict(list)
     for k, z in enumerate(items):
         for row, _, _ in z:
             by_row[row].append(k)
-    pairs, prods = [], []
+    keys, prods = [], []  # prods[t] = e_j e_k, keys[t] = (j*N + k, k*N*N + j)
     for j, y in enumerate(items):
         for k in sorted({k for _, col, _ in y for k in by_row[col]}):
             yz = _product(y, items[k])
             if yz:
-                pairs.append((j, k))
+                keys.append((j * size + k, k * sq + j))
                 prods.append(yz)
-    acc: dict[tuple[int, int, int], Fraction] = defaultdict(Fraction)
-    for i, row in enumerate(_pairings(items, prods, lam.values)):
+    lcm, values = common_denominator(list(lam.values))
+    acc: dict[int, int | Fraction] = defaultdict(int)
+    for i, row in enumerate(_pairings(items, prods, values)):
         for t, v in row.items():
-            j, k = pairs[t]
-            acc[(i, j, k)] += v
-            acc[(k, i, j)] += v
-            acc[(j, k, i)] += v
-    return sorted((key, v) for key, v in acc.items() if v)
+            jk, kj = keys[t]
+            acc[i * sq + jk] += v  # (i, j, k)
+            acc[kj + i * size] += v  # (k, i, j)
+            acc[jk * size + i] += v  # (j, k, i)
+    out = []
+    for key in sorted(k for k, v in acc.items() if v):
+        ij, k = divmod(key, size)
+        out.append((divmod(ij, size) + (k,), Fraction(acc[key], lcm)))
+    return out
 
 
 def r_from_algebra(lam: LambdaSpec) -> Tensor4:
@@ -175,16 +187,37 @@ def r_from_algebra(lam: LambdaSpec) -> Tensor4:
 
     G is the Gram matrix of the form over build_basis(lam.n, lam.m).
     Raises DegenerateForm when G is singular.
+
+    The Gram rows are ints G' = L G, on lambda scaled by its common
+    denominator L, so g = L G'^{-1}. The nonzeros of G'^{-1}, scaled by
+    their own common denominator M, are ints; as basis entries are +-1,
+    each adds +-g' at four int keys ((a*n + b)*n + c)*n + d, and each
+    entry is reduced once, as v L / M.
     """
-    items = [_entries(e) for e in build_basis(lam.n, lam.m)]
+    n = lam.n
+    basis = build_basis(n, lam.m)
+    items = [_entries(e) for e in basis]
+    lcm, values = common_denominator(list(lam.values))
+    # Fractions, as mat_inverse divides by its pivots
+    gram = [{t: Fraction(g) for t, g in row.items()} for row in _pairings(items, items, values)]
     try:
-        ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
+        rows = mat_inverse(RatMatrix.from_rows(len(items), gram)).sparse_rows
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
-    acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for s, t, g in ginv.nonzero_items():
-        for a, c, va in items[s]:
-            gva = g * va
-            for b, d, vb in items[t]:
-                acc[(a, b, c, d)] += gva * vb
-    return Tensor4(lam.n, acc)
+    # the key of (a, b, c, d) is left(a, c) + right(b, d): e_s gives a and c, e_t b and d
+    nn = n * n
+    left = [(i * nn * n + j * n, bar * nn * n + j * n) for i, j, bar in basis]
+    right = [(i * nn + j, bar * nn + j) for i, j, bar in basis]
+    den, scaled = common_denominator([g for row in rows for g in row.values()])
+    scaled = iter(scaled)
+    acc: dict[int, int | Fraction] = defaultdict(int)
+    for s, row in enumerate(rows):
+        p0, p1 = left[s]
+        for t in row:
+            g = next(scaled)
+            q0, q1 = right[t]
+            acc[p0 + q0] += g
+            acc[p0 + q1] -= g
+            acc[p1 + q0] -= g
+            acc[p1 + q1] += g
+    return _from_keys(n, acc, Fraction(lcm, den))

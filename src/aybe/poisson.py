@@ -14,9 +14,9 @@ Fractions. Dense exponent vectors appear only in the JSON form (terms_json).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping
 
 from aybe.exactlin import common_denominator, format_rational
 from aybe.frobenius import LambdaSpec

@@ -9,9 +9,9 @@ are kept; an absent quadruple is an exact zero.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping
 
 from aybe.exactlin import (
     MAX_LITERAL_CHARS,
@@ -259,25 +259,48 @@ def aybe_residual_naive(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
 
 
 def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
-    """Change of basis: r'^{ab}_{cd} = g^a_p g^b_q r^{pq}_{rs} (g^-1)^r_c (g^-1)^s_d."""
-    if not g.is_square() or g.rows != r.n:
-        raise ValueError(f"basis change matrix must be {r.n}x{r.n}")
+    """Change of basis: r'^{ab}_{cd} = g^a_p g^b_q r^{pq}_{rs} (g^-1)^r_c (g^-1)^s_d.
+
+    Four passes, one per index, each replacing one base-n digit of the int
+    key ((a*n + b)*n + c)*n + d. r is scaled to ints by its common
+    denominator L_r, and g^T and g^-1 together by one L_g, so the passes
+    add ints (or the Fractions common_denominator keeps) and each entry is
+    reduced once, as v / (L_r * L_g^4).
+    """
+    n = r.n
+    if not g.is_square() or g.rows != n:
+        raise ValueError(f"basis change matrix must be {n}x{n}")
     gt = g.transpose().sparse_rows  # gt[p] = {a: g^a_p}
     h = mat_inverse(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
+    lg, coeffs = common_denominator([v for rows in (gt, h) for row in rows for v in row.values()])
+    coeffs = iter(coeffs)
+    # a pass that takes digit p to new adds (new - p) * weight to the key
+    up = [[(new - p, next(coeffs)) for new in row] for p, row in enumerate(gt)]
+    down = [[(new - p, next(coeffs)) for new in row] for p, row in enumerate(h)]
+    lr, values = common_denominator(list(r._entries.values()))
+    nn = n * n
+    cur: dict[int, int | Fraction] = {
+        ((a * n + b) * n + c) * n + d: v for (a, b, c, d), v in zip(r._entries, values)
+    }
+    for weight, rows in ((nn * n, up), (nn, up), (n, down), (1, down)):
+        out: dict[int, int | Fraction] = defaultdict(int)
+        for key, v in cur.items():
+            for delta, coeff in rows[key // weight % n]:
+                out[key + delta * weight] += coeff * v
+        cur = out
+    return _from_keys(n, cur, Fraction(1, lr * lg**4))
 
-    def contract(entries, rows, pos):
-        out: dict[Quad, Fraction] = defaultdict(Fraction)
-        for key, v in entries.items():
-            for new, coeff in rows[key[pos]].items():
-                out[key[:pos] + (new,) + key[pos + 1 :]] += coeff * v
-        return out
 
-    cur: dict[Quad, Fraction] = dict(r.iter_items())
-    cur = contract(cur, gt, 0)
-    cur = contract(cur, gt, 1)
-    cur = contract(cur, h, 2)
-    cur = contract(cur, h, 3)
-    return Tensor4(r.n, cur)
+def _from_keys(n: int, sums: Mapping[int, int | Fraction], scale: Fraction) -> Tensor4:
+    """The tensor with the entry scale * v at (a, b, c, d) for each nonzero
+    v in sums, keyed ((a*n + b)*n + c)*n + d: each entry reduced once."""
+    entries = {}
+    for key, v in sums.items():
+        if v:
+            abc, d = divmod(key, n)
+            ab, c = divmod(abc, n)
+            entries[divmod(ab, n) + (c, d)] = scale * v
+    return Tensor4(n, entries)
 
 
 def transpose_dual(r: Tensor4) -> Tensor4:

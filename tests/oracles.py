@@ -11,7 +11,7 @@ from math import prod
 from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
-from aybe.frobenius import LambdaSpec, make_lambda
+from aybe.frobenius import DegenerateForm, LambdaSpec, _entries, _pairings, build_basis, make_lambda
 from aybe.poisson import QuadraticBracket
 from aybe.tensor import Tensor4
 
@@ -145,6 +145,45 @@ def r_from_matrices(mats, lam) -> Tensor4:
             for b, d, vb in mats[t].nonzero_items():
                 acc[(a, b, c, d)] += g * va * vb
     return Tensor4(n, acc)
+
+
+def r_from_algebra_fractions(lam: LambdaSpec) -> Tensor4:
+    """frobenius.r_from_algebra as one Fraction add per inverse nonzero and
+    pair of basis entries, on the Gram matrix of the unscaled lambda: the
+    oracle for its integer assembly."""
+    items = [_entries(e) for e in build_basis(lam.n, lam.m)]
+    try:
+        ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
+    except SingularMatrix as exc:
+        raise DegenerateForm(exc.rank) from exc
+    acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+    for s, t, g in ginv.nonzero_items():
+        for a, c, va in items[s]:
+            gva = g * va
+            for b, d, vb in items[t]:
+                acc[(a, b, c, d)] += gva * vb
+    return Tensor4(lam.n, acc)
+
+
+def gl_transform_fractions(r: Tensor4, g: RatMatrix) -> Tensor4:
+    """tensor.gl_transform as four Fraction contraction passes over tuple
+    keys: the oracle for its integer-keyed passes."""
+    gt = g.transpose().sparse_rows  # gt[p] = {a: g^a_p}
+    h = mat_inverse(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
+
+    def contract(entries, rows, pos):
+        out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+        for key, v in entries.items():
+            for new, coeff in rows[key[pos]].items():
+                out[key[:pos] + (new,) + key[pos + 1 :]] += coeff * v
+        return out
+
+    cur = dict(r.iter_items())
+    cur = contract(cur, gt, 0)
+    cur = contract(cur, gt, 1)
+    cur = contract(cur, h, 2)
+    cur = contract(cur, h, 3)
+    return Tensor4(r.n, cur)
 
 
 def membership_check(a: RatMatrix, n: int, m: int) -> bool:

@@ -74,6 +74,17 @@ def test_literal_length_limit():
         load_json(f'{{"n": {digits}1}}')
 
 
+def test_load_json_scans_every_digit_run():
+    # the scan before json.loads counts a run's leading "-" and looks inside
+    # strings and fractional parts too; runs at the limit still read
+    digits = "7" * MAX_LITERAL_CHARS
+    assert load_json(f'["{digits}", -{digits[1:]}, 0.{digits}, "x{digits}"]')[0] == digits
+    message = f"literal length = {MAX_LITERAL_CHARS + 1} characters exceeds the limit of {MAX_LITERAL_CHARS}"
+    for bad in (f'["{digits}1"]', f"[-{digits}]", f"[1, 0.{digits}1]", f'{{"v": "1/{digits}1"}}'):
+        with pytest.raises(ValueError, match=message):
+            load_json(bad)
+
+
 def test_format_rational_round_trip():
     for v in [Fraction(0), Fraction(-3), Fraction(5, 2), Fraction(-7, 3)]:
         assert parse_rational(format_rational(v)) == v

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from aybe import frobenius
 from aybe.closedform import r_closed_block, r_closed_m1
-from aybe.exactlin import RatMatrix, SingularMatrix, mat_inverse, mat_mul
+from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse, mat_mul
 from aybe.frobenius import (
     DegenerateForm,
     _entries,
@@ -32,12 +32,14 @@ from oracles import (
     membership_check,
     negate,
     negative,
+    r_from_algebra_fractions,
     r_from_matrices,
     rand_block_lambda,
     rand_distinct_lambda,
     rand_fraction,
     rand_matrix,
     trace,
+    unrelated_denominators,
     zeros,
 )
 
@@ -45,7 +47,8 @@ ALL_NM = [(n, m) for n in range(2, 9) for m in range(1, n) if n % m == 0]
 
 
 def gram(basis, lam):
-    """The Gram matrix as r_from_algebra builds it, from _pairings."""
+    """The Gram matrix from _pairings on the unscaled lambda (r_from_algebra
+    inverts L times it, on lambda scaled by its common denominator L)."""
     items = [_entries(e) for e in basis]
     return RatMatrix.from_rows(len(items), frobenius._pairings(items, items, lam.values))
 
@@ -420,6 +423,34 @@ def test_r_from_algebra_matches_dense_matrices(n, m):
         else:
             assert r_from_matrices(mats, lam) == r
     assert degenerate >= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_r_from_algebra_matches_fraction_assembly(data):
+    # on both sides of the common_denominator guard: n >= 5 lambdas over
+    # unrelated 2000-digit denominators keep their Fractions, small ones
+    # run the Gram rows and the assembly on ints
+    unrelated = data.draw(st.booleans())
+    if unrelated:
+        n, m = data.draw(st.sampled_from([(5, 1), (6, 3)]))
+        nums = st.integers(-50, 50).filter(bool)
+        values = [Fraction(data.draw(nums), d) for d in unrelated_denominators(n)]
+    else:
+        n, m = data.draw(st.sampled_from(GRAM_NM))
+        values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=n, max_size=n))
+    lam = make_lambda(n, m, values)
+    assert (type(common_denominator(list(lam.values))[1][0]) is int) != unrelated
+    try:
+        expected = r_from_algebra_fractions(lam)
+    except DegenerateForm as exc:
+        with pytest.raises(DegenerateForm) as got:
+            r_from_algebra(lam)
+        assert got.value.rank == exc.rank
+    else:
+        assert r_from_algebra(lam) == expected
+    if unrelated:
+        assert cocycle_residual(lam) == []
 
 
 def test_shape_mismatch_errors():
