@@ -11,25 +11,29 @@ program rather than a verdict on the input. Files go through temporary
 files, renamed into place only after the stdout report is written, so a
 run that exits 2 or 4 leaves no file behind.
 
-Each `main` call builds its own parsers from the `COMMANDS` table. When
-the first argument names a command, that command's parser alone reads the
-rest. The full tree (`build_parser()`: a top-level parser and one subparser
-per command) is built only for any other first argument, or when the
-command's parser leaves arguments unrecognized; help and error texts are
-the same either way.
+The `COMMANDS` table declares each command's options as data, and each
+`main` call reads its arguments afresh from it. A well-formed call (the
+command, then only its own options, spelled out and each given once, and
+its positional) is read from the table directly: no parser is built, and
+`argparse` is not imported. Any other argv (help, abbreviations, repeats,
+`--`, bad values, stray arguments) goes to argparse parsers built from the
+same table: the command's parser alone when the first argument names a
+command, and the full tree (`build_parser()`: a top-level parser and one
+subparser per command) for any other first argument, or when the
+command's parser leaves arguments unrecognized. Help and error texts and
+exit codes are the same on every path. Reports and bracket files are
+written by `_json_text`, byte for byte as json.dumps(..., indent=2).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import os
 import re
-import shutil
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from aybe.closedform import VARIANTS, r_closed
 from aybe.exactlin import (
@@ -87,9 +91,12 @@ MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
 # takes about 125 bytes besides its value, and the distinct (24,2) tensor
 # (42,528 nonzeros, 6.4 MB) still reads, so that MAX_BRACKET_TERMS and
 # MAX_TENSOR_NONZEROS, not the byte count, say why it is refused. Reading
-# a tensor file at this limit takes 0.6 s with 61,528 one-digit entries,
-# and 8.2 s with 66 entries at exactlin.MAX_LITERAL_CHARS, the slowest
-# such file, since int() costs time quadratic in a literal's length.
+# a tensor file at this limit takes 0.5-0.6 s with 61,528 one-digit
+# entries, 0.64 s with 1,834 distinct values of 4,299 digits, and 0.54 s
+# with four values at exactlin.MAX_LITERAL_CHARS, the most that
+# exactlin.LITERAL_BUDGET admits (int() costs time quadratic in a
+# literal's length); 66 such values, which fit in this limit, would take
+# 8.2 s, and are refused before any is parsed.
 MAX_INPUT_BYTES = 800 * MAX_TENSOR_NONZEROS
 
 
@@ -118,6 +125,31 @@ def _lambda_inputs(lam: LambdaSpec) -> dict:
     return {"n": lam.n, "m": lam.m, "lambda": [format_rational(v) for v in lam.values]}
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for the documents main writes: dicts with
+    str keys, lists, str, int, bool, None and finite floats. With indent
+    set, json.dumps runs its encoder in Python; this does less per value."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int or kind is float:
+        return repr(obj)
+    inner = newline + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _LITERALS[obj]
+
+
 def _write(outputs: dict[str, str], report: str, report_path: str | None) -> None:
     """Write every file or none, and the report to report_path, else stdout.
     Each text goes to a temporary file beside its target; the stdout report
@@ -136,6 +168,7 @@ def _write(outputs: dict[str, str], report: str, report_path: str | None) -> Non
             sys.stdout.flush()
         for temp, path in zip(temps, files):
             os.replace(temp, path)
+        temps.clear()  # all renamed: nothing left to remove
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
@@ -253,7 +286,7 @@ def cmd_bracket(args) -> tuple:
         return inputs, "fail", {"skew_violations": _violation_items(exc.violations)}, {}
     outputs = {}
     if args.out:
-        outputs[args.out] = json.dumps(bracket_to_json(bracket), indent=2) + "\n"
+        outputs[args.out] = _json_text(bracket_to_json(bracket)) + "\n"
     details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket.pairs())}
     verdict = "pass"
     if args.check_jacobi:
@@ -301,74 +334,156 @@ def cmd_transform(args) -> tuple:
     return inputs, verdict, {"entries": out.nnz, **checks}, {args.out: out.dumps()}
 
 
-def _add_lambda_args(p: argparse.ArgumentParser, m_default: int | None = None) -> None:
-    """--n, --m and --lambda; --m is required unless it has a default."""
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=m_default is None, default=m_default)
-    p.add_argument("--lambda", dest="lam", required=True, help="comma-separated rationals")
-
-
-def _construct_options(p: argparse.ArgumentParser) -> None:
-    _add_lambda_args(p)
-    p.add_argument("--out", required=True, help="tensor JSON output path")
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("tensor")
-
-
-def _closed_form_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    _add_lambda_args(p, m_default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--compare", default=None, help="tensor file to diff against")
-
-
-def _bracket_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("tensor")
-    p.add_argument("--m-size", type=int, default=1, help="matrix size of the generators")
-    p.add_argument("--check-jacobi", action="store_true")
-    p.add_argument("--compare-closed-2m", action="store_true",
-                   help="compare the scalar bracket against the printed two-block formula")
-    p.add_argument("--lambda", dest="lam", default=None, help="lambda for --compare-closed-2m")
-    p.add_argument("--out", default=None, help="bracket JSON output path")
-
-
-def _transform_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("tensor")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--g", default=None, help="matrix JSON file for the basis change")
-    group.add_argument("--transpose-dual", action="store_true")
-    p.add_argument("--out", required=True)
-
+# An option: (flag, dest, kind, default, help). kind is int, str, bool (a
+# store-true flag) or a list of choices; the default REQUIRED makes the
+# option required. A flag without "--" is the command's one positional
+# argument. A tuple of options in place of one is a required group: exactly
+# one of them must be given.
+REQUIRED = object()
+_REPORT = ("--report", "report", str, None, "write the report here instead of stdout")
+_N = ("--n", "n", int, REQUIRED, None)
+_LAMBDA = ("--lambda", "lam", str, REQUIRED, "comma-separated rationals")
+_LAMBDA_OPTIONS = (_N, ("--m", "m", int, REQUIRED, None), _LAMBDA)
+_TENSOR = ("tensor", "tensor", str, REQUIRED, None)
 
 # name -> (command, summary in the top-level help, options besides --report)
 COMMANDS = {
-    "construct": (cmd_construct, "build the tensor from the matrix algebra", _construct_options),
-    "verify": (cmd_verify, "run the skew and residual checks on a tensor file", _verify_options),
-    "closed-form": (cmd_closed_form, "emit a closed-form tensor, optionally comparing",
-                    _closed_form_options),
-    "cocycle": (cmd_cocycle, "check the cyclic identity over all basis triples", _add_lambda_args),
-    "bracket": (cmd_bracket, "derive the quadratic bracket from a tensor file", _bracket_options),
-    "transform": (cmd_transform, "apply a basis change or the transpose dual", _transform_options),
+    "construct": (cmd_construct, "build the tensor from the matrix algebra", (
+        *_LAMBDA_OPTIONS,
+        ("--out", "out", str, REQUIRED, "tensor JSON output path"),
+    )),
+    "verify": (cmd_verify, "run the skew and residual checks on a tensor file", (_TENSOR,)),
+    "closed-form": (cmd_closed_form, "emit a closed-form tensor, optionally comparing", (
+        ("--variant", "variant", sorted(VARIANTS), REQUIRED, None),
+        _N,
+        ("--m", "m", int, 1, None),
+        _LAMBDA,
+        ("--out", "out", str, None, None),
+        ("--compare", "compare", str, None, "tensor file to diff against"),
+    )),
+    "cocycle": (cmd_cocycle, "check the cyclic identity over all basis triples", _LAMBDA_OPTIONS),
+    "bracket": (cmd_bracket, "derive the quadratic bracket from a tensor file", (
+        _TENSOR,
+        ("--m-size", "m_size", int, 1, "matrix size of the generators"),
+        ("--check-jacobi", "check_jacobi", bool, False, None),
+        ("--compare-closed-2m", "compare_closed_2m", bool, False,
+         "compare the scalar bracket against the printed two-block formula"),
+        ("--lambda", "lam", str, None, "lambda for --compare-closed-2m"),
+        ("--out", "out", str, None, "bracket JSON output path"),
+    )),
+    "transform": (cmd_transform, "apply a basis change or the transpose dual", (
+        _TENSOR,
+        (("--g", "g", str, None, "matrix JSON file for the basis change"),
+         ("--transpose-dual", "transpose_dual", bool, False, None)),
+        ("--out", "out", str, REQUIRED, None),
+    )),
 }
+
+
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed call, read from the COMMANDS table
+    alone, or None for any other argv. Well-formed: argv[0] names a
+    command, and the rest holds only that command's exact long options, as
+    `--x v` or `--x=v` (a flag without a value), each at most once, with no
+    spaced value starting with "-" and no value "--"; its one positional,
+    if it has one; every required option; and exactly one option of a
+    required group. Values are converted and checked as argparse would, so
+    the result equals what the command's parser returns; nothing is
+    reported here: _parse hands any other argv to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, options = COMMANDS[argv[0]]
+    flat, groups = [_REPORT], []
+    for option in options:
+        if isinstance(option[0], tuple):
+            groups.append(option)
+            flat.extend(option)
+        else:
+            flat.append(option)
+    flags = {option[0]: option for option in flat if option[0].startswith("-")}
+    positional = next((option for option in flat if option[0] not in flags), None)
+    values: dict = {}  # dest -> value of each argument given
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if positional is None or positional[1] in values:
+                return None
+            values[positional[1]] = arg
+            continue
+        flag, eq, text = arg.partition("=")
+        option = flags.get(flag)
+        if option is None or option[1] in values:
+            return None
+        _, dest, kind, _, _ = option
+        if kind is bool:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(rest, "-")
+            if text.startswith("-"):
+                return None
+        elif text == "--":  # argparse reads `--x=--` as an empty list
+            return None
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+        elif kind is not str and text not in kind:
+            return None
+        values[dest] = text
+    if any(sum(option[1] in values for option in group) != 1 for group in groups):
+        return None
+    for _, dest, _, default, _ in flat:
+        if dest not in values:
+            if default is REQUIRED:
+                return None
+            values[dest] = default
+    return SimpleNamespace(command=argv[0], fn=fn, **values)
 
 
 def _formatter():
     # argparse reads the terminal size for the formatter that each
     # add_argument builds; read it once per parser build instead.
+    import argparse
+    import functools
+    import shutil
+
     return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
+def _add_option(p, flag: str, dest: str, kind, default, help: str | None) -> None:
+    if not flag.startswith("-"):
+        p.add_argument(flag, help=help)
+        return
+    if kind is bool:
+        p.add_argument(flag, dest=dest, action="store_true", help=help)
+        return
+    how = {"type": int} if kind is int else {} if kind is str else {"choices": kind}
+    if default is REQUIRED:
+        p.add_argument(flag, dest=dest, required=True, help=help, **how)
+    else:
+        p.add_argument(flag, dest=dest, default=default, help=help, **how)
+
+
 def _add_command_options(p: argparse.ArgumentParser, name: str) -> None:
-    fn, _, add_options = COMMANDS[name]
+    fn, _, options = COMMANDS[name]
     p.set_defaults(fn=fn)
-    p.add_argument("--report", default=None, help="write the report here instead of stdout")
-    add_options(p)
+    for option in (_REPORT, *options):
+        if isinstance(option[0], tuple):
+            group = p.add_mutually_exclusive_group(required=True)
+            for member in option:
+                _add_option(group, *member)
+        else:
+            _add_option(p, *option)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full tree: the top-level parser and one subparser per command."""
+    import argparse
+
     formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="aybe",
@@ -387,19 +502,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The subparser build_parser() makes for `name`, built on its own."""
+    import argparse
+
     p = argparse.ArgumentParser(prog=f"aybe {name}", formatter_class=_formatter())
     p.set_defaults(command=name)
     _add_command_options(p, name)
     return p
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the command's parser alone when argv[0] names a command:
-    the full tree would hand argv[1:] to that same parser, which prints the
-    same help and errors. The tree is built only when argv[0] is not a
-    command (help, a missing or unknown command, a top-level option, `--`)
-    or the command leaves arguments unrecognized, which only the tree's
-    top-level parser reports."""
+def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """A well-formed call is read from the COMMANDS table, with no parser
+    built. Any other argv goes to argparse: to the command's parser alone
+    when argv[0] names a command, since the full tree would hand argv[1:]
+    to that same parser, which prints the same help and errors. The tree is
+    built only when argv[0] is not a command (help, a missing or unknown
+    command, a top-level option, `--`) or the command leaves arguments
+    unrecognized, which only the tree's top-level parser reports."""
+    args = _parse_well_formed(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
@@ -454,7 +575,7 @@ def main(argv=None) -> int:
             "details": details,
             "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
-        _write(outputs, json.dumps(report, indent=2) + "\n", args.report)
+        _write(outputs, _json_text(report) + "\n", args.report)
     except (ValueError, OSError, RecursionError) as exc:
         print(f"aybe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,7 @@ from fractions import Fraction
 __all__ = [
     "SingularMatrix",
     "MAX_LITERAL_CHARS",
+    "check_literals",
     "parse_rational",
     "load_json",
     "format_rational",
@@ -48,12 +49,19 @@ if hasattr(sys, "set_int_max_str_digits"):
 # 300,000), so every literal read from input, a rational or a JSON
 # integer, is refused past this many characters before int() sees it.
 MAX_LITERAL_CHARS = 120_000
+# A text may hold long literals (runs of at least LONG_LITERAL_CHARS digits,
+# Python's default limit on int/str conversion) whose squared lengths sum
+# to at most LITERAL_BUDGET: four literals at MAX_LITERAL_CHARS, about 0.5 s
+# of int(). Shorter runs are left uncounted: an input file at its byte limit
+# holds at most about 1,900 of them, about 0.3 s of int().
+LONG_LITERAL_CHARS = 4300
+LITERAL_BUDGET = 4 * MAX_LITERAL_CHARS**2
 
 
-def _check_literal(text: str) -> None:
-    if len(text) > MAX_LITERAL_CHARS:
+def _check_literal(length: int) -> None:
+    if length > MAX_LITERAL_CHARS:
         raise ValueError(
-            f"literal length = {len(text)} characters exceeds the limit of {MAX_LITERAL_CHARS}"
+            f"literal length = {length} characters exceeds the limit of {MAX_LITERAL_CHARS}"
         )
 
 
@@ -69,7 +77,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction. Decimal input is rejected, and
     so is a text longer than MAX_LITERAL_CHARS. format_rational has no
     such limit: the text of a larger computed value is refused here."""
-    _check_literal(text)
+    _check_literal(len(text))
     match = _RATIONAL_RE.match(text.strip())
     if not match:
         raise ValueError(f"not an exact rational literal: {text!r}")
@@ -82,19 +90,37 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), den)
 
 
-# A run of digits, with its leading "-", longer than MAX_LITERAL_CHARS: its
-# first character and at least MAX_LITERAL_CHARS digits. The lookbehind lets
-# a match start only where a run starts, so one scan tries each run once.
-_LONG_RUN_RE = re.compile(r"(?<![-0-9])[-0-9][0-9]{%d,}" % MAX_LITERAL_CHARS)
+# A run of digits, with its leading "-", of at least LONG_LITERAL_CHARS
+# characters. The lookbehind lets a match start only where a run starts, so
+# one scan tries each run once.
+_LONG_RUN_RE = re.compile(r"(?<![-0-9])[-0-9][0-9]{%d,}" % (LONG_LITERAL_CHARS - 1))
+
+
+def check_literals(text: str) -> None:
+    """Refuse a text with a run of digits (its "-" counted) longer than
+    MAX_LITERAL_CHARS anywhere, or with long runs whose squared lengths sum
+    past LITERAL_BUDGET, so that int() never takes long on its literals;
+    such runs inside strings count too."""
+    if len(text) <= MAX_LITERAL_CHARS:
+        # no run fits past the limit, and runs within it sum to at most
+        # MAX_LITERAL_CHARS * len(text) squared characters
+        return
+    total = 0
+    for run in _LONG_RUN_RE.finditer(text):
+        length = run.end() - run.start()
+        _check_literal(length)
+        total += length * length
+        if total > LITERAL_BUDGET:
+            raise ValueError(
+                f"sum of squared literal lengths = {total} exceeds the limit of "
+                f"{LITERAL_BUDGET} (4 * MAX_LITERAL_CHARS**2)"
+            )
 
 
 def load_json(text: str):
-    """json.loads, refusing a text with a run of digits (its "-" counted)
-    longer than MAX_LITERAL_CHARS anywhere, so no integer literal past the
-    limit reaches int(); such a run inside a string is refused too."""
-    run = _LONG_RUN_RE.search(text)
-    if run:
-        _check_literal(run.group())
+    """json.loads, after check_literals(text): no integer literal past the
+    limits reaches int()."""
+    check_literals(text)
     return json.loads(text)
 
 

@@ -14,8 +14,10 @@ from fractions import Fraction
 from itertools import product
 
 from aybe.exactlin import (
+    LONG_LITERAL_CHARS,
     MAX_LITERAL_CHARS,
     RatMatrix,
+    check_literals,
     common_denominator,
     format_rational,
     load_json,
@@ -95,7 +97,8 @@ class Tensor4:
         exactly as json.dumps(..., indent=2) lays it out, plus a newline.
         Written from a fixed template; the values need no escaping, since
         format_rational writes only "-", digits and "/". A value longer than
-        MAX_LITERAL_CHARS, which loads would refuse, is refused here too."""
+        MAX_LITERAL_CHARS, or a text past exactlin.check_literals' budget,
+        which loads would refuse, is refused here too."""
         if not self._entries:
             return _EMPTY % self.n
         items = self.items()
@@ -107,13 +110,18 @@ class Tensor4:
                 f"{MAX_LITERAL_CHARS} (MAX_LITERAL_CHARS) that a tensor file can be read with"
             )
         body = ",\n".join([_ENTRY % (*key, text) for (key, _), text in zip(items, texts)])
-        return _FILE % (self.n, body)
+        text = _FILE % (self.n, body)
+        if longest >= LONG_LITERAL_CHARS:
+            check_literals(text)
+        return text
 
     @classmethod
     def loads(cls, text: str) -> "Tensor4":
         """Parse the text dumps writes, checking each entry once; the
         indices are range-checked by the constructor, after every entry.
-        A value or JSON integer longer than MAX_LITERAL_CHARS is refused."""
+        A text past exactlin.check_literals' limits is refused, and so is a
+        value longer than MAX_LITERAL_CHARS; each distinct value text is
+        parsed once."""
         obj = load_json(text)
         if not isinstance(obj, dict):
             raise ValueError("tensor JSON must be an object")
@@ -124,6 +132,7 @@ class Tensor4:
         if not isinstance(raw, list):
             raise ValueError("tensor JSON needs an 'entries' list")
         entries: dict[Quad, Fraction] = {}
+        parsed: dict[str, Fraction] = {}  # each distinct value text is parsed once
         for item in raw:
             if not isinstance(item, dict):
                 raise ValueError("tensor entries must be objects")
@@ -142,9 +151,11 @@ class Tensor4:
             value = item.get("value")
             if not isinstance(value, str):
                 raise ValueError("tensor entry values must be rational strings")
-            v = parse_rational(value)
-            if v == 0:
-                raise ValueError("explicit zero entry in tensor file")
+            v = parsed.get(value)
+            if v is None:
+                v = parsed[value] = parse_rational(value)
+                if v == 0:  # raised on the text's first use, so never a cached value
+                    raise ValueError("explicit zero entry in tensor file")
             key = (a, b, c, d)
             if key in entries:
                 raise ValueError(f"duplicate tensor entry at {key}")

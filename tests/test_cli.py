@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,14 +29,18 @@ from aybe.cli import (
     MAX_INPUT_BYTES,
     MAX_TENSOR_NONZEROS,
     COMMANDS,
+    REQUIRED,
+    _REPORT,
     _command_parser,
     _glue_negative_lambda,
+    _json_text,
     _parse,
+    _parse_well_formed,
     build_parser,
     main,
 )
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.exactlin import MAX_LITERAL_CHARS, RatMatrix, format_rational, matrix_to_json, parse_rational
+from aybe.exactlin import LITERAL_BUDGET, MAX_LITERAL_CHARS, RatMatrix, check_literals, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
 from aybe.tensor import Tensor4
 from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
@@ -134,6 +139,21 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(["verify", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+    # each distinct value text is parsed once; the checks stay as they were
+    one, other = {"upper": [0, 1], "lower": [0, 1]}, {"upper": [1, 0], "lower": [1, 0]}
+    not_text = "tensor entry values must be rational strings"
+    rows = [([{**one, "value": value}], not_text) for value in (["1"], {"p": "1"}, None, 1, 1.5, True)]
+    rows += [
+        ([{**one, "value": "1"}, {**other, "value": ["1"]}], not_text),
+        ([{**one, "value": "0"}, {**other, "value": "0"}], "explicit zero entry in tensor file"),
+        ([{**one, "value": "1"}, {**other, "value": "0"}, {**one, "value": "0"}], "explicit zero entry in tensor file"),
+        ([{**one, "value": "1"}, {**one, "value": "1"}], "duplicate tensor entry at (0, 1, 0, 1)"),
+        ([{**one, "value": "2"}, {**other, "value": "2"}, {**other, "value": "2"}], "duplicate tensor entry at (1, 0, 1, 0)"),
+    ]
+    for entries, message in rows:
+        path.write_text(json.dumps({"n": 2, "entries": entries}))
+        code, out, err = run(["verify", str(path)], capsys)
+        assert code == 2 and out == "" and err == f"aybe: error: {message}\n", entries
 
 
 def test_verify_deeply_nested_file_exit_2(tmp_path, capsys):
@@ -841,9 +861,78 @@ def test_command_parser_matches_full_parser(monkeypatch):
         assert _exit(_parse, argv) == _exit(build_parser().parse_args, argv), argv
 
 
+def _flat_options(cmd):
+    """--report and the command's options, its required group unpacked."""
+    out = [_REPORT]
+    for option in COMMANDS[cmd][2]:
+        out.extend(option if isinstance(option[0], tuple) else [option])
+    return out
+
+
+JUNK_VALUES = ["", "x", "-1", "-x", "1.5", "0", "--", "-h", "--report", "r.json", "2,1", "-1,3", "m1"]
+
+
+@st.composite
+def table_argv(draw):
+    """argv over one command's vocabulary: its options, now and then all the
+    required ones, in any order, in spaced or `=` form, exact or
+    abbreviated, repeated or missing, with valid, negative or junk values,
+    and `--`, help and stray arguments dropped in."""
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    options = _flat_options(cmd)
+    chosen = draw(st.lists(st.sampled_from(options), max_size=3, unique_by=lambda o: o[0]))
+    if draw(st.integers(0, 3)):
+        chosen += [o for o in options if o[3] is REQUIRED and o not in chosen]
+        if cmd == "transform" and not set(COMMANDS[cmd][2][1]) & set(chosen):
+            chosen.append(draw(st.sampled_from(COMMANDS[cmd][2][1])))
+    if draw(st.integers(0, 7)) == 0:
+        chosen.append(draw(st.sampled_from(options)))
+    argv = [cmd]
+    for flag, _, kind, _, _ in draw(st.permutations(chosen)):
+        if kind is int:
+            valid = st.integers(-2, 12).map(str)
+        elif kind is str or kind is bool:
+            valid = st.sampled_from(["r.json", "2,1", "0,1,5/2"])
+        else:
+            valid = st.sampled_from([*kind, "zz"])
+        value = draw(st.sampled_from(JUNK_VALUES) if draw(st.integers(0, 7)) == 0 else valid)
+        if not flag.startswith("-"):
+            argv.append(value)
+            continue
+        if draw(st.integers(0, 7)) == 0:
+            flag = flag[:draw(st.integers(2, len(flag)))]
+        form = draw(st.integers(0, 9))
+        if kind is bool:
+            argv.append(f"{flag}={value}" if form == 0 else flag)
+        else:
+            argv.extend([f"{flag}={value}"] if form < 5 else [flag, value] if form < 9 else [flag])
+    if draw(st.integers(0, 3)) == 0:
+        extra = draw(st.sampled_from(["--", "-h", "--help", "extra", "-x", "--bogus"]))
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_argv())
+@example(["closed-form", "--variant=m1", "--n", "3", "--lambda=-1,0,1", "--out="])
+@example(["transform", "t.json", "--transpose-dual", "--out", "o.json", "--report=r.json"])
+@example(["bracket", "r.json", "--m-size=2", "--check-jacobi", "--compare-closed-2m", "--lambda", "1,2"])
+@example(["bracket", "r.json", "--report=--"])  # argparse reads the value as []
+@example(["transform", "r.json", "--out", "o.json"])  # neither of the required group
+@example(["transform", "r.json", "--g", "g.json", "--transpose-dual", "--out", "o.json"])
+@example(["bracket", "r.json", "--c"])  # an ambiguous abbreviation
+@example(["closed-form", "--variant", "zz", "--n", "2", "--lambda", "2,1"])
+def test_table_parser_matches_argparse(argv):
+    """Whatever the COMMANDS table parser accepts, the command's parser
+    reads as the same arguments."""
+    args = _parse_well_formed(argv)
+    if args is not None:
+        assert vars(args) == vars(_command_parser(argv[0]).parse_args(argv[1:]))
+
+
 def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
-    """A call that names a command and gives it only its own arguments
-    builds that command's parser and no other; help, a missing or unknown
+    """A call that names a command and gives it only its own arguments, each
+    once and spelled out, builds no parser; help, a missing or unknown
     command and stray arguments build the full tree of seven."""
     monkeypatch.chdir(tmp_path)
     _write_report_inputs()
@@ -858,7 +947,7 @@ def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
     for argv, expected_code, _ in PINNED_REPORTS:
         built.clear()
         assert run(argv, capsys)[0] == expected_code
-        assert built == [f"aybe {argv[0]}"], argv
+        assert built == [], argv
     assert {argv[0] for argv, _, _ in PINNED_REPORTS} == set(COMMANDS)
 
     tree = ["aybe", *(f"aybe {name}" for name in COMMANDS)]
@@ -898,13 +987,18 @@ def test_cli_import_skips_dataclasses_and_inspect():
     """A cold `import aybe.cli` loads neither `dataclasses` nor the
     `inspect` it pulls in (with `ast`, `dis` and `tokenize`), which would
     add about 10 ms to every process that compiles them, nor `typing`
-    (about 4.6 ms); the annotations are postponed, so none is needed."""
+    (about 4.6 ms); the annotations are postponed, so none is needed. A
+    well-formed call after it loads neither `argparse` nor `shutil`, which
+    only help and error texts need."""
     src = str(Path(aybe.__file__).parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import aybe.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "code = aybe.cli.main(['cocycle', '--n', '2', '--m', '1', '--lambda', '2,1']); "
+            "loaded = {'dataclasses', 'inspect', 'typing', 'argparse', 'shutil'} & set(sys.modules); "
+            "print(code, sorted(loaded), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+    assert proc.stderr == "0 []\n"
 
 
 class _Started(BaseException):
@@ -1094,6 +1188,32 @@ def test_literal_limit_in_input_files(tmp_path, capsys):
         assert f"exceeds the limit of {MAX_LITERAL_CHARS}\n" in err
 
 
+def test_literal_budget_in_input_files(tmp_path, capsys, monkeypatch):
+    """66 distinct values of MAX_LITERAL_CHARS digits fit in the byte limit,
+    but int() would take seconds on them: the file is refused, naming the
+    budget, before any value is parsed. One such value still reads, and
+    runs of digits may sum to four such values squared."""
+    values = [f"{k + 1}".ljust(MAX_LITERAL_CHARS, "3") for k in range(66)]
+    keys = itertools.product(range(3), repeat=4)
+    entries = [{"upper": [a, b], "lower": [c, d], "value": v} for (a, b, c, d), v in zip(keys, values)]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 3, "entries": entries}))
+    assert path.stat().st_size <= MAX_INPUT_BYTES
+    with monkeypatch.context() as patched:
+        patched.setattr("aybe.tensor.parse_rational", _start)
+        t0 = time.perf_counter()
+        code, out, err = run(["verify", str(path)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert f"exceeds the limit of {LITERAL_BUDGET} (4 * MAX_LITERAL_CHARS**2)\n" in err
+    path.write_text(json.dumps({"n": 3, "entries": entries[:1]}))
+    assert run(["verify", str(path)], capsys)[0] == 1  # not skew-symmetric
+    run_text = "-" + "9" * (MAX_LITERAL_CHARS - 1)
+    check_literals(",".join([run_text] * 4 + ["7" * 4299] * 50))
+    with pytest.raises(ValueError, match=f"= {5 * MAX_LITERAL_CHARS**2} exceeds the limit of {LITERAL_BUDGET} "):
+        check_literals("/".join([run_text] * 5))
+
+
 def test_transform_refuses_output_past_literal_limit(tmp_path, capsys):
     """transform writes an entry of MAX_LITERAL_CHARS characters, which
     verify reads; an output entry one character longer exits 2 naming the
@@ -1116,6 +1236,27 @@ def test_transform_refuses_output_past_literal_limit(tmp_path, capsys):
                 f"of {MAX_LITERAL_CHARS} (MAX_LITERAL_CHARS) that a tensor file can be read with\n"
             )
         out_path.unlink(missing_ok=True)
+
+
+JSON_STRING = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600 a') | st.characters(), max_size=6)
+JSON_DOC = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(4300, 6000).map(lambda k: 7 * 10**k - 1)  # past the default int/str limit
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(0, 1e5).map(lambda t: round(t, 3))  # as timing_ms
+    | JSON_STRING,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(JSON_STRING, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOC)
+@example({"a": [], "b": {}, "c": [{}, []], "": [[1, -2.5], None]})
+def test_json_text_is_json_dumps_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
 # --- exit-code contract over generated command lines ----------------------

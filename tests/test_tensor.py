@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import aybe
 from aybe.closedform import r_closed_m1
 from aybe.exactlin import (
+    LITERAL_BUDGET,
     MAX_LITERAL_CHARS,
     RatMatrix,
     SingularMatrix,
@@ -332,6 +333,12 @@ def test_dumps_refuses_what_loads_refuses():
     past = Tensor4(2, {(0, 1, 0, 1): Fraction(-(10 ** (MAX_LITERAL_CHARS - 3)), 7), (1, 0, 1, 0): 1})
     with pytest.raises(ValueError, match=f"length = {MAX_LITERAL_CHARS + 1} characters exceeds the limit of {MAX_LITERAL_CHARS} "):
         past.dumps()
+    # five entries of MAX_LITERAL_CHARS characters each fit the per-entry
+    # limit, but loads would refuse the file for its summed literal lengths
+    value = Fraction(10 ** (MAX_LITERAL_CHARS - 1))
+    many = Tensor4(2, dict.fromkeys([(0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 0, 1)], value))
+    with pytest.raises(ValueError, match=f"= {5 * MAX_LITERAL_CHARS**2} exceeds the limit of {LITERAL_BUDGET} "):
+        many.dumps()
 
 
 def test_json_round_trip_past_the_digit_limit():
