@@ -454,18 +454,19 @@ def _formatter():
     return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
-def _add_option(p, flag: str, dest: str, kind, default, help: str | None) -> None:
+def _add_option(p, flag: str, dest: str, kind, default, text: str | None) -> None:
+    """One option of the COMMANDS table, added as argparse declares it."""
     if not flag.startswith("-"):
-        p.add_argument(flag, help=help)
+        p.add_argument(flag, help=text)
         return
     if kind is bool:
-        p.add_argument(flag, dest=dest, action="store_true", help=help)
+        p.add_argument(flag, dest=dest, action="store_true", help=text)
         return
     how = {"type": int} if kind is int else {} if kind is str else {"choices": kind}
     if default is REQUIRED:
-        p.add_argument(flag, dest=dest, required=True, help=help, **how)
+        p.add_argument(flag, dest=dest, required=True, help=text, **how)
     else:
-        p.add_argument(flag, dest=dest, default=default, help=help, **how)
+        p.add_argument(flag, dest=dest, default=default, help=text, **how)
 
 
 def _add_command_options(p: argparse.ArgumentParser, name: str) -> None:

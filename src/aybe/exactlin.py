@@ -23,6 +23,8 @@ from fractions import Fraction
 __all__ = [
     "SingularMatrix",
     "MAX_LITERAL_CHARS",
+    "LONG_LITERAL_CHARS",
+    "LITERAL_BUDGET",
     "check_literals",
     "parse_rational",
     "load_json",

@@ -861,14 +861,6 @@ def test_command_parser_matches_full_parser(monkeypatch):
         assert _exit(_parse, argv) == _exit(build_parser().parse_args, argv), argv
 
 
-def _flat_options(cmd):
-    """--report and the command's options, its required group unpacked."""
-    out = [_REPORT]
-    for option in COMMANDS[cmd][2]:
-        out.extend(option if isinstance(option[0], tuple) else [option])
-    return out
-
-
 JUNK_VALUES = ["", "x", "-1", "-x", "1.5", "0", "--", "-h", "--report", "r.json", "2,1", "-1,3", "m1"]
 
 
@@ -879,7 +871,9 @@ def table_argv(draw):
     abbreviated, repeated or missing, with valid, negative or junk values,
     and `--`, help and stray arguments dropped in."""
     cmd = draw(st.sampled_from(sorted(COMMANDS)))
-    options = _flat_options(cmd)
+    options = [_REPORT]  # and the command's options, its required group unpacked
+    for option in COMMANDS[cmd][2]:
+        options.extend(option if isinstance(option[0], tuple) else [option])
     chosen = draw(st.lists(st.sampled_from(options), max_size=3, unique_by=lambda o: o[0]))
     if draw(st.integers(0, 3)):
         chosen += [o for o in options if o[3] is REQUIRED and o not in chosen]
