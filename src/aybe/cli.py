@@ -12,27 +12,28 @@ files, renamed into place only after the stdout report is written, so a
 run that exits 2 or 4 leaves no file behind.
 
 The `COMMANDS` table declares each command's options as data, and each
-`main` call reads its arguments afresh from it. A well-formed call (the
-command, then only its own options, spelled out and each given once, and
-its positional) is read from the table directly: no parser is built, and
-`argparse` is not imported. Any other argv (help, abbreviations, repeats,
-`--`, bad values, stray arguments) goes to argparse parsers built from the
-same table: the command's parser alone when the first argument names a
-command, and the full tree (`build_parser()`: a top-level parser and one
-subparser per command) for any other first argument, or when the
-command's parser leaves arguments unrecognized. Help and error texts and
-exit codes are the same on every path. Reports and bracket files are
-written by `_json_text`, byte for byte as json.dumps(..., indent=2).
+`main` call reads its arguments afresh from it, on one of two paths. A
+well-formed call (the command, then only its own options, spelled out and
+each given once, and its positional) is read from the table directly: no
+parser is built, and `argparse` is not imported. Any other argv (help,
+abbreviations, repeats, `--`, bad values, stray arguments, a missing or
+unknown command) goes to the full argparse tree built from the same table
+(`build_parser()`: a top-level parser and one subparser per command).
+Both paths read a call alike, and help and error texts and exit codes come
+from the tree alone. Reports and bracket files are written by `_json_text`,
+byte for byte as json.dumps(..., indent=2).
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 from types import SimpleNamespace
 
 from aybe.closedform import VARIANTS, r_closed
@@ -444,16 +445,6 @@ def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], fn=fn, **values)
 
 
-def _formatter():
-    # argparse reads the terminal size for the formatter that each
-    # add_argument builds; read it once per parser build instead.
-    import argparse
-    import functools
-    import shutil
-
-    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
 def _add_option(p, flag: str, dest: str, kind, default, text: str | None) -> None:
     """One option of the COMMANDS table, added as argparse declares it."""
     if not flag.startswith("-"):
@@ -469,23 +460,10 @@ def _add_option(p, flag: str, dest: str, kind, default, text: str | None) -> Non
         p.add_argument(flag, dest=dest, default=default, help=text, **how)
 
 
-def _add_command_options(p: argparse.ArgumentParser, name: str) -> None:
-    fn, _, options = COMMANDS[name]
-    p.set_defaults(fn=fn)
-    for option in (_REPORT, *options):
-        if isinstance(option[0], tuple):
-            group = p.add_mutually_exclusive_group(required=True)
-            for member in option:
-                _add_option(group, *member)
-        else:
-            _add_option(p, *option)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full tree: the top-level parser and one subparser per command."""
     import argparse
 
-    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="aybe",
         description=(
@@ -493,46 +471,37 @@ def build_parser() -> argparse.ArgumentParser:
             "of the associative Yang-Baxter equation, and derive the induced "
             "quadratic Poisson brackets."
         ),
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, _) in COMMANDS.items():
-        _add_command_options(sub.add_parser(name, help=summary, formatter_class=formatter), name)
+    for name, (fn, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        for option in (_REPORT, *options):
+            if isinstance(option[0], tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for member in option:
+                    _add_option(group, *member)
+            else:
+                _add_option(p, *option)
     return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The subparser build_parser() makes for `name`, built on its own."""
-    import argparse
-
-    p = argparse.ArgumentParser(prog=f"aybe {name}", formatter_class=_formatter())
-    p.set_defaults(command=name)
-    _add_command_options(p, name)
-    return p
 
 
 def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """A well-formed call is read from the COMMANDS table, with no parser
-    built. Any other argv goes to argparse: to the command's parser alone
-    when argv[0] names a command, since the full tree would hand argv[1:]
-    to that same parser, which prints the same help and errors. The tree is
-    built only when argv[0] is not a command (help, a missing or unknown
-    command, a top-level option, `--`) or the command leaves arguments
-    unrecognized, which only the tree's top-level parser reports."""
+    built; any other argv (help, abbreviations, repeats, `--`, bad values,
+    stray arguments, a missing or unknown command) goes to the full tree,
+    which reads it or exits with its usage error."""
     args = _parse_well_formed(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _check_output_paths(args) -> None:
     """Reject paths that cannot be written as files, and an output that
     names an input or the other output, before any work, so a failed run
-    leaves every file as it was."""
+    leaves every file as it was. An output must be a regular file or a
+    free name in an existing directory: the rename would replace a FIFO or
+    a device, or a symlink to one, with a regular file. One stat answers
+    for an existing output."""
     inputs = {"tensor": getattr(args, "tensor", None), "--g": getattr(args, "g", None),
               "--compare": getattr(args, "compare", None)}
     outputs = {"--out": getattr(args, "out", None), "--report": args.report}
@@ -542,10 +511,20 @@ def _check_output_paths(args) -> None:
             continue
         real = os.path.realpath(path)
         if name in outputs:
-            if Path(path).is_dir():
+            try:
+                mode = os.stat(path or ".").st_mode  # Path("") is "."
+            except OSError as exc:
+                if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+                    raise
+                mode = None  # free, or a broken link the rename replaces
+            if mode is None:
+                # a trailing separator names a directory; Path("d/").parent is "."
+                if path.endswith(os.sep) or not Path(path).parent.is_dir():
+                    raise ValueError(f"output directory does not exist: {path!r}")
+            elif S_ISDIR(mode):
                 raise ValueError(f"output path is a directory: {path!r}")
-            if not Path(path).parent.is_dir():
-                raise ValueError(f"output directory does not exist: {path!r}")
+            elif not S_ISREG(mode):
+                raise ValueError(f"output path is not a regular file: {path!r}")
             if real in named:
                 raise ValueError(f"{named[real]} and {name} name the same file: {path!r}")
         named.setdefault(real, name)

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -31,7 +32,6 @@ from aybe.cli import (
     COMMANDS,
     REQUIRED,
     _REPORT,
-    _command_parser,
     _glue_negative_lambda,
     _json_text,
     _parse,
@@ -808,10 +808,8 @@ def _exit(fn, argv):
 
 
 def test_command_parser_matches_full_parser(monkeypatch):
-    """`main` parses a line that starts with a command with that command's
-    parser alone. That parser reads each line it accepts as the full tree
-    does, and `main` fails on the same lines with the same exit code and
-    text."""
+    """`main` reads each line the full tree accepts as the tree does, and
+    fails on the same lines with the same exit code and text."""
     monkeypatch.setenv("COLUMNS", "100")
     negative = {
         "construct": ["--n", "3", "--m", "1", "--out", "r.json"],
@@ -827,8 +825,8 @@ def test_command_parser_matches_full_parser(monkeypatch):
     ]
     for argv in lines:
         argv = _glue_negative_lambda(argv)
-        assert _command_parser(argv[0]).parse_args(argv[1:]) == build_parser().parse_args(argv), argv
-    takes_lambda = {cmd for cmd in COMMANDS if "--lambda" in _command_parser(cmd).format_usage()}
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
+    takes_lambda = {cmd for cmd, (_, _, options) in COMMANDS.items() if any(o[0] == "--lambda" for o in options)}
     assert set(negative) == takes_lambda
 
     exits = [
@@ -917,11 +915,11 @@ def table_argv(draw):
 @example(["bracket", "r.json", "--c"])  # an ambiguous abbreviation
 @example(["closed-form", "--variant", "zz", "--n", "2", "--lambda", "2,1"])
 def test_table_parser_matches_argparse(argv):
-    """Whatever the COMMANDS table parser accepts, the command's parser
-    reads as the same arguments."""
+    """Whatever the COMMANDS table parser accepts, the full tree reads as
+    the same arguments."""
     args = _parse_well_formed(argv)
     if args is not None:
-        assert vars(args) == vars(_command_parser(argv[0]).parse_args(argv[1:]))
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
@@ -951,7 +949,30 @@ def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
         assert built == tree, argv
     built.clear()
     assert _exit(main, ["verify", "zero.json", "extra"])[0] == 2
-    assert built == ["aybe verify", *tree]
+    assert built == tree
+
+
+def test_argparse_fallback_runs_commands(tmp_path, capsys, monkeypatch):
+    """argv that only the full tree reads (an abbreviation, a repeat whose
+    last value wins, `--` before the positional, a spaced negative value)
+    runs the command as its well-formed spelling does."""
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    pairs = [
+        (["bracket", "r.json", "--chec"], ["bracket", "r.json", "--check-jacobi"]),
+        (["cocycle", "--n", "2", "--n", "3", "--m", "1", "--lambda", "0,1,2"],
+         ["cocycle", "--n", "3", "--m", "1", "--lambda", "0,1,2"]),
+        (["verify", "--", "r.json"], ["verify", "r.json"]),
+    ]
+    for fallback, well_formed in pairs:
+        assert _parse_well_formed(fallback) is None and _parse_well_formed(well_formed) is not None
+        code, out, err = run(fallback, capsys)
+        expected_code, expected_out, expected_err = run(well_formed, capsys)
+        assert code == expected_code == 0 and err == expected_err == "", fallback
+        assert _without_timing(out) == _without_timing(expected_out), fallback
+    fallback, well_formed = ["bracket", "r.json", "--m-size", "-1"], ["bracket", "r.json", "--m-size=-1"]
+    assert _parse_well_formed(fallback) is None and _parse_well_formed(well_formed) is not None
+    assert run(fallback, capsys) == run(well_formed, capsys) == (2, "", "aybe: error: matrix size must be >= 1\n")
 
 
 def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
@@ -1115,6 +1136,43 @@ def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
     code, out, err = run(["bracket", str(path), "--check-jacobi"], capsys)
     assert code == 2 and out == ""
     assert f"tensor nonzeros * m_size^4 = 42528 exceeds the limit of {MAX_BRACKET_TERMS}" in err
+
+
+@pytest.mark.parametrize("target", ["fifo", "link"])
+def test_output_not_a_regular_file_exit_2(tmp_path, capsys, monkeypatch, no_work, target):
+    """The rename into place would replace a FIFO or a device, or a symlink
+    to one, with a regular file: such an `--out` or `--report` is refused
+    before any work, and left as it was."""
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    Path("link").symlink_to("fifo")
+    Path("r.json").write_text(Tensor4(2).dumps())
+    for argv in (["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out", target],
+                 ["verify", "r.json", "--report", target]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"aybe: error: output path is not a regular file: {target!r}\n"), argv
+        assert stat.S_ISFIFO(os.stat("fifo").st_mode) and os.readlink("link") == "fifo"
+        assert sorted(os.listdir()) == ["fifo", "link", "r.json"]
+
+
+def test_output_path_ending_in_separator_exit_2(tmp_path, capsys, monkeypatch, no_work):
+    """A path ending in a separator names a directory, whether or not it
+    exists (`Path("nodir/").parent` is "."), and is refused before any
+    work."""
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text(Tensor4(2).dumps())
+    Path("dir").mkdir()
+    construct = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1", "--out"]
+    cases = [
+        (construct + ["nodir/"], "output directory does not exist: 'nodir/'"),
+        (["verify", "r.json", "--report", "nodir/"], "output directory does not exist: 'nodir/'"),
+        (construct + ["r.json/"], "output directory does not exist: 'r.json/'"),
+        (construct + ["dir/"], "output path is a directory: 'dir/'"),
+        (["verify", "r.json", "--report", "dir/"], "output path is a directory: 'dir/'"),
+    ]
+    for argv, message in cases:
+        assert run(argv, capsys) == (2, "", f"aybe: error: {message}\n"), argv
+        assert sorted(os.listdir()) == ["dir", "r.json"] and os.listdir("dir") == []
 
 
 # (argv, the input file padded with trailing whitespace); paths are
