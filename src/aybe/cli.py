@@ -389,8 +389,8 @@ def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     spaced value starting with "-" and no value "--"; its one positional,
     if it has one; every required option; and exactly one option of a
     required group. Values are converted and checked as argparse would, so
-    the result equals what the command's parser returns; nothing is
-    reported here: _parse hands any other argv to argparse."""
+    the result equals build_parser().parse_args(argv); nothing is reported
+    here: _parse hands any other argv to argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
     fn, _, options = COMMANDS[argv[0]]
@@ -500,8 +500,8 @@ def _check_output_paths(args) -> None:
     names an input or the other output, before any work, so a failed run
     leaves every file as it was. An output must be a regular file or a
     free name in an existing directory: the rename would replace a FIFO or
-    a device, or a symlink to one, with a regular file. One stat answers
-    for an existing output."""
+    a device, or a symlink to one, with a regular file. An empty output
+    path is refused. One stat answers for an existing output."""
     inputs = {"tensor": getattr(args, "tensor", None), "--g": getattr(args, "g", None),
               "--compare": getattr(args, "compare", None)}
     outputs = {"--out": getattr(args, "out", None), "--report": args.report}
@@ -511,8 +511,10 @@ def _check_output_paths(args) -> None:
             continue
         real = os.path.realpath(path)
         if name in outputs:
+            if not path:
+                raise ValueError(f"output path is empty: {name}")
             try:
-                mode = os.stat(path or ".").st_mode  # Path("") is "."
+                mode = os.stat(path).st_mode
             except OSError as exc:
                 if exc.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
                     raise

@@ -1,19 +1,16 @@
 """The three explicit tensor families that the Gram-inverse construction
-is checked against.
-
-Variants:
+is checked against. Each variant checks its own lambda, then calls one
+kernel, `_r_closed`, which holds for every lambda that is pairwise
+distinct within each residue class mod m:
   m1       single-index blocks (m == 1), pairwise-distinct lambda
   block    lambda equal exactly within blocks of m consecutive indices
   distinct lambda pairwise distinct, any proper divisor m
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import prod
 
-from aybe.frobenius import LambdaSpec, bar_index
+from aybe.frobenius import LambdaSpec
 from aybe.tensor import Tensor4
 
 __all__ = [
@@ -25,58 +22,8 @@ __all__ = [
 ]
 
 
-def r_closed_m1(lam: LambdaSpec) -> Tensor4:
-    """Single-block family: for every ordered pair (a, b), a != b,
-
-        r^{ab}_{ab} = r^{ba}_{ab} = r^{aa}_{ba} = -r^{aa}_{ab} = 1/(l_a - l_b),
-
-    all other components zero.
-    """
-    if lam.m != 1:
-        raise ValueError("the m1 family requires m == 1")
-    lam.require_distinct()
-    vals = lam.values
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for a, b in product(range(lam.n), repeat=2):
-        if a == b:
-            continue
-        v = 1 / (vals[a] - vals[b])
-        entries[(a, b, a, b)] = v
-        entries[(b, a, a, b)] = v
-        entries[(a, a, b, a)] = v
-        entries[(a, a, a, b)] = -v
-    return Tensor4(lam.n, entries)
-
-
-def r_closed_block(lam: LambdaSpec) -> Tensor4:
-    """Block-pattern family:
-
-        r^{ab}_{cd} = (d^a_d - d^a_{bar(d,c)}) (d^b_c - d^b_{bar(c,d)}) / (l_c - l_d)
-
-    for c, d in different blocks, zero otherwise. When c and d share a
-    block both delta factors vanish identically, so the value is zero
-    without ever dividing by l_c - l_d.
-    """
-    if not lam.has_block_pattern():
-        raise ValueError("lambda does not match the block pattern")
-    n, m = lam.n, lam.m
-    vals = lam.values
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for c, d in product(range(n), repeat=2):
-        if c // m == d // m:
-            continue
-        v = 1 / (vals[c] - vals[d])
-        dbar = bar_index(d, c, m)
-        cbar = bar_index(c, d, m)
-        entries[(d, c, c, d)] = v
-        entries[(d, cbar, c, d)] = -v
-        entries[(dbar, c, c, d)] = -v
-        entries[(dbar, cbar, c, d)] = v
-    return Tensor4(n, entries)
-
-
-def r_closed_distinct(lam: LambdaSpec) -> Tensor4:
-    """Distinct-lambda family, applied case by case in fixed precedence:
+def _r_closed(lam: LambdaSpec) -> Tensor4:
+    """The tensor, applied case by case in fixed precedence:
 
     1. zero unless a = d and b = c mod m;
     2. r^{aa}_{ea} = -r^{aa}_{ae} = w[a][e] for e ~ a, e != a;
@@ -90,43 +37,94 @@ def r_closed_distinct(lam: LambdaSpec) -> Tensor4:
         q[a][c] = P[a][c] / P[a][a],
         w[a][b] = 1 / (l_a - l_b).
 
-    q[a][c] is zero when c ~ a and c != a, since P[a][c] then has the
-    factor l_a - l_a. The tables cost n^3/m Fraction operations; the loop
-    then visits only the n^4/m^2 congruent quadruples, going through the
-    residue classes, with O(1) Fraction operations each.
+    It holds wherever lambda is pairwise distinct within each residue
+    class, so that P[a][a] != 0. Row a of q is kept as its nonzeros per
+    class, in n^2 work: where a k in the class has l_k = l_a (at most one
+    does; in a's own class, a), q[a][c] is nonzero only at c = k, and
+    otherwise P[a][c] = F w[a][c], F the product over the whole class.
+    Where l_a = l_b across classes the factor l_a - l_b cancels: case 4 is
+    sum_{k~b, k!=b} w[b][k] - sum_{k~a, k!=a} w[b][k], and case 5 is
+    w[b][c] at d = a, -w[a][d] at c = b and zero otherwise, which at b = a
+    is case 2. Only congruent quadruples with nonzero q are visited, and an
+    exact 1 is not multiplied by.
     """
-    lam.require_distinct()
     n, m = lam.n, lam.m
     vals = lam.values
     classes = [range(r, n, m) for r in range(m)]
-    P = [
-        [prod((la - vals[k] for k in classes[c % m] if k != c), start=Fraction(1)) for c in range(n)]
-        for la in vals
-    ]
-    q = [[p / row[a] for p in row] for a, row in enumerate(P)]
-    w = [[1 / (la - lb) if la != lb else None for lb in vals] for la in vals]
+    w = [[None] * n for _ in vals]  # None where l_a = l_b
+    for a, b in ((a, b) for a in range(n) for b in range(a) if vals[a] != vals[b]):
+        w[a][b] = x = 1 / (vals[a] - vals[b])
+        w[b][a] = -x
+    q = []  # q[a][r] = {c: q[a][c]} over the nonzeros in class r
+    for a in range(n):
+        wa, prods = w[a], []
+        for cls in classes:
+            k, f = None, Fraction(1)  # f is P[a][k] where l_k = l_a, else F
+            for j in cls:
+                if wa[j] is None:
+                    k = j
+                else:
+                    f /= wa[j]
+            prods.append((cls, k, f))
+        own, row = prods[a % m][2], []
+        for cls, k, f in prods:
+            g = 1 if f == own else f / own
+            row.append({k: g} if k is not None else {c: g * wa[c] for c in cls})
+        q.append(row)
     entries: dict[tuple[int, int, int, int], Fraction] = {}
     for a in range(n):
-        same = classes[a % m]
-        for e in same:
-            if e != a:
-                entries[(a, a, e, a)] = w[a][e]
-                entries[(a, a, a, e)] = -w[a][e]
+        same, wa, qa = classes[a % m], w[a], q[a]
         for b in range(n):
-            if b == a:
+            wab, other, qac, qbd = wa[b], classes[b % m], qa[b % m], q[b][a % m]
+            if wab is None:  # b = a, or l_a = l_b across classes
+                wb = w[b]
+                if b != a:
+                    entries[(a, b, b, a)] = (sum(wb[k] for k in other if k != b)
+                                             - sum(wb[k] for k in same if k != a))
+                entries.update({(a, b, c, a): wb[c] for c in other if c != b})
+                entries.update({(a, b, b, d): w[d][a] for d in same if d != a})
                 continue
-            wab = w[a][b]
-            # case 4 first: when b ~ a, q[a][b] is zero and the skip below
-            # would pass over (b, a)
-            entries[(a, b, b, a)] = (q[a][b] * q[b][a] - 1) * wab
-            for c in classes[b % m]:
-                x = q[a][c] * wab
-                if not x:
-                    continue
-                for d in same:
-                    if c != b or d != a:
-                        entries[(a, b, c, d)] = x * q[b][d]
+            qq = qac.get(b, 0) * qbd.get(a, 0)
+            entries[(a, b, b, a)] = (qq - 1) * wab if qq else w[b][a]
+            for c, x in qac.items():
+                x = wab if x == 1 else x * wab
+                for d, y in qbd.items():
+                    if c != b or d != a:  # case 4 is written above
+                        entries[(a, b, c, d)] = x if y == 1 else x * y
     return Tensor4(n, entries)
+
+
+def r_closed_m1(lam: LambdaSpec) -> Tensor4:
+    """Single-block family: for every ordered pair (a, b), a != b,
+
+        r^{ab}_{ab} = r^{ba}_{ab} = r^{aa}_{ba} = -r^{aa}_{ab} = 1/(l_a - l_b),
+
+    all other components zero.
+    """
+    if lam.m != 1:
+        raise ValueError("the m1 family requires m == 1")
+    lam.require_distinct()
+    return _r_closed(lam)
+
+
+def r_closed_block(lam: LambdaSpec) -> Tensor4:
+    """Block-pattern family:
+
+        r^{ab}_{cd} = (d^a_d - d^a_{bar(d,c)}) (d^b_c - d^b_{bar(c,d)}) / (l_c - l_d)
+
+    for c, d in different blocks, zero otherwise. When c and d share a
+    block both delta factors vanish identically, so the value is zero
+    without ever dividing by l_c - l_d.
+    """
+    if not lam.has_block_pattern():
+        raise ValueError("lambda does not match the block pattern")
+    return _r_closed(lam)
+
+
+def r_closed_distinct(lam: LambdaSpec) -> Tensor4:
+    """Distinct-lambda family: lambda pairwise distinct, any proper divisor m."""
+    lam.require_distinct()
+    return _r_closed(lam)
 
 
 def r_closed(variant: str, lam: LambdaSpec) -> Tensor4:

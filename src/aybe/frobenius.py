@@ -9,8 +9,8 @@ It is n(n-m)-dimensional, with basis elements
 
 where bar(i,j) keeps i's residue mod m but takes j's block. The bilinear
 form is (x, y) = tr([x, y] diag(lambda_0, ..., lambda_{n-1})); it is a
-cyclic 2-cocycle for any lambda, and non-degenerate in particular when
-the lambda pattern matches the blocks or when all lambda are distinct.
+cyclic 2-cocycle for any lambda, and non-degenerate exactly when lambda
+is pairwise distinct within each residue class mod m.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from math import prod
 from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
-from aybe.frobenius import DegenerateForm, LambdaSpec, _entries, _pairings, build_basis, make_lambda
+from aybe.frobenius import DegenerateForm, LambdaSpec, _entries, _pairings, bar_index, build_basis, make_lambda
 from aybe.poisson import QuadraticBracket
 from aybe.tensor import Tensor4
 
@@ -195,6 +195,65 @@ def membership_check(a: RatMatrix, n: int, m: int) -> bool:
             if sum((a[i][j] for i in range(res, n, m)), Fraction(0)):
                 return False
     return True
+
+
+# every (n, m) with n <= 10 whose residue classes hold at most four
+# indices, so that lambda_i in {0..3} can meet nondegenerate's criterion
+NM_SMALL_CLASSES = [(2, 1), (3, 1), (4, 1), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5)]
+
+
+def nondegenerate(lam: LambdaSpec) -> bool:
+    """The exact criterion for the trace form to be nondegenerate: lambda
+    is pairwise distinct within each residue class mod m."""
+    return all(len(set(lam.values[r :: lam.m])) == lam.n // lam.m for r in range(lam.m))
+
+
+def r_closed_m1_printed(lam: LambdaSpec) -> Tensor4:
+    """The m1 family as printed: for every ordered pair (a, b), a != b,
+
+        r^{ab}_{ab} = r^{ba}_{ab} = r^{aa}_{ba} = -r^{aa}_{ab} = 1/(l_a - l_b),
+
+    all other components zero."""
+    if lam.m != 1:
+        raise ValueError("the m1 family requires m == 1")
+    lam.require_distinct()
+    vals = lam.values
+    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    for a, b in product(range(lam.n), repeat=2):
+        if a == b:
+            continue
+        v = 1 / (vals[a] - vals[b])
+        entries[(a, b, a, b)] = v
+        entries[(b, a, a, b)] = v
+        entries[(a, a, b, a)] = v
+        entries[(a, a, a, b)] = -v
+    return Tensor4(lam.n, entries)
+
+
+def r_closed_block_printed(lam: LambdaSpec) -> Tensor4:
+    """The block-pattern family as printed:
+
+        r^{ab}_{cd} = (d^a_d - d^a_{bar(d,c)}) (d^b_c - d^b_{bar(c,d)}) / (l_c - l_d)
+
+    for c, d in different blocks, zero otherwise. When c and d share a
+    block both delta factors vanish identically, so the value is zero
+    without ever dividing by l_c - l_d."""
+    if not lam.has_block_pattern():
+        raise ValueError("lambda does not match the block pattern")
+    n, m = lam.n, lam.m
+    vals = lam.values
+    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    for c, d in product(range(n), repeat=2):
+        if c // m == d // m:
+            continue
+        v = 1 / (vals[c] - vals[d])
+        dbar = bar_index(d, c, m)
+        cbar = bar_index(c, d, m)
+        entries[(d, c, c, d)] = v
+        entries[(d, cbar, c, d)] = -v
+        entries[(dbar, c, c, d)] = -v
+        entries[(dbar, cbar, c, d)] = v
+    return Tensor4(n, entries)
 
 
 def _class_prod(vals, pivot: Fraction, idx: int, m: int) -> Fraction:

@@ -807,7 +807,7 @@ def _exit(fn, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-def test_command_parser_matches_full_parser(monkeypatch):
+def test_parse_matches_full_parser(monkeypatch):
     """`main` reads each line the full tree accepts as the tree does, and
     fails on the same lines with the same exit code and text."""
     monkeypatch.setenv("COLUMNS", "100")
@@ -922,7 +922,7 @@ def test_table_parser_matches_argparse(argv):
         assert vars(args) == vars(build_parser().parse_args(argv))
 
 
-def test_well_formed_call_builds_one_parser(tmp_path, capsys, monkeypatch):
+def test_only_ill_formed_calls_build_parsers(tmp_path, capsys, monkeypatch):
     """A call that names a command and gives it only its own arguments, each
     once and spelled out, builds no parser; help, a missing or unknown
     command and stray arguments build the full tree of seven."""
@@ -1158,7 +1158,7 @@ def test_output_not_a_regular_file_exit_2(tmp_path, capsys, monkeypatch, no_work
 def test_output_path_ending_in_separator_exit_2(tmp_path, capsys, monkeypatch, no_work):
     """A path ending in a separator names a directory, whether or not it
     exists (`Path("nodir/").parent` is "."), and is refused before any
-    work."""
+    work; so is an empty path, which names no file at all."""
     monkeypatch.chdir(tmp_path)
     Path("r.json").write_text(Tensor4(2).dumps())
     Path("dir").mkdir()
@@ -1169,6 +1169,8 @@ def test_output_path_ending_in_separator_exit_2(tmp_path, capsys, monkeypatch, n
         (construct + ["r.json/"], "output directory does not exist: 'r.json/'"),
         (construct + ["dir/"], "output path is a directory: 'dir/'"),
         (["verify", "r.json", "--report", "dir/"], "output path is a directory: 'dir/'"),
+        (construct + [""], "output path is empty: --out"),
+        (["verify", "r.json", "--report="], "output path is empty: --report"),
     ]
     for argv, message in cases:
         assert run(argv, capsys) == (2, "", f"aybe: error: {message}\n"), argv

@@ -2,18 +2,76 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aybe.closedform import (
+    _r_closed,
     r_closed,
     r_closed_block,
     r_closed_distinct,
     r_closed_m1,
 )
+from aybe.exactlin import RatMatrix
 from aybe.frobenius import make_lambda, r_from_algebra
-from aybe.tensor import aybe_report, compare_tensors
-from oracles import r_closed_distinct_reference, rand_block_lambda, rand_distinct_lambda
+from aybe.tensor import Tensor4, aybe_report, compare_tensors, gl_transform
+from oracles import (
+    NM_SMALL_CLASSES,
+    nondegenerate,
+    r_closed_block_printed,
+    r_closed_distinct_reference,
+    r_closed_m1_printed,
+    rand_block_lambda,
+    rand_distinct_lambda,
+    unrelated_denominators,
+)
+
+LAMBDA_FAMILIES = {
+    "small": st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
+    "30-bit": st.integers(2**29, 2**30),
+    "2000-digit": st.builds(Fraction, st.integers(10**1999, 10**2000), st.integers(1, 2**30)),
+}
+
+
+@st.composite
+def distinct_lambda(draw, m1=False):
+    """n <= 9 with any proper divisor m, m = 1 included (the only one when
+    m1); 2000-digit values only up to n = 5, where the oracle's n^5/m^3
+    products of 2000-digit numbers still take well under a second."""
+    family = draw(st.sampled_from(list(LAMBDA_FAMILIES)))
+    n = draw(st.integers(2, 5 if family == "2000-digit" else 9))
+    m = 1 if m1 else draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    values = draw(st.lists(LAMBDA_FAMILIES[family], min_size=n, max_size=n, unique=True))
+    return make_lambda(n, m, values)
+
+
+@st.composite
+def block_lambda(draw):
+    """lambda equal exactly within blocks of m, m = 1 included, with the
+    sizes and families of distinct_lambda."""
+    family = draw(st.sampled_from(list(LAMBDA_FAMILIES)))
+    n = draw(st.integers(2, 5 if family == "2000-digit" else 9))
+    m = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    blocks = draw(st.lists(LAMBDA_FAMILIES[family], min_size=n // m, max_size=n // m, unique=True))
+    return make_lambda(n, m, [blocks[i // m] for i in range(n)])
+
+
+@st.composite
+def nondegenerate_lambda(draw):
+    """lambda_i in {0..3}, pairwise distinct within each residue class mod
+    m but often equal across classes (mode OTHER)."""
+    n, m = draw(st.sampled_from(NM_SMALL_CLASSES))
+    cls = [draw(st.lists(st.integers(0, 3), min_size=n // m, max_size=n // m, unique=True)) for _ in range(m)]
+    return make_lambda(n, m, [cls[i % m][i // m] for i in range(n)])
+
+
+@st.composite
+def unrelated_lambda(draw):
+    """lambda over unrelated_denominators at (5,1) or (6,3), where
+    r_from_algebra keeps lambda's Fractions."""
+    n, m = draw(st.sampled_from([(5, 1), (6, 3)]))
+    nums = st.integers(-50, 50).filter(bool)
+    return make_lambda(n, m, [Fraction(draw(nums), d) for d in unrelated_denominators(n)])
 
 
 def test_m1_n2_frozen_values():
@@ -51,10 +109,15 @@ def test_m1_matches_gram_construction():
     assert compare_tensors(r_closed_m1(lam), r_from_algebra(lam)) == []
 
 
-def test_block_reduces_to_m1():
-    for n in (2, 3, 4):
-        lam = make_lambda(n, 1, [Fraction(1, k + 2) for k in range(n)])
-        assert compare_tensors(r_closed_block(lam), r_closed_m1(lam)) == []
+@settings(max_examples=40, deadline=None)
+@given(block_lambda())
+def test_block_reduces_to_m1(lam):
+    """The block variant writes the printed block formula, which at m = 1
+    is the printed m1 formula."""
+    text = r_closed_block(lam).dumps()
+    assert text == r_closed_block_printed(lam).dumps()
+    if lam.m == 1:
+        assert text == r_closed_m1_printed(lam).dumps()
 
 
 def test_block_42_spot_values():
@@ -86,11 +149,14 @@ def test_distinct_spot_value_m1():
     assert r.get(0, 1, 1, 0) == Fraction(-1, 2)
 
 
-def test_distinct_reduces_to_m1():
-    rng = random.Random(9)
-    for n in (2, 3, 4):
-        lam = rand_distinct_lambda(rng, n, 1)
-        assert compare_tensors(r_closed_distinct(lam), r_closed_m1(lam)) == []
+@settings(max_examples=40, deadline=None)
+@given(distinct_lambda(m1=True))
+def test_distinct_reduces_to_m1(lam):
+    """At m = 1 the distinct and m1 variants both write the printed m1
+    formula."""
+    text = r_closed_m1_printed(lam).dumps()
+    assert r_closed_distinct(lam).dumps() == text
+    assert r_closed_m1(lam).dumps() == text
 
 
 @pytest.mark.parametrize(
@@ -102,29 +168,52 @@ def test_distinct_matches_gram_construction(n, m):
     assert compare_tensors(r_closed_distinct(lam), r_from_algebra(lam)) == []
 
 
-LAMBDA_FAMILIES = {
-    "small": st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10)),
-    "30-bit": st.integers(2**29, 2**30),
-    "2000-digit": st.builds(Fraction, st.integers(10**1999, 10**2000), st.integers(1, 2**30)),
-}
-
-
-@st.composite
-def distinct_lambda(draw):
-    """n <= 9 with any proper divisor m, m = 1 included; 2000-digit values
-    only up to n = 5, where the oracle's n^5/m^3 products of 2000-digit
-    numbers still take well under a second."""
-    family = draw(st.sampled_from(list(LAMBDA_FAMILIES)))
-    n = draw(st.integers(2, 5 if family == "2000-digit" else 9))
-    m = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
-    values = draw(st.lists(LAMBDA_FAMILIES[family], min_size=n, max_size=n, unique=True))
-    return make_lambda(n, m, values)
-
-
 @settings(max_examples=40, deadline=None)
 @given(distinct_lambda())
 def test_distinct_matches_reference(lam):
     assert r_closed_distinct(lam).dumps() == r_closed_distinct_reference(lam).dumps()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(nondegenerate_lambda(), unrelated_lambda()))
+@example(make_lambda(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER: l_0 = l_4, l_1 = l_3
+@example(make_lambda(8, 4, [0, 0, 0, 0, 1, 1, 1, 1]))  # BLOCK
+def test_kernel_matches_gram_construction(lam):
+    """The one closed form equals the Gram inverse, byte for byte, on every
+    lambda that meets the criterion, the OTHER mode included, and on both
+    sides of r_from_algebra's common_denominator guard."""
+    assert nondegenerate(lam)
+    assert _r_closed(lam).dumps() == r_from_algebra(lam).dumps()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nondegenerate_lambda(),
+    st.fractions(-5, 5, max_denominator=7).filter(bool),
+    st.fractions(-5, 5, max_denominator=7),
+)
+def test_kernel_affine_symmetry(lam, a, b):
+    """r(a lambda + b) = r(lambda) / a."""
+    moved = _r_closed(make_lambda(lam.n, lam.m, [a * v + b for v in lam.values]))
+    assert moved == Tensor4(lam.n, {k: v / a for k, v in _r_closed(lam).iter_items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_relabelling_symmetry(data):
+    """Relabelling blocks by s and residues by t, i = blk*m + res to p(i) =
+    s(blk)*m + t(res), takes r(lambda) to r(lambda o p^-1), which is
+    gl_transform(r(lambda), P) with P[p(j)][j] = 1."""
+    lam = data.draw(nondegenerate_lambda())
+    n, m = lam.n, lam.m
+    s = data.draw(st.permutations(range(n // m)))
+    t = data.draw(st.permutations(range(m)))
+    p = [s[i // m] * m + t[i % m] for i in range(n)]
+    moved = [None] * n
+    for i, v in enumerate(lam.values):
+        moved[p[i]] = v
+    perm = RatMatrix([[1 if p[j] == i else 0 for j in range(n)] for i in range(n)])
+    assert _r_closed(make_lambda(n, m, moved)) == gl_transform(_r_closed(lam), perm)
 
 
 def test_distinct_congruence_sparsity():

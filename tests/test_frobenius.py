@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aybe import frobenius
@@ -23,6 +23,7 @@ from aybe.frobenius import (
 )
 from aybe.tensor import aybe_report, compare_tensors, transpose_dual
 from oracles import (
+    NM_SMALL_CLASSES,
     commutator,
     dense,
     diagonal,
@@ -32,6 +33,7 @@ from oracles import (
     membership_check,
     negate,
     negative,
+    nondegenerate,
     r_from_algebra_fractions,
     r_from_matrices,
     rand_block_lambda,
@@ -451,6 +453,26 @@ def test_r_from_algebra_matches_fraction_assembly(data):
         assert r_from_algebra(lam) == expected
     if unrelated:
         assert cocycle_residual(lam) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(NM_SMALL_CLASSES).flatmap(
+        lambda nm: st.lists(st.integers(0, 3), min_size=nm[0], max_size=nm[0]).map(lambda v: make_lambda(*nm, v))
+    )
+)
+@example(make_lambda(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER, nondegenerate
+@example(make_lambda(6, 3, [0, 1, 2, 0, 2, 1]))  # OTHER, a value repeated in class 0
+def test_degenerate_exactly_when_criterion_fails(lam):
+    """r_from_algebra raises DegenerateForm exactly when lambda repeats a
+    value within a residue class mod m; lambda_i in {0..3}, so both sides
+    occur."""
+    try:
+        r_from_algebra(lam)
+    except DegenerateForm:
+        assert not nondegenerate(lam)
+    else:
+        assert nondegenerate(lam)
 
 
 def test_shape_mismatch_errors():
