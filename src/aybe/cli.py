@@ -75,15 +75,21 @@ EXIT_INTERNAL = 4  # an unexpected exception: never 0 or 1, which are verdicts
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
 # Size limits (exit 2), checked before any work; bracket's and verify's,
-# once the tensor file is read; transform's, on the tensor read and again
-# on the transformed one. The slowest shapes each limit accepts take, on
-# 2 vCPUs: construct (28,2), where one Gram component holds half the basis,
-# 4 s (3 s of it the Gram inverse); closed-form --variant distinct (40,2)
-# with --out, 3 s; bracket --check-jacobi on the distinct (16,2) tensor
-# (8,640 nonzeros), scalar, 2.1 s; verify on that tensor, 3 s. Cost also
+# once the tensor file is read; transform's, on the tensor read, on the
+# shape of --g before any entry of it is converted, before each pass of
+# gl_transform (tensor.MAX_PASS_PRODUCTS) and on the transformed tensor.
+# The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
+# where one Gram component holds half the basis, 4 s (3 s of it the Gram
+# inverse); closed-form --variant distinct (40,2) with --out, 3 s; bracket
+# --check-jacobi on the distinct (16,2) tensor (8,640 nonzeros), scalar,
+# 2.1 s; verify on that tensor, 3 s; transform, a refusal included, 0.8 s
+# before the checks on its output, which cost what verify's do. Cost also
 # grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
+# transform: n. construct writes no larger tensor (m divides n, so
+# n(n-m) >= n^2 / 2), and closed-form none either.
+MAX_TRANSFORM_N = 40
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
 MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
@@ -316,6 +322,7 @@ def cmd_bracket(args) -> tuple:
 def cmd_transform(args) -> tuple:
     r = _load_tensor(args.tensor)
     _check_limit("tensor nonzeros", r.nnz, MAX_TENSOR_NONZEROS)
+    _check_limit("n", r.n, MAX_TRANSFORM_N)
     inputs = {
         "tensor": args.tensor,
         "g": args.g,
@@ -325,7 +332,14 @@ def cmd_transform(args) -> tuple:
     if args.transpose_dual:
         out = transpose_dual(r)
     else:
-        g = matrix_from_json(load_json(_read(args.g)))
+        grid = load_json(_read(args.g))
+        # the shape is checked before any entry is converted;
+        # matrix_from_json refuses a grid or a row that is not a list
+        if isinstance(grid, list) and (
+            len(grid) != r.n or any(isinstance(row, list) and len(row) != r.n for row in grid)
+        ):
+            raise ValueError(f"basis change matrix must be {r.n}x{r.n}")
+        g = matrix_from_json(grid)
         try:
             out = gl_transform(r, g)
         except SingularMatrix as exc:

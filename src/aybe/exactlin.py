@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 __all__ = [
@@ -39,12 +38,6 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 _ZERO = Fraction(0)
-
-# Exact values outgrow Python's 4300-digit int/str limit (a residual
-# squares its entries), so importing this module lifts it for the whole
-# process. Before 3.10.7: no limit.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 # int() costs time quadratic in a literal's digits (Python 3.11, 2 vCPUs:
 # 19 ms at 50,000 digits, 84 ms at 100,000, 119 ms at 120,000, 0.7 s at
@@ -209,12 +202,6 @@ class RatMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def nonzero_items(self) -> Iterator[tuple[int, int, Fraction]]:
-        """(row, column, value) of every nonzero entry, in row-major order."""
-        for i, row in enumerate(self.sparse_rows):
-            for j in sorted(row):
-                yield i, j, row[j]
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -89,9 +89,6 @@ class QuadraticBracket:
         """The nonzero entries u < v, in increasing (u, v)."""
         return list(self._table.items())
 
-    def is_zero(self) -> bool:
-        return not self._table
-
 
 class NotSkewSymmetric(ValueError):
     """A bracket asked of a tensor that is not skew-symmetric; `violations`

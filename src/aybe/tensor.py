@@ -38,6 +38,12 @@ __all__ = [
 
 Quad = tuple[int, int, int, int]
 
+# gl_transform refuses, before it starts, a pass of more products than this
+# (a pass's output has at most as many entries): ten times the nonzeros the
+# CLI admits in a transformed tensor, and as many as a dense g needs on a
+# tensor that holds every entry of n = 10.
+MAX_PASS_PRODUCTS = 100_000
+
 # The layout json.dumps(obj, indent=2) gives a tensor's JSON object.
 _EMPTY = '{\n  "n": %d,\n  "entries": []\n}\n'
 _FILE = '{\n  "n": %d,\n  "entries": [\n%s\n  ]\n}\n'
@@ -276,7 +282,9 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     key ((a*n + b)*n + c)*n + d. r is scaled to ints by its common
     denominator L_r, and g^T and g^-1 together by one L_g, so the passes
     add ints (or the Fractions common_denominator keeps) and each entry is
-    reduced once, as v / (L_r * L_g^4).
+    reduced once, as v / (L_r * L_g^4). Before each pass, the products it
+    would form (the row sizes of the keys it reads) are counted, and a pass
+    of more than MAX_PASS_PRODUCTS is refused with a ValueError.
     """
     n = r.n
     if not g.is_square() or g.rows != n:
@@ -294,6 +302,12 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
         ((a * n + b) * n + c) * n + d: v for (a, b, c, d), v in zip(r._entries, values)
     }
     for weight, rows in ((nn * n, up), (nn, up), (n, down), (1, down)):
+        sizes = [len(row) for row in rows]
+        products = sum([sizes[key // weight % n] for key in cur])
+        if products > MAX_PASS_PRODUCTS:
+            raise ValueError(
+                f"basis change pass products = {products} exceeds the limit of {MAX_PASS_PRODUCTS}"
+            )
         out: dict[int, int | Fraction] = defaultdict(int)
         for key, v in cur.items():
             for delta, coeff in rows[key // weight % n]:

@@ -133,6 +133,11 @@ def gram_dense(mats, lam) -> RatMatrix:
     return RatMatrix([[form_eval(x, y, lam) for y in mats] for x in mats])
 
 
+def _nonzeros(a: RatMatrix) -> list[tuple[int, int, Fraction]]:
+    """(row, column, value) of every nonzero entry of a."""
+    return [(i, j, v) for i, row in enumerate(a.sparse_rows) for j, v in row.items()]
+
+
 def r_from_matrices(mats, lam) -> Tensor4:
     """r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g the inverse of the
     dense Gram matrix over the given matrices; raises SingularMatrix, with
@@ -140,9 +145,9 @@ def r_from_matrices(mats, lam) -> Tensor4:
     n = lam.n
     ginv = mat_inverse(gram_dense(mats, lam))
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for s, t, g in ginv.nonzero_items():
-        for a, c, va in mats[s].nonzero_items():
-            for b, d, vb in mats[t].nonzero_items():
+    for s, t, g in _nonzeros(ginv):
+        for a, c, va in _nonzeros(mats[s]):
+            for b, d, vb in _nonzeros(mats[t]):
                 acc[(a, b, c, d)] += g * va * vb
     return Tensor4(n, acc)
 
@@ -157,7 +162,7 @@ def r_from_algebra_fractions(lam: LambdaSpec) -> Tensor4:
     except SingularMatrix as exc:
         raise DegenerateForm(exc.rank) from exc
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
-    for s, t, g in ginv.nonzero_items():
+    for s, t, g in _nonzeros(ginv):
         for a, c, va in items[s]:
             gva = g * va
             for b, d, vb in items[t]:

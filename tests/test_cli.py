@@ -149,6 +149,7 @@ def test_verify_malformed_file(tmp_path, capsys):
         ([{**one, "value": "1"}, {**other, "value": "0"}, {**one, "value": "0"}], "explicit zero entry in tensor file"),
         ([{**one, "value": "1"}, {**one, "value": "1"}], "duplicate tensor entry at (0, 1, 0, 1)"),
         ([{**one, "value": "2"}, {**other, "value": "2"}, {**other, "value": "2"}], "duplicate tensor entry at (1, 0, 1, 0)"),
+        ([1], "tensor entries must be objects"),
     ]
     for entries, message in rows:
         path.write_text(json.dumps({"n": 2, "entries": entries}))
@@ -1128,6 +1129,69 @@ def test_size_limit_accepts_up_to_limit(tmp_path, capsys, monkeypatch, no_work, 
         main(_sized_argv(tmp_path, cmd, n, m, m_size))
 
 
+# (tensor n, --g grid, or None for --transpose-dual, error): refused before
+# the transform starts, and a grid of the wrong shape before any entry is
+# converted
+TRANSFORM_REFUSALS = [
+    (41, None, "n = 41 exceeds the limit of 40"),
+    (41, [["1"] * 41] * 41, "n = 41 exceeds the limit of 40"),
+    (2, {"g": "1"}, "matrix JSON must be a non-empty list of rows"),
+    (2, ["1", ["1", "0"]], "matrix JSON rows must be non-empty lists"),
+    (2, [], "basis change matrix must be 2x2"),
+    (2, [[], []], "basis change matrix must be 2x2"),
+    (2, [["1", "0"], ["0", "1", "0"]], "basis change matrix must be 2x2"),
+    (2, [["1"] * 3] * 3, "basis change matrix must be 2x2"),
+]
+
+
+@pytest.mark.parametrize("n,grid,message", TRANSFORM_REFUSALS)
+def test_transform_refused_before_work(tmp_path, capsys, monkeypatch, n, grid, message):
+    for name in ("gl_transform", "transpose_dual"):
+        monkeypatch.setattr(f"aybe.cli.{name}", _start)
+    monkeypatch.setattr("aybe.exactlin.parse_rational", _start)  # converts a --g entry
+    tensor = tmp_path / "t.json"
+    tensor.write_text(Tensor4(n, {(0, 1, 0, 1): 1, (1, 0, 1, 0): -1}).dumps())
+    argv = ["transform", str(tensor), "--out", str(tmp_path / "out.json")]
+    if grid is None:
+        argv.append("--transpose-dual")
+    else:
+        (tmp_path / "g.json").write_text(json.dumps(grid))
+        argv += ["--g", str(tmp_path / "g.json")]
+    assert run(argv, capsys) == (2, "", f"aybe: error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_transform_bounded_on_small_inputs(tmp_path):
+    """A dense --g of one-digit values at n = 40 (5.6 KB) and at n = 60
+    (12 KB), and a 1999 x 1999 --g (8 MB) against n = 2: each once ran
+    for 14 s to minutes, or out of memory. Each exits 2 and writes
+    nothing. Run under a 512 MB address-space limit, so that a lost bound
+    fails here and does not exhaust the machine."""
+    rng = random.Random(0)
+    cases = []
+    for n in (40, 60):
+        (tmp_path / f"t{n}.json").write_text(Tensor4(n, {(0, 1, 0, 1): 1, (1, 0, 1, 0): -1}).dumps())
+        grid = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        (tmp_path / f"g{n}.json").write_text(json.dumps(grid))
+        cases.append((f"t{n}.json", f"g{n}.json"))
+    (tmp_path / "t2.json").write_text(Tensor4(2, {(0, 1, 0, 1): 1, (1, 0, 1, 0): -1}).dumps())
+    (tmp_path / "g1999.json").write_text(json.dumps([[0] * 1999] * 1999, separators=(",", ":")))
+    cases.append(("t2.json", "g1999.json"))
+    src = str(Path(aybe.__file__).parent.parent)
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+            f"sys.path.insert(0, {src!r}); import aybe.cli; "
+            f"print([aybe.cli.main(['transform', t, '--g', g, '--out', 'out.json']) for t, g in {cases!r}])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[2, 2, 2]\n"), proc.stderr
+    assert proc.stderr == (
+        "aybe: error: basis change pass products = 115440 exceeds the limit of 100000\n"
+        "aybe: error: n = 60 exceeds the limit of 40\n"
+        "aybe: error: basis change matrix must be 2x2\n"
+    )
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
     """The distinct (24,2) tensor has 24 generators but 42,528 nonzeros; its
     Jacobi check would run for minutes."""
@@ -1158,7 +1222,8 @@ def test_output_not_a_regular_file_exit_2(tmp_path, capsys, monkeypatch, no_work
 def test_output_path_ending_in_separator_exit_2(tmp_path, capsys, monkeypatch, no_work):
     """A path ending in a separator names a directory, whether or not it
     exists (`Path("nodir/").parent` is "."), and is refused before any
-    work; so is an empty path, which names no file at all."""
+    work; so is an empty path, which names no file at all, and a path the
+    system cannot stat."""
     monkeypatch.chdir(tmp_path)
     Path("r.json").write_text(Tensor4(2).dumps())
     Path("dir").mkdir()
@@ -1171,6 +1236,7 @@ def test_output_path_ending_in_separator_exit_2(tmp_path, capsys, monkeypatch, n
         (["verify", "r.json", "--report", "dir/"], "output path is a directory: 'dir/'"),
         (construct + [""], "output path is empty: --out"),
         (["verify", "r.json", "--report="], "output path is empty: --report"),
+        (construct + ["x" * 300], f"[Errno 36] File name too long: {'x' * 300!r}"),
     ]
     for argv, message in cases:
         assert run(argv, capsys) == (2, "", f"aybe: error: {message}\n"), argv

@@ -143,6 +143,21 @@ def test_inverse_rotation():
     assert mat_inverse(j) == RatMatrix([[0, -1], [1, 0]])
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([], "at least one row and one column"),
+    ([[]], "at least one row and one column"),
+    ([[1], [1, 2]], "rows have unequal lengths"),
+])
+def test_matrix_shape_refused(entries, message):
+    with pytest.raises(ValueError, match=message):
+        RatMatrix(entries)
+
+
+def test_inverse_needs_square_matrix():
+    with pytest.raises(ValueError, match="inverse needs a square matrix"):
+        mat_inverse(RatMatrix([[1, 2]]))
+
+
 def test_inverse_singular_carries_rank():
     with pytest.raises(SingularMatrix) as exc:
         mat_inverse(RatMatrix([[1, 1], [1, 1]]))

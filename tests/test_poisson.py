@@ -57,7 +57,7 @@ def test_polynomial_basics():
     assert all(type(c) is Fraction for c in b.entry(0, 1).values())
     assert b.entry(1, 0) == {(0, 0): -1, (1, 1): 1} == neg(b.entry(0, 1))
     assert b.entry(0, 0) == b.entry(1, 1) == {}
-    assert QuadraticBracket(2, {(0, 1): {(0, 1): 0}}).is_zero() and not b.is_zero()
+    assert not QuadraticBracket(2, {(0, 1): {(0, 1): 0}}).pairs() and b.pairs()
 
 
 def test_polynomial_terms_graded_lex():
@@ -114,7 +114,7 @@ def test_polynomial_canonical_idempotent(table):
 
 def test_scalar_bracket_zero_tensor():
     b = scalar_bracket_from_r(Tensor4(3))
-    assert b.is_zero()
+    assert not b.pairs()
 
 
 def test_scalar_bracket_n2_value():
@@ -128,7 +128,7 @@ def test_scalar_bracket_n2_value():
 
 def test_scalar_bracket_family_is_zero():
     fam = Tensor4(2, {(1, 0, 1, 1): 1, (0, 1, 1, 1): -1})
-    assert scalar_bracket_from_r(fam).is_zero()
+    assert not scalar_bracket_from_r(fam).pairs()
 
 
 def test_scalar_bracket_rejects_non_skew():
@@ -173,7 +173,7 @@ def test_matrix_bracket_example():
 
 
 def test_matrix_bracket_zero_tensor():
-    assert matrix_bracket_from_r(Tensor4(2), 2).is_zero()
+    assert not matrix_bracket_from_r(Tensor4(2), 2).pairs()
 
 
 def test_bracket_antisymmetry_table():
@@ -408,7 +408,7 @@ def test_closed_2m_requires_shape():
 def test_closed_2m_m1_all_pairs_undefined():
     bracket, undefined = scalar_bracket_closed_2m(make_lambda(2, 1, [2, 1]))
     assert undefined == ((0, 1),)
-    assert bracket.is_zero()
+    assert not bracket.pairs()
 
 
 def test_closed_2m_42():
@@ -447,6 +447,12 @@ def test_closed_2m_matches_printed_formula(data):
             poly = bracket.entry(a, b)
             assert sum(c * prod(x[k] for k in mono) for mono, c in poly.items()) == expected
     assert list(undefined_pairs) == undefined
+
+
+def test_compare_to_closed_2m_needs_n_generators():
+    derived = scalar_bracket_from_r(r_closed_distinct(make_lambda(2, 1, [0, 1])))
+    with pytest.raises(ValueError, match="generator count differs from n"):
+        compare_to_closed_2m(derived, make_lambda(4, 2, [0, 1, 2, 3]))
 
 
 def test_compare_to_closed_2m_report():

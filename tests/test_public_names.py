@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,11 +44,9 @@ UNUSED_IMPORTS_KEPT = {
 def test_imports_are_used():
     """Every name a module imports, at module level or inside a function,
     is used somewhere in that module (an annotation counts), or listed in
-    its __all__."""
+    its __all__ when that is a literal list."""
     unused = []
     for path in sorted(Path(aybe.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported, used, exported = set(), set(), set()
         for node in ast.walk(tree):
@@ -57,7 +56,42 @@ def test_imports_are_used():
                 imported.update(alias.asname or alias.name for alias in node.names)
             elif isinstance(node, ast.Name):
                 used.add(node.id)
-            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            elif (
+                isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                and isinstance(node.value, ast.List)
+            ):
                 exported.update(ast.literal_eval(node.value))
         unused += [(path.name, name) for name in sorted(imported - used - exported)]
     assert unused == sorted(UNUSED_IMPORTS_KEPT)
+
+
+def test_package_loads_a_module_on_first_use():
+    """`import aybe` loads no module of the package, yet lifts the int/str
+    digit limit; `import aybe.tensor` loads only what tensor imports."""
+    src = str(Path(aybe.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import aybe; "
+            "print(sorted(m for m in sys.modules if m.startswith('aybe')), sys.get_int_max_str_digits()); "
+            "import aybe.tensor; print(sorted(m for m in sys.modules if m.startswith('aybe')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['aybe'] 0\n['aybe', 'aybe.exactlin', 'aybe.tensor']\n"
+
+
+@pytest.mark.parametrize("name", aybe.__all__)
+def test_package_name_is_its_module_name(name):
+    value = getattr(aybe, name)
+    module = sys.modules[value.__module__]
+    assert value is getattr(module, name) and name in module.__all__
+
+
+def test_package_resolves_names_on_every_access(monkeypatch):
+    assert set(aybe.__all__) <= set(dir(aybe))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        aybe.nope
+
+    def patched(r):
+        return []
+
+    monkeypatch.setattr(importlib.import_module("aybe.tensor"), "check_skew", patched)
+    assert aybe.check_skew is patched

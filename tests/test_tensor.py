@@ -207,6 +207,18 @@ def test_gl_transform_dimension_mismatch():
         gl_transform(r, identity(3))
 
 
+def test_gl_transform_refuses_a_pass_past_the_limit(monkeypatch):
+    """Each pass is bounded, before it runs, by the products it would form:
+    one nonzero under a dense g at n = 3 takes 3, 9, 27 and 81."""
+    r = Tensor4(3, {(0, 1, 2, 0): 1})
+    g = RatMatrix([[2 if i == j else 1 for j in range(3)] for i in range(3)])
+    monkeypatch.setattr("aybe.tensor.MAX_PASS_PRODUCTS", 81)
+    assert gl_transform(r, g).nnz == 81
+    monkeypatch.setattr("aybe.tensor.MAX_PASS_PRODUCTS", 80)
+    with pytest.raises(ValueError, match="basis change pass products = 81 exceeds the limit of 80"):
+        gl_transform(r, g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_gl_transform_matches_literal_formula(data):
@@ -384,6 +396,12 @@ def test_json_rejects_malformed(mutate):
     mutate(obj)
     with pytest.raises(ValueError):
         Tensor4.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_tensor_dimension_below_1(n):
+    with pytest.raises(ValueError, match="tensor dimension must be >= 1"):
+        Tensor4(n)
 
 
 def test_compare_tensors():
