@@ -44,27 +44,19 @@ from aybe.exactlin import (
     matrix_from_json,
     parse_rational,
 )
-from aybe.frobenius import (
-    DegenerateForm,
-    LambdaSpec,
-    cocycle_residual,
-    r_from_algebra,
-)
+from aybe.frobenius import LambdaSpec, cocycle_residual, r_from_algebra
 from aybe.poisson import (
     NotSkewSymmetric,
     bracket_to_json,
     compare_to_closed_2m,
     jacobi_residual,
     matrix_bracket_from_r,
-    scalar_bracket_from_r,
     terms_json,
 )
 from aybe.tensor import (
     Tensor4,
-    aybe_report,
-    # not called here (the bracket builders run it); the benchmark's tracer
-    # test expects the name in this namespace
-    check_skew,  # noqa: F401
+    aybe_residual,
+    check_skew,
     compare_tensors,
     gl_transform,
     transpose_dual,
@@ -74,17 +66,17 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4  # an unexpected exception: never 0 or 1, which are verdicts
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
-# Size limits (exit 2), checked before any work; bracket's and verify's,
-# once the tensor file is read; transform's, on the tensor read, on the
-# shape of --g before any entry of it is converted, before each pass of
-# gl_transform (tensor.MAX_PASS_PRODUCTS) and on the transformed tensor.
-# The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
-# where one Gram component holds half the basis, 4 s (3 s of it the Gram
+# Size limits (exit 2), checked before any work; bracket's and verify's on the
+# tensor read, and verify's before the residual join (MAX_JOIN_PRODUCTS in
+# aybe.tensor); transform's on the tensor read, on the shape of --g before any
+# entry is converted, before each gl_transform pass (tensor.MAX_PASS_PRODUCTS),
+# then verify's on its output. The slowest shapes each limit accepts take, on 2
+# vCPUs: construct (28,2), one Gram component half the basis, 4 s (3 s the Gram
 # inverse); closed-form --variant distinct (40,2) with --out, 3 s; bracket
-# --check-jacobi on the distinct (16,2) tensor (8,640 nonzeros), scalar,
-# 2.1 s; verify on that tensor, 3 s; transform, a refusal included, 0.8 s
-# before the checks on its output, which cost what verify's do. Cost also
-# grows with the size of the rational entries, which no limit bounds.
+# --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
+# first 7,000 one-digit entries of n = 10 (4,900,000 join products), 8 s, 700 MB;
+# transform, a refusal included, 0.8 s before the checks on its output. Cost
+# also grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 # transform: n. construct writes no larger tensor (m divides n, so
@@ -201,7 +193,7 @@ def _violation_items(violations) -> list[dict]:
 
 def _tensor_checks(r: Tensor4) -> tuple[str, dict]:
     """The skew and residual checks as (verdict, details)."""
-    skew, residual = aybe_report(r)
+    skew, residual = check_skew(r), aybe_residual(r)
     details = {
         "skew_violations": _violation_items(skew),
         "residual_violations": _violation_items(residual),
@@ -215,7 +207,7 @@ def cmd_construct(args) -> tuple:
     inputs = {**_lambda_inputs(lam), "mode": lam.mode, "out": args.out}
     try:
         r = r_from_algebra(lam)
-    except DegenerateForm as exc:
+    except SingularMatrix as exc:
         return inputs, "degenerate", {"gram_rank": exc.rank}, {}
     details = {"dimension": lam.n * (lam.n - lam.m), "entries": r.nnz}
     return inputs, "pass", details, {args.out: r.dumps()}
@@ -285,10 +277,7 @@ def cmd_bracket(args) -> tuple:
         "out": args.out,
     }
     try:
-        if args.m_size == 1:
-            bracket = scalar_bracket_from_r(r)
-        else:
-            bracket = matrix_bracket_from_r(r, args.m_size)
+        bracket = matrix_bracket_from_r(r, args.m_size)
     except NotSkewSymmetric as exc:
         return inputs, "fail", {"skew_violations": _violation_items(exc.violations)}, {}
     outputs = {}

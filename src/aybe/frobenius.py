@@ -19,13 +19,12 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse
+from aybe.exactlin import RatMatrix, common_denominator, mat_inverse
 from aybe.tensor import Tensor4, _from_keys
 
 __all__ = [
     "LambdaSpec",
     "make_lambda",
-    "DegenerateForm",
     "bar_index",
     "build_basis",
     "cocycle_residual",
@@ -71,14 +70,6 @@ class LambdaSpec:
 
 def make_lambda(n: int, m: int, values: Iterable) -> LambdaSpec:
     return LambdaSpec(n, m, values)
-
-
-class DegenerateForm(Exception):
-    """The bilinear form is degenerate for the given lambda; carries the Gram rank."""
-
-    def __init__(self, rank: int):
-        super().__init__(f"bilinear form is degenerate (Gram rank {rank})")
-        self.rank = rank
 
 
 def bar_index(i: int, j: int, m: int) -> int:
@@ -185,8 +176,8 @@ def cocycle_residual(lam: LambdaSpec) -> list:
 def r_from_algebra(lam: LambdaSpec) -> Tensor4:
     """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
 
-    G is the Gram matrix of the form over build_basis(lam.n, lam.m).
-    Raises DegenerateForm when G is singular.
+    G is the Gram matrix of the form over build_basis(lam.n, lam.m). When
+    G is singular, exactlin.SingularMatrix is raised with the Gram rank.
 
     The Gram rows are ints G' = L G, on lambda scaled by its common
     denominator L, so g = L G'^{-1}. The nonzeros of G'^{-1}, scaled by
@@ -200,10 +191,7 @@ def r_from_algebra(lam: LambdaSpec) -> Tensor4:
     lcm, values = common_denominator(list(lam.values))
     # Fractions, as mat_inverse divides by its pivots
     gram = [{t: Fraction(g) for t, g in row.items()} for row in _pairings(items, items, values)]
-    try:
-        rows = mat_inverse(RatMatrix.from_rows(len(items), gram)).sparse_rows
-    except SingularMatrix as exc:
-        raise DegenerateForm(exc.rank) from exc
+    rows = mat_inverse(RatMatrix.from_rows(len(items), gram)).sparse_rows
     # the key of (a, b, c, d) is left(a, c) + right(b, d): e_s gives a and c, e_t b and d
     nn = n * n
     left = [(i * nn * n + j * n, bar * nn * n + j * n) for i, j, bar in basis]

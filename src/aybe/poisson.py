@@ -37,17 +37,11 @@ __all__ = [
 Mono = tuple[int, ...]
 
 
-def _scalar_names(n: int) -> list[str]:
-    return [f"x_{a}" for a in range(n)]
-
-
-def _matrix_names(n: int, m: int) -> list[str]:
-    return [
-        f"x^{{{j}}}_{{{i},{a}}}"
-        for a in range(n)
-        for i in range(m)
-        for j in range(m)
-    ]
+def _names(n: int, m: int) -> list[str]:
+    """x_a at m == 1, else x^{j}_{i,a}, in generator order (a, i, j)."""
+    if m == 1:
+        return [f"x_{a}" for a in range(n)]
+    return [f"x^{{{j}}}_{{{i},{a}}}" for a in range(n) for i in range(m) for j in range(m)]
 
 
 class QuadraticBracket:
@@ -63,7 +57,7 @@ class QuadraticBracket:
 
     def __init__(self, n_gens: int, table: Mapping[tuple[int, int], Mapping], names=None):
         self.n_gens = n_gens
-        self.names = list(names) if names is not None else _scalar_names(n_gens)
+        self.names = list(names) if names is not None else _names(n_gens, 1)
         self._table: dict[tuple[int, int], dict[Mono, Fraction]] = {}
         for (u, v), terms in sorted(table.items()):
             if not (0 <= u < v < n_gens):
@@ -102,12 +96,6 @@ class NotSkewSymmetric(ValueError):
         self.violations = violations
 
 
-def _require_skew(r: Tensor4) -> None:
-    bad = check_skew(r)
-    if bad:
-        raise NotSkewSymmetric(bad)
-
-
 def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], dict[Mono, Fraction]]:
     """{x_u, x_v} for u < v on generators (a, i, j) numbered a*m*m + i*m + j.
 
@@ -127,22 +115,21 @@ def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], dict[Mono, Fract
     return acc
 
 
-def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
-    """{x_a, x_b} = sum r^{ge}_{ab} x_g x_e on r.n commuting generators.
-    Raises NotSkewSymmetric unless r is skew-symmetric."""
-    _require_skew(r)
-    return QuadraticBracket(r.n, _bracket_table(r, 1), _scalar_names(r.n))
-
-
 def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
-    """Bracket on r.n * m^2 generators indexed (a, i, j); m == 1 reduces to
-    the scalar bracket with identical generator numbering. Raises
-    ValueError for m < 1 before the skew check, which raises
-    NotSkewSymmetric as in scalar_bracket_from_r."""
+    """Bracket on r.n * m^2 generators indexed (a, i, j); at m == 1 it is
+    the scalar bracket {x_a, x_b} = sum r^{ge}_{ab} x_g x_e, on generators
+    named x_a. Raises ValueError for m < 1, then NotSkewSymmetric unless r
+    is skew-symmetric."""
     if m < 1:
         raise ValueError("matrix size must be >= 1")
-    _require_skew(r)
-    return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _matrix_names(r.n, m))
+    if violations := check_skew(r):
+        raise NotSkewSymmetric(violations)
+    return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _names(r.n, m))
+
+
+def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
+    """The bracket on r.n generators x_a: matrix_bracket_from_r at m == 1."""
+    return matrix_bracket_from_r(r, 1)
 
 
 def _monomial(key: int) -> Mono:

@@ -43,6 +43,9 @@ Quad = tuple[int, int, int, int]
 # CLI admits in a transformed tensor, and as many as a dense g needs on a
 # tensor that holds every entry of n = 10.
 MAX_PASS_PRODUCTS = 100_000
+# aybe_residual refuses, before its join, more products than this: the
+# distinct (16,2) tensor needs 4,665,600, a dense n = 10 tensor 10,000,000.
+MAX_JOIN_PRODUCTS = 5_000_000
 
 # The layout json.dumps(obj, indent=2) gives a tensor's JSON object.
 _EMPTY = '{\n  "n": %d,\n  "entries": []\n}\n'
@@ -215,10 +218,11 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
     as the test oracle).
 
     The join multiplies integers: each entry scaled by the LCM L of the
-    denominators (exactlin.common_denominator), so a residual sums to an
-    int v and is returned as Fraction(v, L^2), reduced once per orbit.
-    When L would grow far past the largest denominator, the helper keeps
-    the Fractions and the same join runs on them.
+    denominators (exactlin.common_denominator), so a residual sums to an int
+    v and is returned as Fraction(v, L^2), reduced once per orbit. When L
+    would grow far past the largest denominator, the helper keeps the
+    Fractions and the same join runs on them. A join of more than
+    MAX_JOIN_PRODUCTS products is refused with a ValueError.
     """
     n = r.n
     nn = n * n
@@ -231,6 +235,9 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
     for (a, b, c, d), v in zip(r._entries, scaled):
         lefts.append((b, (a * n + c) * top + d * nn, v))
         rights[c].append((a * n * nn + b * n + d, v))
+    joined = sum(len(rights.get(s, ())) for s, _, _ in lefts)
+    if joined > MAX_JOIN_PRODUCTS:
+        raise ValueError(f"residual join products = {joined} exceeds the limit of {MAX_JOIN_PRODUCTS}")
     t: dict[int, int | Fraction] = defaultdict(int)
     for s, k1, v1 in lefts:
         for k2, v2 in rights.get(s, ()):

@@ -42,7 +42,7 @@ from aybe.cli import (
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import LITERAL_BUDGET, MAX_LITERAL_CHARS, RatMatrix, check_literals, format_rational, matrix_to_json, parse_rational
 from aybe.frobenius import make_lambda
-from aybe.tensor import Tensor4
+from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4
 from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
 
 
@@ -155,6 +155,12 @@ def test_verify_malformed_file(tmp_path, capsys):
         path.write_text(json.dumps({"n": 2, "entries": entries}))
         code, out, err = run(["verify", str(path)], capsys)
         assert code == 2 and out == "" and err == f"aybe: error: {message}\n", entries
+    report = tmp_path / "report.json"
+    for doc in ({"n": 2}, {"n": 2, "entries": "[]"}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(path), "--report", str(report)], capsys)
+        assert (code, out, err) == (2, "", "aybe: error: tensor JSON needs an 'entries' list\n"), doc
+        assert not report.exists()
 
 
 def test_verify_deeply_nested_file_exit_2(tmp_path, capsys):
@@ -512,7 +518,7 @@ def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys, monkeyp
     def no_work(*args):
         raise AssertionError("bracket work started before the inputs were checked")
 
-    monkeypatch.setattr("aybe.cli.scalar_bracket_from_r", no_work)
+    monkeypatch.setattr("aybe.cli.matrix_bracket_from_r", no_work)
     monkeypatch.setattr("aybe.cli.jacobi_residual", no_work)
     tensor_path = tmp_path / "r3.json"
     tensor_path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
@@ -1028,8 +1034,8 @@ def _start(*args, **kwargs):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    for name in ("r_from_algebra", "cocycle_residual", "r_closed", "scalar_bracket_from_r",
-                 "matrix_bracket_from_r", "aybe_report"):
+    for name in ("r_from_algebra", "cocycle_residual", "r_closed", "matrix_bracket_from_r",
+                 "check_skew"):
         monkeypatch.setattr(f"aybe.cli.{name}", _start)
 
 
@@ -1190,6 +1196,30 @@ def test_transform_bounded_on_small_inputs(tmp_path):
         "aybe: error: basis change matrix must be 2x2\n"
     )
     assert not (tmp_path / "out.json").exists()
+
+
+def test_residual_join_bounded_on_dense_tensor(tmp_path):
+    """verify on a tensor that holds every entry of n = 10 (10,000,000 join
+    products) once ran for 20 s in 900 MB; verify, and transform by the
+    identity, now refuse it before the join, each in under 1 s, and write
+    nothing. Run under a 512 MB address-space limit, as
+    test_transform_bounded_on_small_inputs is."""
+    n = 10
+    (tmp_path / "t.json").write_text(Tensor4(n, dict.fromkeys(itertools.product(range(n), repeat=4), 1)).dumps())
+    (tmp_path / "g.json").write_text(json.dumps([[int(i == j) for j in range(n)] for i in range(n)]))
+    calls = [["verify", "t.json", "--report", "r.json"], ["transform", "t.json", "--g", "g.json", "--out", "out.json"]]
+    src = str(Path(aybe.__file__).parent.parent)
+    code = (f"import resource, sys, time; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+            f"sys.path.insert(0, {src!r}); import aybe.cli\n"
+            f"for argv in {calls!r}:\n"
+            f"    t0 = time.perf_counter(); code = aybe.cli.main(argv)\n"
+            f"    print(code, time.perf_counter() - t0 < 1.0)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "2 True\n2 True\n"), proc.stderr
+    message = f"aybe: error: residual join products = 10000000 exceeds the limit of {MAX_JOIN_PRODUCTS}\n"
+    assert proc.stderr == message * 2
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "out.json").exists()
 
 
 def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):

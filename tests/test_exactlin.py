@@ -141,6 +141,7 @@ def test_inverse_identity():
 def test_inverse_rotation():
     j = RatMatrix([[0, 1], [-1, 0]])
     assert mat_inverse(j) == RatMatrix([[0, -1], [1, 0]])
+    assert repr(mat_inverse(RatMatrix([[0, 2], [-1, 0]]))) == "RatMatrix(2x2: 0 -1; 1/2 0)"
 
 
 @pytest.mark.parametrize("entries,message", [

@@ -11,7 +11,6 @@ from aybe import frobenius
 from aybe.closedform import r_closed_block, r_closed_m1
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse, mat_mul
 from aybe.frobenius import (
-    DegenerateForm,
     _entries,
     _pairings,
     _product,
@@ -294,7 +293,7 @@ def test_r_from_algebra_n2_matches_closed_form():
 
 def test_r_from_algebra_degenerate():
     lam = make_lambda(2, 1, [1, 1])
-    with pytest.raises(DegenerateForm) as exc:
+    with pytest.raises(SingularMatrix) as exc:
         r_from_algebra(lam)
     assert exc.value.rank == 0
 
@@ -311,7 +310,7 @@ def test_r_from_algebra_degenerate():
 def test_degenerate_gram_rank(n, m, values, dim, rank):
     """Degenerate lambdas where the Gram matrix keeps part of its rank."""
     assert len(build_basis(n, m)) == dim
-    with pytest.raises(DegenerateForm) as exc:
+    with pytest.raises(SingularMatrix) as exc:
         r_from_algebra(make_lambda(n, m, values))
     assert exc.value.rank == rank
 
@@ -346,7 +345,7 @@ def test_other_mode_attempted_not_prerejected():
     r = r_from_algebra(lam)
     assert aybe_report(r) == ([], [])
 
-    with pytest.raises(DegenerateForm):
+    with pytest.raises(SingularMatrix):
         r_from_algebra(make_lambda(4, 2, [1, 1, 1, 1]))
 
 
@@ -417,7 +416,7 @@ def test_r_from_algebra_matches_dense_matrices(n, m):
         lam = make_lambda(n, m, values)
         try:
             r = r_from_algebra(lam)
-        except DegenerateForm as exc:
+        except SingularMatrix as exc:
             degenerate += 1
             with pytest.raises(SingularMatrix) as dense_exc:
                 r_from_matrices(mats, lam)
@@ -445,8 +444,8 @@ def test_r_from_algebra_matches_fraction_assembly(data):
     assert (type(common_denominator(list(lam.values))[1][0]) is int) != unrelated
     try:
         expected = r_from_algebra_fractions(lam)
-    except DegenerateForm as exc:
-        with pytest.raises(DegenerateForm) as got:
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as got:
             r_from_algebra(lam)
         assert got.value.rank == exc.rank
     else:
@@ -464,12 +463,12 @@ def test_r_from_algebra_matches_fraction_assembly(data):
 @example(make_lambda(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER, nondegenerate
 @example(make_lambda(6, 3, [0, 1, 2, 0, 2, 1]))  # OTHER, a value repeated in class 0
 def test_degenerate_exactly_when_criterion_fails(lam):
-    """r_from_algebra raises DegenerateForm exactly when lambda repeats a
+    """r_from_algebra raises SingularMatrix exactly when lambda repeats a
     value within a residue class mod m; lambda_i in {0..3}, so both sides
     occur."""
     try:
         r_from_algebra(lam)
-    except DegenerateForm:
+    except SingularMatrix:
         assert not nondegenerate(lam)
     else:
         assert nondegenerate(lam)

@@ -153,6 +153,7 @@ def test_matrix_bracket_m1_reduction():
     matrix = matrix_bracket_from_r(r, 1)
     assert matrix.n_gens == scalar.n_gens
     assert matrix.pairs() == scalar.pairs()
+    assert matrix.names == scalar.names == ["x_0", "x_1", "x_2"]
 
 
 def test_matrix_bracket_example():

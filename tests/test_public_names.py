@@ -34,13 +34,6 @@ def test_runtime_imports_are_standard_library():
     assert outside == []
 
 
-# (module file, name): imported but unused, and why it stays
-UNUSED_IMPORTS_KEPT = {
-    # bench/tests/test_bench.py expects the tracer to find it in aybe.cli
-    ("cli.py", "check_skew"),
-}
-
-
 def test_imports_are_used():
     """Every name a module imports, at module level or inside a function,
     is used somewhere in that module (an annotation counts), or listed in
@@ -63,7 +56,7 @@ def test_imports_are_used():
             ):
                 exported.update(ast.literal_eval(node.value))
         unused += [(path.name, name) for name in sorted(imported - used - exported)]
-    assert unused == sorted(UNUSED_IMPORTS_KEPT)
+    assert unused == []
 
 
 def test_package_loads_a_module_on_first_use():
