@@ -18,12 +18,11 @@ if hasattr(sys, "set_int_max_str_digits"):
 _EXPORTS = {
     "closedform": ("r_closed", "r_closed_block", "r_closed_distinct", "r_closed_m1"),
     "exactlin": ("RatMatrix", "SingularMatrix", "format_rational", "mat_inverse", "parse_rational"),
-    "frobenius": ("LambdaSpec", "bar_index", "build_basis", "cocycle_residual", "make_lambda",
-                  "r_from_algebra"),
+    "frobenius": ("LambdaSpec", "bar_index", "build_basis", "cocycle_residual", "r_from_algebra"),
     "poisson": ("QuadraticBracket", "jacobi_residual", "matrix_bracket_from_r",
-                "scalar_bracket_closed_2m", "scalar_bracket_from_r"),
-    "tensor": ("Tensor4", "aybe_report", "aybe_residual", "check_skew", "compare_tensors",
-               "gl_transform", "transpose_dual"),
+                "scalar_bracket_closed_2m"),
+    "tensor": ("Tensor4", "aybe_residual", "check_skew", "compare_tensors", "gl_transform",
+               "transpose_dual"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

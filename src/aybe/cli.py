@@ -81,7 +81,7 @@ MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 # transform: n. construct writes no larger tensor (m divides n, so
 # n(n-m) >= n^2 / 2), and closed-form none either.
-MAX_TRANSFORM_N = 40
+MAX_TRANSFORM_N = MAX_CLOSED_FORM_N
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
 MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
@@ -104,20 +104,13 @@ def _check_limit(what: str, size: int, limit: int) -> None:
         raise ValueError(f"{what} = {size} exceeds the limit of {limit}")
 
 
-def _parse_lambda(text: str, n: int) -> tuple:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"expected {n} lambda values, got {len(parts)}")
-    return tuple(parse_rational(p) for p in parts)
-
-
 def _check_dimension(args) -> None:
     if 0 < args.m < args.n:
         _check_limit("basis dimension n(n-m)", args.n * (args.n - args.m), MAX_DIMENSION)
 
 
 def _lambda(args) -> LambdaSpec:
-    return LambdaSpec(args.n, args.m, _parse_lambda(args.lam, args.n))
+    return LambdaSpec(args.n, args.m, map(parse_rational, args.lam.split(",")))
 
 
 def _lambda_inputs(lam: LambdaSpec) -> dict:
@@ -268,7 +261,7 @@ def cmd_bracket(args) -> tuple:
             raise ValueError("--compare-closed-2m requires even n")
         if args.lam is None:
             raise ValueError("--compare-closed-2m requires --lambda")
-        lam = LambdaSpec(r.n, r.n // 2, _parse_lambda(args.lam, r.n))
+        lam = LambdaSpec(r.n, r.n // 2, map(parse_rational, args.lam.split(",")))
         lam.require_distinct()
     inputs = {
         "tensor": args.tensor,

@@ -30,7 +30,6 @@ __all__ = [
     "format_rational",
     "common_denominator",
     "RatMatrix",
-    "mat_mul",
     "mat_inverse",
     "matrix_to_json",
     "matrix_from_json",
@@ -205,7 +204,7 @@ class RatMatrix:
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact matrix product."""
+    """Exact matrix product; a test oracle, not public (bench/tracing.py traces it)."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     out = []

@@ -24,7 +24,6 @@ from aybe.tensor import Tensor4, _from_keys
 
 __all__ = [
     "LambdaSpec",
-    "make_lambda",
     "bar_index",
     "build_basis",
     "cocycle_residual",
@@ -68,8 +67,7 @@ class LambdaSpec:
             raise ValueError("lambda values must be pairwise distinct")
 
 
-def make_lambda(n: int, m: int, values: Iterable) -> LambdaSpec:
-    return LambdaSpec(n, m, values)
+make_lambda = LambdaSpec  # not public; bench/workloads.py is its last user
 
 
 def bar_index(i: int, j: int, m: int) -> int:

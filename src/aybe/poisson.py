@@ -25,7 +25,6 @@ from aybe.tensor import Tensor4, check_skew
 __all__ = [
     "QuadraticBracket",
     "NotSkewSymmetric",
-    "scalar_bracket_from_r",
     "matrix_bracket_from_r",
     "jacobi_residual",
     "scalar_bracket_closed_2m",
@@ -128,7 +127,7 @@ def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
 
 
 def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:
-    """The bracket on r.n generators x_a: matrix_bracket_from_r at m == 1."""
+    """matrix_bracket_from_r(r, 1); not public (bench/tracing.py traces it)."""
     return matrix_bracket_from_r(r, 1)
 
 

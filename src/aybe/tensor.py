@@ -29,10 +29,8 @@ __all__ = [
     "Tensor4",
     "check_skew",
     "aybe_residual",
-    "aybe_residual_naive",
     "gl_transform",
     "transpose_dual",
-    "aybe_report",
     "compare_tensors",
 ]
 
@@ -267,7 +265,7 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
 
 
 def aybe_residual_naive(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Reference O(n^7) evaluation of the residual, for cross-checking."""
+    """Reference O(n^7) residual; a test oracle, not public (bench/checks.py uses it)."""
     n = r.n
     out = []
     for key in product(range(n), repeat=6):
@@ -341,7 +339,7 @@ def transpose_dual(r: Tensor4) -> Tensor4:
 
 
 def aybe_report(r: Tensor4) -> tuple[list, list]:
-    """(check_skew(r), aybe_residual(r)): r is a skew solution when both are empty."""
+    """(check_skew(r), aybe_residual(r)); not public (bench/tests/test_bench.py calls it)."""
     return check_skew(r), aybe_residual(r)
 
 

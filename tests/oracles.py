@@ -11,7 +11,7 @@ from math import prod
 from hypothesis import strategies as st
 
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, format_rational, mat_inverse
-from aybe.frobenius import LambdaSpec, _entries, _pairings, bar_index, build_basis, make_lambda
+from aybe.frobenius import LambdaSpec, _entries, _pairings, bar_index, build_basis
 from aybe.poisson import QuadraticBracket
 from aybe.tensor import Tensor4
 
@@ -33,12 +33,12 @@ def rand_distinct_values(rng: random.Random, n: int, bound: int = 20) -> tuple:
 
 
 def rand_distinct_lambda(rng: random.Random, n: int, m: int):
-    return make_lambda(n, m, rand_distinct_values(rng, n))
+    return LambdaSpec(n, m, rand_distinct_values(rng, n))
 
 
 def rand_block_lambda(rng: random.Random, n: int, m: int):
     block_vals = rand_distinct_values(rng, n // m)
-    return make_lambda(n, m, [block_vals[i // m] for i in range(n)])
+    return LambdaSpec(n, m, [block_vals[i // m] for i in range(n)])
 
 
 def dense(n: int, entries) -> RatMatrix:

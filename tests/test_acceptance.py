@@ -11,16 +11,15 @@ from fractions import Fraction
 
 from aybe.cli import main
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.frobenius import _entries, build_basis, cocycle_residual, make_lambda, r_from_algebra
+from aybe.frobenius import LambdaSpec, _entries, build_basis, cocycle_residual, r_from_algebra
 from aybe.exactlin import SingularMatrix, mat_inverse
 from aybe.poisson import (
     QuadraticBracket,
     compare_to_closed_2m,
     jacobi_residual,
     matrix_bracket_from_r,
-    scalar_bracket_from_r,
 )
-from aybe.tensor import Tensor4, aybe_report, aybe_residual, gl_transform, transpose_dual
+from aybe.tensor import Tensor4, aybe_residual, check_skew, gl_transform, transpose_dual
 from oracles import (
     dense,
     gram_dense,
@@ -49,7 +48,7 @@ def test_criterion_01_m1_reproduction():
         closed = r_closed_m1(lam)
         if r != closed:
             problems.append(f"n={n}: gram build differs from closed form")
-        if aybe_report(r) != ([], []):
+        if (check_skew(r), aybe_residual(r)) != ([], []):
             problems.append(f"n={n}: solution fails the component checks")
     criterion(1, "single-block closed form reproduced for N=2..5", problems, time.perf_counter() - t0, 5.0)
 
@@ -89,7 +88,7 @@ def test_criterion_03_distinct_formula():
             if closed != r_from_algebra(lam):
                 problems.append(f"(n,m)=({n},{m}) draw {draw}: closed form differs")
                 break
-            if aybe_report(closed) != ([], []):
+            if (check_skew(closed), aybe_residual(closed)) != ([], []):
                 problems.append(f"(n,m)=({n},{m}) draw {draw}: checks failed")
                 break
     criterion(3, "distinct-lambda closed form over 10 draws each", problems, time.perf_counter() - t0, 30.0)
@@ -105,8 +104,8 @@ def test_criterion_04_cocycle_identity():
                 continue
             lambdas = [
                 rand_distinct_lambda(rng, n, m),
-                make_lambda(n, m, [Fraction(1)] * n),
-                make_lambda(n, m, [rand_fraction(rng, bound=3) for _ in range(n)]),
+                LambdaSpec(n, m, [Fraction(1)] * n),
+                LambdaSpec(n, m, [rand_fraction(rng, bound=3) for _ in range(n)]),
             ]
             for lam in lambdas:
                 if cocycle_residual(lam):
@@ -154,18 +153,18 @@ def test_criterion_06_gl_equivariance():
     problems = []
     rng = random.Random(6)
     solutions = [
-        r_closed_m1(make_lambda(2, 1, [2, 1])),
-        r_closed_m1(make_lambda(3, 1, [0, 1, 2])),
-        r_closed_block(make_lambda(4, 2, [1, 1, 0, 0])),
-        r_closed_distinct(make_lambda(4, 2, [0, 1, 2, 3])),
+        r_closed_m1(LambdaSpec(2, 1, [2, 1])),
+        r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])),
+        r_closed_block(LambdaSpec(4, 2, [1, 1, 0, 0])),
+        r_closed_distinct(LambdaSpec(4, 2, [0, 1, 2, 3])),
     ]
     for k in range(10):
         for r in solutions:
-            g = rand_invertible(rng, r.n)
-            if aybe_report(gl_transform(r, g)) != ([], []):
+            moved = gl_transform(r, rand_invertible(rng, r.n))
+            if (check_skew(moved), aybe_residual(moved)) != ([], []):
                 problems.append(f"transform {k} on n={r.n} solution broke the checks")
-    dual = transpose_dual(r_closed_block(make_lambda(4, 2, [1, 1, 0, 0])))
-    if aybe_report(dual) != ([], []):
+    dual = transpose_dual(r_closed_block(LambdaSpec(4, 2, [1, 1, 0, 0])))
+    if (check_skew(dual), aybe_residual(dual)) != ([], []):
         problems.append("transpose dual of the (4,2) solution fails the checks")
     criterion(6, "basis changes and the transpose dual preserve solutions", problems, time.perf_counter() - t0, 60.0)
 
@@ -174,20 +173,20 @@ def test_criterion_07_jacobi():
     t0 = time.perf_counter()
     problems = []
     scalar_sources = [
-        ("m1 n=2", r_closed_m1(make_lambda(2, 1, [2, 1]))),
-        ("m1 n=3", r_closed_m1(make_lambda(3, 1, [0, 1, 2]))),
-        ("m1 n=4", r_closed_m1(make_lambda(4, 1, [0, 1, 2, 3]))),
-        ("block (4,2)", r_closed_block(make_lambda(4, 2, [1, 1, 0, 0]))),
-        ("distinct (4,2)", r_closed_distinct(make_lambda(4, 2, [0, 1, 2, 3]))),
+        ("m1 n=2", r_closed_m1(LambdaSpec(2, 1, [2, 1]))),
+        ("m1 n=3", r_closed_m1(LambdaSpec(3, 1, [0, 1, 2]))),
+        ("m1 n=4", r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3]))),
+        ("block (4,2)", r_closed_block(LambdaSpec(4, 2, [1, 1, 0, 0]))),
+        ("distinct (4,2)", r_closed_distinct(LambdaSpec(4, 2, [0, 1, 2, 3]))),
     ]
     for name, r in scalar_sources:
-        if jacobi_residual(scalar_bracket_from_r(r)):
+        if jacobi_residual(matrix_bracket_from_r(r, 1)):
             problems.append(f"scalar bracket from {name} fails the Jacobi identity")
     t_scalar = time.perf_counter() - t0
     if t_scalar >= 30.0:
         problems.append(f"scalar Jacobi runtime {t_scalar:.1f}s exceeded 30s")
     for name, r in [
-        ("m1 n=2", r_closed_m1(make_lambda(2, 1, [2, 1]))),
+        ("m1 n=2", r_closed_m1(LambdaSpec(2, 1, [2, 1]))),
         ("family 1", Tensor4(2, {(1, 0, 1, 1): 1, (0, 1, 1, 1): -1})),
     ]:
         if jacobi_residual(matrix_bracket_from_r(r, 2)):
@@ -205,8 +204,8 @@ def test_criterion_07_jacobi():
 def test_criterion_08_closed_2m_report():
     t0 = time.perf_counter()
     problems = []
-    lam = make_lambda(4, 2, [0, 1, 2, 3])
-    derived = scalar_bracket_from_r(r_closed_distinct(lam))
+    lam = LambdaSpec(4, 2, [0, 1, 2, 3])
+    derived = matrix_bracket_from_r(r_closed_distinct(lam), 1)
     report = compare_to_closed_2m(derived, lam)
     if len(report) != 6:
         problems.append("comparison report does not cover all generator pairs")
@@ -233,7 +232,7 @@ def test_criterion_09_degenerate_inputs(tmp_path, capsys):
     if code != 2:
         problems.append(f"repeated lambda distinct closed form exited {code}, expected 2")
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps([["1", "1"], ["1", "1"]]))
     code = main(["transform", str(tensor_path), "--g", str(g_path), "--out", str(tmp_path / "o.json")])

@@ -41,7 +41,7 @@ from aybe.cli import (
 )
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import LITERAL_BUDGET, MAX_LITERAL_CHARS, RatMatrix, check_literals, format_rational, matrix_to_json, parse_rational
-from aybe.frobenius import make_lambda
+from aybe.frobenius import LambdaSpec
 from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4
 from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
 
@@ -68,7 +68,7 @@ def test_construct_and_verify_round_trip(tmp_path, capsys):
     assert report["inputs"]["mode"] == "DISTINCT"
 
     on_disk = Tensor4.loads(tensor_path.read_text())
-    assert on_disk == r_closed_m1(make_lambda(2, 1, [2, 1]))
+    assert on_disk == r_closed_m1(LambdaSpec(2, 1, [2, 1]))
 
     code, out, _ = run(["verify", str(tensor_path)], capsys)
     assert code == 0
@@ -109,6 +109,23 @@ def test_construct_usage_errors(tmp_path, capsys):
     # m not a proper divisor
     code, _, _ = run(["construct", "--n", "4", "--m", "3", "--lambda", "0,1,2,3", "--out", out_path], capsys)
     assert code == 2
+    # LambdaSpec alone checks --lambda: the divisor first, then each value's
+    # text, then the count, so that order decides which of two faults is named
+    tensor_path = tmp_path / "r2.json"
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
+    cases = [
+        (["construct", "--n", "4", "--m", "3", "--lambda", "0,1", "--out", out_path],
+         "m=3 is not a proper divisor of n=4"),
+        (["construct", "--n", "3", "--m", "1", "--lambda", "1,x", "--out", out_path],
+         "not an exact rational literal: 'x'"),
+        (["construct", "--n", "3", "--m", "1", "--lambda", "1,2", "--out", out_path],
+         "expected 3 lambda values, got 2"),
+        (["bracket", str(tensor_path), "--compare-closed-2m", "--lambda", "1,2,3"],
+         "expected 2 lambda values, got 3"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"aybe: error: {message}\n")
 
 
 def test_verify_failing_tensor(tmp_path, capsys):
@@ -173,7 +190,7 @@ def test_verify_deeply_nested_file_exit_2(tmp_path, capsys):
 
 def test_transform_deeply_nested_g_exit_2(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     g_path = tmp_path / "g.json"
     g_path.write_text("[" * 100000 + "]" * 100000)
     out_path = tmp_path / "o.json"
@@ -294,7 +311,7 @@ def test_out_and_report_same_file_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_output_naming_an_input_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    Path("r.json").write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]) + "\n")
     Path("link.json").symlink_to("r.json")
     closed = ["closed-form", "--variant", "m1", "--n", "2", "--lambda", "2,1"]
@@ -324,7 +341,7 @@ def test_negative_lambda_value(tmp_path, capsys):
     )
     assert code == 0
     assert read_report(out)["inputs"]["lambda"] == ["-1", "0", "1"]
-    assert Tensor4.loads(tensor_path.read_text()) == r_closed_m1(make_lambda(3, 1, [-1, 0, 1]))
+    assert Tensor4.loads(tensor_path.read_text()) == r_closed_m1(LambdaSpec(3, 1, [-1, 0, 1]))
     code, _, _ = run(
         ["closed-form", "--variant", "m1", "--n", "3", "--lambda", "-1,0,1", "--compare", str(tensor_path)],
         capsys,
@@ -372,7 +389,7 @@ def test_closed_form_compare_checks_inputs_first(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     other_n = tmp_path / "r3.json"
-    other_n.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    other_n.write_text(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])).dumps())
     out_path = tmp_path / "r.json"
     for compare in (bad, other_n, tmp_path / "missing.json"):
         code, out, err = run(
@@ -434,7 +451,7 @@ def test_cocycle_command(capsys):
 
 def test_bracket_with_jacobi(tmp_path, capsys):
     tensor_path = tmp_path / "r3.json"
-    r_path_text = r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps()
+    r_path_text = r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])).dumps()
     tensor_path.write_text(r_path_text)
     bracket_path = tmp_path / "b.json"
     code, out, _ = run(
@@ -521,9 +538,9 @@ def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys, monkeyp
     monkeypatch.setattr("aybe.cli.matrix_bracket_from_r", no_work)
     monkeypatch.setattr("aybe.cli.jacobi_residual", no_work)
     tensor_path = tmp_path / "r3.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])).dumps())
     even_path = tmp_path / "r4.json"
-    even_path.write_text(r_closed_m1(make_lambda(4, 1, [0, 1, 2, 3])).dumps())
+    even_path.write_text(r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3])).dumps())
     bracket_path = tmp_path / "b.json"
     cases = [
         [str(tensor_path), "--lambda", "0,1,2"],  # odd n
@@ -560,7 +577,7 @@ def test_unwritable_output_path_writes_nothing(tmp_path, capsys):
 
 def test_transform_identity_byte_identical(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps([["1", "0"], ["0", "1"]]))
     out_path = tmp_path / "out.json"
@@ -571,7 +588,7 @@ def test_transform_identity_byte_identical(tmp_path, capsys):
 
 def test_transform_transpose_dual_involution(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])).dumps())
     once = tmp_path / "once.json"
     twice = tmp_path / "twice.json"
     code, _, _ = run(["transform", str(tensor_path), "--transpose-dual", "--out", str(once)], capsys)
@@ -584,7 +601,7 @@ def test_transform_transpose_dual_involution(tmp_path, capsys):
 def test_transform_random_g_verifies(tmp_path, capsys):
     rng = random.Random(42)
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(matrix_to_json(rand_invertible(rng, 2))))
     out_path = tmp_path / "out.json"
@@ -597,7 +614,7 @@ def test_transform_random_g_verifies(tmp_path, capsys):
 
 def test_transform_singular_g_exit_3(tmp_path, capsys):
     tensor_path = tmp_path / "r.json"
-    tensor_path.write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    tensor_path.write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps([["1", "1"], ["1", "1"]]))
     code, out, _ = run(
@@ -698,7 +715,7 @@ def _write_report_inputs():
     Path("zero.json").write_text(Tensor4(2).dumps())
     Path("g.json").write_text(json.dumps([["1", "1"], ["0", "1"]]))
     Path("s.json").write_text(json.dumps([["1", "1"], ["1", "1"]]))
-    Path("p63.json").write_text(perturbed(r_closed_distinct(make_lambda(6, 3, grid(6, 11)))).dumps())
+    Path("p63.json").write_text(perturbed(r_closed_distinct(LambdaSpec(6, 3, grid(6, 11)))).dumps())
 
 
 def test_reports_pinned(tmp_path, capsys, monkeypatch):
@@ -783,7 +800,7 @@ def _without_timing(text: str) -> dict:
 def test_no_state_carried_between_calls(tmp_path, capsys, monkeypatch):
     """Nothing parsed in one call reaches the next in the same process."""
     monkeypatch.chdir(tmp_path)
-    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    Path("r.json").write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--n", "x"])
     assert exc.value.code == 2
@@ -964,7 +981,7 @@ def test_argparse_fallback_runs_commands(tmp_path, capsys, monkeypatch):
     last value wins, `--` before the positional, a spaced negative value)
     runs the command as its well-formed spelling does."""
     monkeypatch.chdir(tmp_path)
-    Path("r.json").write_text(r_closed_m1(make_lambda(2, 1, [2, 1])).dumps())
+    Path("r.json").write_text(r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps())
     pairs = [
         (["bracket", "r.json", "--chec"], ["bracket", "r.json", "--check-jacobi"]),
         (["cocycle", "--n", "2", "--n", "3", "--m", "1", "--lambda", "0,1,2"],
@@ -987,7 +1004,7 @@ def test_cold_process_matches_in_process(tmp_path, capsys, monkeypatch):
     report match the in-process ones."""
     monkeypatch.setenv("COLUMNS", "100")
     path = tmp_path / "r.json"
-    path.write_text(r_closed_m1(make_lambda(3, 1, [0, 1, 2])).dumps())
+    path.write_text(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])).dumps())
     env = {**os.environ, "PYTHONPATH": str(Path(aybe.__file__).parent.parent)}
 
     def cold(*argv):
@@ -1226,7 +1243,7 @@ def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
     """The distinct (24,2) tensor has 24 generators but 42,528 nonzeros; its
     Jacobi check would run for minutes."""
     path = tmp_path / "r.json"
-    path.write_text(r_closed_distinct(make_lambda(24, 2, range(24))).dumps())
+    path.write_text(r_closed_distinct(LambdaSpec(24, 2, range(24))).dumps())
     code, out, err = run(["bracket", str(path), "--check-jacobi"], capsys)
     assert code == 2 and out == ""
     assert f"tensor nonzeros * m_size^4 = 42528 exceeds the limit of {MAX_BRACKET_TERMS}" in err
@@ -1290,7 +1307,7 @@ def test_input_file_byte_limit(tmp_path, capsys, monkeypatch, argv, padded):
     """An input file of MAX_INPUT_BYTES bytes is read; one byte more is
     refused with exit 2 before it is parsed, and nothing is written."""
     monkeypatch.chdir(tmp_path)
-    texts = {"t.json": r_closed_m1(make_lambda(2, 1, [2, 1])).dumps(),
+    texts = {"t.json": r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps(),
              "g.json": json.dumps([["1", "0"], ["0", "1"]])}
     for size, expected in ((MAX_INPUT_BYTES, 0), (MAX_INPUT_BYTES + 1, 2)):
         for name, text in texts.items():
@@ -1310,7 +1327,7 @@ def test_input_pipe_byte_limit(tmp_path, capsys):
     bytes are parsed, and one more is refused without reading further."""
     fifo = tmp_path / "t.json"
     os.mkfifo(fifo)
-    text = r_closed_m1(make_lambda(2, 1, [2, 1])).dumps()
+    text = r_closed_m1(LambdaSpec(2, 1, [2, 1])).dumps()
     for size, expected in ((MAX_INPUT_BYTES, 0), (MAX_INPUT_BYTES + 1, 2)):
         writer = threading.Thread(target=fifo.write_text, args=(text.ljust(size),), daemon=True)
         writer.start()
@@ -1415,10 +1432,10 @@ INT_JUNK = ["", "x", "1.5", "2/1", "--"]  # none of these parses as an int
 TEXT_JUNK = INT_JUNK + ["1,,2", "1/0", "0.5,1", "-", "a,b", "-1,x"]
 VALID_TENSORS = [
     Tensor4(2),
-    r_closed_m1(make_lambda(2, 1, [2, 1])),
-    r_closed_m1(make_lambda(3, 1, [0, 1, 2])),
-    r_closed_m1(make_lambda(4, 1, [0, 1, 2, 3])),
-    r_closed_block(make_lambda(4, 2, [1, 1, 0, 0])),
+    r_closed_m1(LambdaSpec(2, 1, [2, 1])),
+    r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])),
+    r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3])),
+    r_closed_block(LambdaSpec(4, 2, [1, 1, 0, 0])),
     Tensor4(3, {(0, 1, 1, 2): 1, (1, 0, 2, 1): -1}),  # skew, fails the AYBE
     Tensor4(2, {(0, 1, 0, 1): 1}),  # not skew
 ]

@@ -22,7 +22,7 @@ from aybe.exactlin import (
     matrix_to_json,
     parse_rational,
 )
-from aybe.frobenius import make_lambda, r_from_algebra
+from aybe.frobenius import LambdaSpec, r_from_algebra
 from oracles import (
     commutator,
     identity,
@@ -319,9 +319,9 @@ def test_common_denominator_sides_of_the_guard():
     rng = random.Random(3)
     wide = [Fraction(rng.choice((-1, 1)) * (rng.getrandbits(29) | 1 << 29)) for _ in range(6)]
     tensors = [
-        r_closed_m1(make_lambda(4, 1, [0, 1, 3, 7])),
-        r_closed_distinct(make_lambda(6, 2, [Fraction(k * k + 1, k + 2) for k in range(6)])),
-        r_from_algebra(make_lambda(6, 2, wide)),
+        r_closed_m1(LambdaSpec(4, 1, [0, 1, 3, 7])),
+        r_closed_distinct(LambdaSpec(6, 2, [Fraction(k * k + 1, k + 2) for k in range(6)])),
+        r_from_algebra(LambdaSpec(6, 2, wide)),
     ]
     # four unrelated 2000-digit denominators: L just under 4 * max_den_bits + 64
     values_sets = [[v for _, v in r.items()] for r in tensors]

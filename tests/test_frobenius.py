@@ -11,16 +11,16 @@ from aybe import frobenius
 from aybe.closedform import r_closed_block, r_closed_m1
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse, mat_mul
 from aybe.frobenius import (
+    LambdaSpec,
     _entries,
     _pairings,
     _product,
     bar_index,
     build_basis,
     cocycle_residual,
-    make_lambda,
     r_from_algebra,
 )
-from aybe.tensor import aybe_report, compare_tensors, transpose_dual
+from aybe.tensor import aybe_residual, check_skew, compare_tensors, transpose_dual
 from oracles import (
     NM_SMALL_CLASSES,
     commutator,
@@ -76,12 +76,12 @@ def test_bar_index_m1():
 
 
 def test_lambda_modes():
-    assert make_lambda(2, 1, [2, 1]).mode == "DISTINCT"
-    assert make_lambda(4, 2, [1, 1, 0, 0]).mode == "BLOCK"
-    assert make_lambda(4, 2, [0, 1, 2, 3]).mode == "DISTINCT"
-    assert make_lambda(4, 2, [1, 1, 1, 1]).mode == "OTHER"
-    assert make_lambda(4, 2, [1, 2, 3, 3]).mode == "OTHER"
-    assert make_lambda(2, 1, [1, 1]).mode == "OTHER"
+    assert LambdaSpec(2, 1, [2, 1]).mode == "DISTINCT"
+    assert LambdaSpec(4, 2, [1, 1, 0, 0]).mode == "BLOCK"
+    assert LambdaSpec(4, 2, [0, 1, 2, 3]).mode == "DISTINCT"
+    assert LambdaSpec(4, 2, [1, 1, 1, 1]).mode == "OTHER"
+    assert LambdaSpec(4, 2, [1, 2, 3, 3]).mode == "OTHER"
+    assert LambdaSpec(2, 1, [1, 1]).mode == "OTHER"
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,7 +95,7 @@ def test_lambda_modes_distinct_iff_pairwise_distinct(data):
         values = [per_block[i // m] for i in range(n)]
     else:
         values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    lam = make_lambda(n, m, values)
+    lam = LambdaSpec(n, m, values)
     distinct = len(set(values)) == n
     assert (lam.mode == "DISTINCT") == distinct
     if distinct:
@@ -107,11 +107,11 @@ def test_lambda_modes_distinct_iff_pairwise_distinct(data):
 
 def test_lambda_validation():
     with pytest.raises(ValueError):
-        make_lambda(4, 3, [0, 1, 2, 3])  # 3 does not divide 4
+        LambdaSpec(4, 3, [0, 1, 2, 3])  # 3 does not divide 4
     with pytest.raises(ValueError):
-        make_lambda(4, 4, [0, 1, 2, 3])  # must be proper
+        LambdaSpec(4, 4, [0, 1, 2, 3])  # must be proper
     with pytest.raises(ValueError):
-        make_lambda(4, 2, [0, 1, 2])  # wrong length
+        LambdaSpec(4, 2, [0, 1, 2])  # wrong length
 
 
 def test_build_basis_n2_m1():
@@ -150,20 +150,20 @@ def test_membership_examples():
 
 
 def test_form_self_is_zero():
-    lam = make_lambda(2, 1, [2, 1])
+    lam = LambdaSpec(2, 1, [2, 1])
     x = RatMatrix([[1, 2], [3, 4]])
     assert form_eval(x, x, lam) == 0
 
 
 def test_form_pairing_values():
-    lam = make_lambda(2, 1, [2, 1])
+    lam = LambdaSpec(2, 1, [2, 1])
     basis = build_basis(2, 1)
     at = positions(basis)
     e01 = dense(2, _entries(basis[at[(0, 1)]]))
     e10 = dense(2, _entries(basis[at[(1, 0)]]))
     assert form_eval(e01, e10, lam) == 1
 
-    lam42 = make_lambda(4, 2, [1, 1, 0, 0])
+    lam42 = LambdaSpec(4, 2, [1, 1, 0, 0])
     b42 = build_basis(4, 2)
     at = positions(b42)
     e02 = dense(4, _entries(b42[at[(0, 2)]]))
@@ -175,7 +175,7 @@ def test_form_pairing_values():
 def test_form_matches_trace_definition(seed):
     rng = random.Random(seed)
     n = rng.choice([2, 3, 4])
-    lam = make_lambda(n, 1, [rand_fraction(rng) for _ in range(n)])
+    lam = LambdaSpec(n, 1, [rand_fraction(rng) for _ in range(n)])
     x, y = rand_matrix(rng, n), rand_matrix(rng, n)
     diag = diagonal(lam.values)
     assert form_eval(x, y, lam) == trace(mat_mul(commutator(x, y), diag))
@@ -183,21 +183,21 @@ def test_form_matches_trace_definition(seed):
 
 
 def test_cocycle_empty_on_examples():
-    lam = make_lambda(2, 1, [2, 1])
+    lam = LambdaSpec(2, 1, [2, 1])
     assert cocycle_residual(lam) == []
 
     rng = random.Random(11)
-    lam_random = make_lambda(4, 2, [rand_fraction(rng) for _ in range(4)])
+    lam_random = LambdaSpec(4, 2, [rand_fraction(rng) for _ in range(4)])
     assert cocycle_residual(lam_random) == []
 
 
 def test_cocycle_empty_with_repeated_lambda():
-    assert cocycle_residual(make_lambda(4, 2, [1, 1, 1, 1])) == []
+    assert cocycle_residual(LambdaSpec(4, 2, [1, 1, 1, 1])) == []
 
 
 def test_gram_example_custom_order():
     # explicit ordering (e_{0,1}, e_{1,0}) gives [[0, 1], [-1, 0]]
-    lam = make_lambda(2, 1, [2, 1])
+    lam = LambdaSpec(2, 1, [2, 1])
     by_pair = {e[:2]: e for e in build_basis(2, 1)}
     basis = [by_pair[(0, 1)], by_pair[(1, 0)]]
     g = gram(basis, lam)
@@ -205,7 +205,7 @@ def test_gram_example_custom_order():
 
 
 def test_gram_zero_for_equal_lambda():
-    lam = make_lambda(2, 1, [1, 1])
+    lam = LambdaSpec(2, 1, [1, 1])
     g = gram(build_basis(2, 1), lam)
     assert g == zeros(2, 2)
 
@@ -214,7 +214,7 @@ def test_gram_zero_for_equal_lambda():
 def test_gram_antisymmetric(seed):
     rng = random.Random(40 + seed)
     n, m = rng.choice([(2, 1), (3, 1), (4, 2)])
-    lam = make_lambda(n, m, [rand_fraction(rng) for _ in range(n)])
+    lam = LambdaSpec(n, m, [rand_fraction(rng) for _ in range(n)])
     g = gram(build_basis(n, m), lam)
     assert g.transpose() == negative(g)
 
@@ -239,7 +239,7 @@ def test_gram_matches_dense_form(data):
     # degenerate and all-zero Gram matrices are drawn too
     n, m = data.draw(st.sampled_from(GRAM_NM))
     pool = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=3))
-    lam = make_lambda(n, m, data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    lam = LambdaSpec(n, m, data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     basis = build_basis(n, m)
     mats = [dense(n, _entries(e)) for e in basis]
     assert gram(basis, lam) == gram_dense(mats, lam)
@@ -275,7 +275,7 @@ def test_gram_distinct_mode_nondegenerate(n, m):
 
 
 def test_r_from_algebra_n2_matches_closed_form():
-    lam = make_lambda(2, 1, [2, 1])
+    lam = LambdaSpec(2, 1, [2, 1])
     r = r_from_algebra(lam)
     expected = {
         (0, 0, 0, 1): Fraction(-1),
@@ -292,7 +292,7 @@ def test_r_from_algebra_n2_matches_closed_form():
 
 
 def test_r_from_algebra_degenerate():
-    lam = make_lambda(2, 1, [1, 1])
+    lam = LambdaSpec(2, 1, [1, 1])
     with pytest.raises(SingularMatrix) as exc:
         r_from_algebra(lam)
     assert exc.value.rank == 0
@@ -311,12 +311,12 @@ def test_degenerate_gram_rank(n, m, values, dim, rank):
     """Degenerate lambdas where the Gram matrix keeps part of its rank."""
     assert len(build_basis(n, m)) == dim
     with pytest.raises(SingularMatrix) as exc:
-        r_from_algebra(make_lambda(n, m, values))
+        r_from_algebra(LambdaSpec(n, m, values))
     assert exc.value.rank == rank
 
 
 def test_r_from_algebra_matches_block_closed_form():
-    lam = make_lambda(4, 2, [1, 1, 0, 0])
+    lam = LambdaSpec(4, 2, [1, 1, 0, 0])
     r = r_from_algebra(lam)
     assert compare_tensors(r, r_closed_block(lam)) == []
 
@@ -332,31 +332,31 @@ def test_r_from_algebra_matches_block_closed_form():
     ],
 )
 def test_r_from_algebra_solves_equation(n, m, values):
-    lam = make_lambda(n, m, values)
+    lam = LambdaSpec(n, m, values)
     r = r_from_algebra(lam)
-    assert aybe_report(r) == ([], [])
+    assert (check_skew(r), aybe_residual(r)) == ([], [])
 
 
 def test_other_mode_attempted_not_prerejected():
     # repeated lambda outside the block pattern: construction is attempted,
     # and an invertible form still yields a valid solution
-    lam = make_lambda(4, 2, [0, 0, 1, 2])
+    lam = LambdaSpec(4, 2, [0, 0, 1, 2])
     assert lam.mode == "OTHER"
     r = r_from_algebra(lam)
-    assert aybe_report(r) == ([], [])
+    assert (check_skew(r), aybe_residual(r)) == ([], [])
 
     with pytest.raises(SingularMatrix):
-        r_from_algebra(make_lambda(4, 2, [1, 1, 1, 1]))
+        r_from_algebra(LambdaSpec(4, 2, [1, 1, 1, 1]))
 
 
 def test_transposed_basis_gives_negated_dual():
     # transposition flips the sign of the trace form, so building from the
     # transposed algebra yields the negative of the index-swapped dual
-    lam = make_lambda(4, 2, [1, 1, 0, 0])
+    lam = LambdaSpec(4, 2, [1, 1, 0, 0])
     r = r_from_algebra(lam)
     r_t = r_from_matrices([dense(4, _entries(e)).transpose() for e in build_basis(4, 2)], lam)
     assert r_t == negate(transpose_dual(r))
-    assert aybe_report(r_t) == ([], [])
+    assert (check_skew(r_t), aybe_residual(r_t)) == ([], [])
 
 
 DENSE_NM = [(4, 1), (4, 2), (6, 3)]
@@ -388,7 +388,7 @@ def test_cocycle_places_each_pairing_at_three_rotations(n, m, monkeypatch):
         return rows
 
     monkeypatch.setattr(frobenius, "_pairings", doubled)
-    lam = make_lambda(n, m, [Fraction(k * k + 1, k + 2) for k in range(n)])
+    lam = LambdaSpec(n, m, [Fraction(k * k + 1, k + 2) for k in range(n)])
     basis = build_basis(n, m)
     mats = [dense(n, _entries(e)) for e in basis]
     first = {(j, k): form_eval(mats[0], mat_mul(y, z), lam) for j, y in enumerate(mats) for k, z in enumerate(mats)}
@@ -413,7 +413,7 @@ def test_r_from_algebra_matches_dense_matrices(n, m):
     ]
     degenerate = 0
     for values in patterns:
-        lam = make_lambda(n, m, values)
+        lam = LambdaSpec(n, m, values)
         try:
             r = r_from_algebra(lam)
         except SingularMatrix as exc:
@@ -440,7 +440,7 @@ def test_r_from_algebra_matches_fraction_assembly(data):
     else:
         n, m = data.draw(st.sampled_from(GRAM_NM))
         values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=n, max_size=n))
-    lam = make_lambda(n, m, values)
+    lam = LambdaSpec(n, m, values)
     assert (type(common_denominator(list(lam.values))[1][0]) is int) != unrelated
     try:
         expected = r_from_algebra_fractions(lam)
@@ -457,11 +457,11 @@ def test_r_from_algebra_matches_fraction_assembly(data):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(NM_SMALL_CLASSES).flatmap(
-        lambda nm: st.lists(st.integers(0, 3), min_size=nm[0], max_size=nm[0]).map(lambda v: make_lambda(*nm, v))
+        lambda nm: st.lists(st.integers(0, 3), min_size=nm[0], max_size=nm[0]).map(lambda v: LambdaSpec(*nm, v))
     )
 )
-@example(make_lambda(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER, nondegenerate
-@example(make_lambda(6, 3, [0, 1, 2, 0, 2, 1]))  # OTHER, a value repeated in class 0
+@example(LambdaSpec(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER, nondegenerate
+@example(LambdaSpec(6, 3, [0, 1, 2, 0, 2, 1]))  # OTHER, a value repeated in class 0
 def test_degenerate_exactly_when_criterion_fails(lam):
     """r_from_algebra raises SingularMatrix exactly when lambda repeats a
     value within a residue class mod m; lambda_i in {0..3}, so both sides
@@ -476,4 +476,4 @@ def test_degenerate_exactly_when_criterion_fails(lam):
 
 def test_shape_mismatch_errors():
     with pytest.raises(ValueError):
-        form_eval(identity(3), identity(3), make_lambda(2, 1, [0, 1]))
+        form_eval(identity(3), identity(3), LambdaSpec(2, 1, [0, 1]))

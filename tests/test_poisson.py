@@ -1,6 +1,6 @@
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aybe.cli import MAX_GENERATORS
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import common_denominator, format_rational
-from aybe.frobenius import make_lambda, r_from_algebra
+from aybe.frobenius import LambdaSpec, r_from_algebra
 from aybe.poisson import (
     NotSkewSymmetric,
     QuadraticBracket,
@@ -20,7 +20,6 @@ from aybe.poisson import (
     jacobi_residual,
     matrix_bracket_from_r,
     scalar_bracket_closed_2m,
-    scalar_bracket_from_r,
     terms_json,
 )
 from aybe.tensor import Tensor4, aybe_residual, check_skew
@@ -113,13 +112,13 @@ def test_polynomial_canonical_idempotent(table):
 
 
 def test_scalar_bracket_zero_tensor():
-    b = scalar_bracket_from_r(Tensor4(3))
+    b = matrix_bracket_from_r(Tensor4(3), 1)
     assert not b.pairs()
 
 
 def test_scalar_bracket_n2_value():
     # {x_0, x_1} = -(x_0 - x_1)^2
-    b = scalar_bracket_from_r(r_closed_m1(make_lambda(2, 1, [2, 1])))
+    b = matrix_bracket_from_r(r_closed_m1(LambdaSpec(2, 1, [2, 1])), 1)
     expected = {(0, 0): -1, (0, 1): 2, (1, 1): -1}
     assert b.entry(0, 1) == expected
     assert b.entry(1, 0) == neg(expected)
@@ -128,14 +127,14 @@ def test_scalar_bracket_n2_value():
 
 def test_scalar_bracket_family_is_zero():
     fam = Tensor4(2, {(1, 0, 1, 1): 1, (0, 1, 1, 1): -1})
-    assert not scalar_bracket_from_r(fam).pairs()
+    assert not matrix_bracket_from_r(fam, 1).pairs()
 
 
 def test_scalar_bracket_rejects_non_skew():
     r = Tensor4(2, {(0, 1, 0, 1): 1})
-    for build in (scalar_bracket_from_r, lambda r: matrix_bracket_from_r(r, 2)):
+    for m in (1, 2):
         with pytest.raises(NotSkewSymmetric) as exc:
-            build(r)
+            matrix_bracket_from_r(r, m)
         assert isinstance(exc.value, ValueError)
         assert str(exc.value) == ("tensor is not skew-symmetric (2 violating components); "
                                   "the induced bracket would not be antisymmetric")
@@ -148,12 +147,16 @@ def test_scalar_bracket_rejects_non_skew():
 
 
 def test_matrix_bracket_m1_reduction():
-    r = r_closed_m1(make_lambda(3, 1, [0, 1, 2]))
-    scalar = scalar_bracket_from_r(r)
+    r = r_closed_m1(LambdaSpec(3, 1, [0, 1, 2]))
     matrix = matrix_bracket_from_r(r, 1)
-    assert matrix.n_gens == scalar.n_gens
-    assert matrix.pairs() == scalar.pairs()
-    assert matrix.names == scalar.names == ["x_0", "x_1", "x_2"]
+    assert matrix.n_gens == 3
+    assert matrix.names == ["x_0", "x_1", "x_2"]
+    # {x_a, x_b} = sum r^{ge}_{ab} x_g x_e
+    for a, b in combinations_with_replacement(range(3), 2):
+        expected = defaultdict(Fraction)
+        for g, e in product(range(3), repeat=2):
+            expected[tuple(sorted((g, e)))] += r.get(g, e, a, b)
+        assert matrix.entry(a, b) == {mono: v for mono, v in expected.items() if v}
 
 
 def test_matrix_bracket_example():
@@ -178,8 +181,8 @@ def test_matrix_bracket_zero_tensor():
 
 
 def test_bracket_antisymmetry_table():
-    r = r_closed_m1(make_lambda(3, 1, [0, 1, 2]))
-    b = scalar_bracket_from_r(r)
+    r = r_closed_m1(LambdaSpec(3, 1, [0, 1, 2]))
+    b = matrix_bracket_from_r(r, 1)
     for u in range(3):
         for v in range(3):
             assert b.entry(u, v) == neg(b.entry(v, u))
@@ -194,8 +197,8 @@ def test_jacobi_zero_bracket():
 
 def test_jacobi_solution_brackets_pass():
     for n in (2, 3, 4):
-        r = r_closed_m1(make_lambda(n, 1, list(range(n))))
-        assert jacobi_residual(scalar_bracket_from_r(r)) == []
+        r = r_closed_m1(LambdaSpec(n, 1, list(range(n))))
+        assert jacobi_residual(matrix_bracket_from_r(r, 1)) == []
 
 
 def test_jacobi_nonposson_control():
@@ -221,12 +224,12 @@ def test_failing_tensor_gives_failing_bracket():
     # and its bracket fails Jacobi with residual -2 x0^2 x1 at (0,1,2)
     bad = Tensor4(3, {(1, 1, 0, 1): 1, (1, 1, 1, 0): -1, (0, 0, 1, 2): 1, (0, 0, 2, 1): -1})
     assert aybe_residual(bad)
-    violations = jacobi_residual(scalar_bracket_from_r(bad))
+    violations = jacobi_residual(matrix_bracket_from_r(bad, 1))
     assert violations == [((0, 1, 2), {(0, 0, 1): Fraction(-2)})]
 
 
 def test_jacobi_matrix_case():
-    r = r_closed_m1(make_lambda(2, 1, [2, 1]))
+    r = r_closed_m1(LambdaSpec(2, 1, [2, 1]))
     assert jacobi_residual(matrix_bracket_from_r(r, 2)) == []
 
 
@@ -283,11 +286,11 @@ def skew_tensor_st(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(skew_tensor_st(), st.just(r_closed_m1(make_lambda(3, 1, [0, 1, 2])))),
+    st.one_of(skew_tensor_st(), st.just(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])))),
     st.integers(min_value=1, max_value=2),
 )
 def test_jacobi_matches_leibniz_reference(r, m_size):
-    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    b = matrix_bracket_from_r(r, m_size)
     got = [(t, terms_json(b.n_gens, p)) for t, p in jacobi_residual(b)]
     assert got == jacobi_reference(bracket_to_json(b))
 
@@ -299,7 +302,7 @@ def test_jacobi_matches_leibniz_reference_with_large_denominators(drawn, data):
     # the reference takes seconds on a matrix bracket of five unrelated
     # 2000-digit denominators; both sides share the contraction loop
     m_size = data.draw(st.integers(min_value=1, max_value=1 if unrelated else 2))
-    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    b = matrix_bracket_from_r(r, m_size)
     coeffs = [c for _, poly in b.pairs() for c in poly.values()]
     assert (common_denominator(coeffs)[1] is coeffs) == unrelated
     # residual coefficients pass 4300 digits; exactlin lifts that limit
@@ -313,12 +316,12 @@ GRID = [Fraction(k * k + 1, k + 2) for k in range(6)]
 @pytest.mark.parametrize(
     "r, m_sizes",
     [
-        (r_closed_m1(make_lambda(4, 1, [0, 1, 3, 7])), (1, 2)),
-        (r_closed_block(make_lambda(4, 2, [1, 1, 5, 5])), (1, 2)),
-        (r_closed_distinct(make_lambda(6, 3, GRID)), (1,)),
-        (r_from_algebra(make_lambda(4, 2, GRID[:4])), (1, 2)),
-        (r_from_algebra(make_lambda(6, 2, GRID)), (1,)),
-        (r_from_algebra(make_lambda(6, 3, GRID)), (1,)),
+        (r_closed_m1(LambdaSpec(4, 1, [0, 1, 3, 7])), (1, 2)),
+        (r_closed_block(LambdaSpec(4, 2, [1, 1, 5, 5])), (1, 2)),
+        (r_closed_distinct(LambdaSpec(6, 3, GRID)), (1,)),
+        (r_from_algebra(LambdaSpec(4, 2, GRID[:4])), (1, 2)),
+        (r_from_algebra(LambdaSpec(6, 2, GRID)), (1,)),
+        (r_from_algebra(LambdaSpec(6, 3, GRID)), (1,)),
     ],
 )
 def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
@@ -326,12 +329,12 @@ def test_aybe_solution_gives_poisson_bracket(r, m_sizes):
     # quadratic Poisson bracket, scalar and on m x m matrix entries
     assert check_skew(r) == [] and aybe_residual(r) == []
     for m_size in m_sizes:
-        b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+        b = matrix_bracket_from_r(r, m_size)
         assert jacobi_residual(b) == []
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(skew_tensor_st(), st.just(r_closed_m1(make_lambda(3, 1, [0, 1, 2])))))
+@given(st.one_of(skew_tensor_st(), st.just(r_closed_m1(LambdaSpec(3, 1, [0, 1, 2])))))
 def test_jacobi_at_m3_iff_aybe(r):
     # Odesskii-Rubtsov-Sokolov in both directions: the bracket on 3 x 3
     # matrix entries is Poisson exactly when the skew r solves the AYBE.
@@ -347,18 +350,18 @@ def term_lists(residual):
 @pytest.mark.parametrize(
     "r, m_size, fails",
     [
-        (r_closed_distinct(make_lambda(8, 2, grid(8, -7))), 1, False),
-        (r_closed_distinct(make_lambda(6, 3, grid(6, 11))), 1, False),
-        (r_closed_distinct(make_lambda(4, 2, grid(4, 3))), 2, False),
-        (perturbed(r_closed_distinct(make_lambda(6, 3, grid(6, 11)))), 1, True),
-        (r_closed_m1(make_lambda(4, 1, grid(4, -2))), 2, False),
+        (r_closed_distinct(LambdaSpec(8, 2, grid(8, -7))), 1, False),
+        (r_closed_distinct(LambdaSpec(6, 3, grid(6, 11))), 1, False),
+        (r_closed_distinct(LambdaSpec(4, 2, grid(4, 3))), 2, False),
+        (perturbed(r_closed_distinct(LambdaSpec(6, 3, grid(6, 11)))), 1, True),
+        (r_closed_m1(LambdaSpec(4, 1, grid(4, -2))), 2, False),
     ],
     ids=["distinct-8x2", "distinct-6x3", "distinct-4x2-m2", "non-aybe-6x3", "m1-4-m2"],
 )
 def test_jacobi_matches_tuple_oracle_on_bench_shapes(r, m_size, fails):
     # the shapes of the bracket benchmark: same triples, monomials,
     # coefficients and order as the sort-based contraction
-    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    b = matrix_bracket_from_r(r, m_size)
     got = jacobi_residual(b)
     assert term_lists(got) == term_lists(jacobi_residual_tuples(b))
     assert bool(got) == fails
@@ -369,7 +372,7 @@ def test_jacobi_matches_tuple_oracle_on_bench_shapes(r, m_size, fails):
 def test_jacobi_matches_tuple_oracle_with_large_denominators(drawn, m_size):
     # covers both the integer path and the Fraction fallback
     r, _ = drawn
-    b = scalar_bracket_from_r(r) if m_size == 1 else matrix_bracket_from_r(r, m_size)
+    b = matrix_bracket_from_r(r, m_size)
     assert term_lists(jacobi_residual(b)) == term_lists(jacobi_residual_tuples(b))
 
 
@@ -403,17 +406,17 @@ def test_monomial_decodes_every_cubic_key():
 
 def test_closed_2m_requires_shape():
     with pytest.raises(ValueError):
-        scalar_bracket_closed_2m(make_lambda(6, 2, [0, 1, 2, 3, 4, 5]))
+        scalar_bracket_closed_2m(LambdaSpec(6, 2, [0, 1, 2, 3, 4, 5]))
 
 
 def test_closed_2m_m1_all_pairs_undefined():
-    bracket, undefined = scalar_bracket_closed_2m(make_lambda(2, 1, [2, 1]))
+    bracket, undefined = scalar_bracket_closed_2m(LambdaSpec(2, 1, [2, 1]))
     assert undefined == ((0, 1),)
     assert not bracket.pairs()
 
 
 def test_closed_2m_42():
-    lam = make_lambda(4, 2, [0, 1, 2, 3])
+    lam = LambdaSpec(4, 2, [0, 1, 2, 3])
     bracket, undefined = scalar_bracket_closed_2m(lam)
     # partner pairs hit a vanishing printed denominator
     assert undefined == ((0, 2), (1, 3))
@@ -432,7 +435,7 @@ def test_closed_2m_matches_printed_formula(data):
     m = data.draw(st.integers(min_value=1, max_value=4))
     n = 2 * m
     rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    lam = make_lambda(n, m, data.draw(st.lists(rationals, min_size=n, max_size=n, unique=True)))
+    lam = LambdaSpec(n, m, data.draw(st.lists(rationals, min_size=n, max_size=n, unique=True)))
     x = data.draw(st.lists(rationals, min_size=n, max_size=n))
     bracket, undefined_pairs = scalar_bracket_closed_2m(lam)
     vals = lam.values
@@ -451,14 +454,14 @@ def test_closed_2m_matches_printed_formula(data):
 
 
 def test_compare_to_closed_2m_needs_n_generators():
-    derived = scalar_bracket_from_r(r_closed_distinct(make_lambda(2, 1, [0, 1])))
+    derived = matrix_bracket_from_r(r_closed_distinct(LambdaSpec(2, 1, [0, 1])), 1)
     with pytest.raises(ValueError, match="generator count differs from n"):
-        compare_to_closed_2m(derived, make_lambda(4, 2, [0, 1, 2, 3]))
+        compare_to_closed_2m(derived, LambdaSpec(4, 2, [0, 1, 2, 3]))
 
 
 def test_compare_to_closed_2m_report():
-    lam = make_lambda(4, 2, [0, 1, 2, 3])
-    derived = scalar_bracket_from_r(r_closed_distinct(lam))
+    lam = LambdaSpec(4, 2, [0, 1, 2, 3])
+    derived = matrix_bracket_from_r(r_closed_distinct(lam), 1)
     report = compare_to_closed_2m(derived, lam)
     statuses = {tuple(item["pair"]): item["status"] for item in report}
     assert statuses[(0, 2)] == "undefined"

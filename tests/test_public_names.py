@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,30 @@ def test_imports_are_used():
             ):
                 exported.update(ast.literal_eval(node.value))
         unused += [(path.name, name) for name in sorted(imported - used - exported)]
+    assert unused == []
+
+
+def test_public_names_have_a_use():
+    """Every name in a module's literal __all__ is read somewhere in the
+    package outside its own definition (an annotation counts), or named in
+    the README."""
+    package = Path(aybe.__file__).parent
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    used, public = set(), []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            used |= read - {getattr(stmt, "name", None)}
+            if (
+                isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                and isinstance(stmt.value, ast.List)
+            ):
+                public += [(path.name, name) for name in ast.literal_eval(stmt.value)]
+    unused = [(module, name) for module, name in public
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert unused == []
 
 
