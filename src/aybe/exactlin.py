@@ -4,8 +4,10 @@ Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
 or just "p" when the denominator is 1. Matrices are sparse rows (a dict
 of the nonzero entries per row); rank and inverse come from one
-Gauss-Jordan elimination on them. Loops that only add up products of
-rationals run on integers instead, scaled by a common denominator
+fraction-free Gauss-Jordan elimination of [D a | D], with D the row
+denominators, on rows of ints (`inverse_rows`), and `mat_inverse` divides
+once per entry of the inverse. Loops that only add up products of
+rationals run on integers too, scaled by a common denominator
 (`common_denominator`): the AYBE and Jacobi residuals, the cocycle
 pairings, the tensor assembly from the inverse Gram matrix, and the
 contraction passes of `gl_transform`.
@@ -30,6 +32,7 @@ __all__ = [
     "format_rational",
     "common_denominator",
     "RatMatrix",
+    "inverse_rows",
     "mat_inverse",
     "matrix_to_json",
     "matrix_from_json",
@@ -217,60 +220,94 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(b.cols, out)
 
 
-def _reduce(a: RatMatrix) -> tuple[list[dict[int, Fraction]], dict[int, int]]:
-    """Gauss-Jordan elimination of the square matrix [a | I] on sparse rows
-    (dicts of nonzero entries), with an index of the rows nonzero in each
-    column, so the pivot search and the elimination touch only those rows
-    and the work follows the largest block of a matrix that is
-    block-diagonal up to permutation. A column's pivot is the first row not
-    yet pivoted that is nonzero there; a column without one is skipped, so
-    len(pivots) is the rank. Returns (rows, pivots: column -> row).
+def inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free Gauss-Jordan elimination of [D a | D] for the square
+    matrix a, with D the diagonal of its row denominators (the LCM of each
+    row's denominators; 1 for a row of ints), on sparse rows of ints
+    (dicts of the nonzero entries, one for each half).
+
+    The pivot p of a column updates every other row nonzero there, with
+    entry f, as row = (p/g) row - (f/g) prow for g = gcd(p, f), and the
+    updated row is divided by the gcd of its entries (its content). Each
+    row stays a nonzero multiple of the row that Gauss-Jordan elimination
+    on Fractions holds, so the zero patterns, the pivots and the rank are
+    the same. A column's pivot is the first row not yet pivoted that is
+    nonzero there, and a column without one is skipped. An index of the
+    rows nonzero in each column of a lets the pivot search and the updates
+    touch only those rows, so the work follows the largest block of a
+    matrix that is block-diagonal up to permutation.
+
+    Returns, for each column c, (a_c, x_c): the pivot and the right half of
+    its row, so row c of a^-1 is x_c / a_c. The row is primitive, so |a_c|
+    is the LCM of the denominators of row c of a^-1. Raises SingularMatrix,
+    with the rank found, when a has no inverse.
     """
     n = a.rows
-    rows = [dict(row) for row in a.sparse_rows]
-    holds: list[set[int]] = [set() for _ in range(2 * n)]  # column -> rows nonzero there
-    for i, row in enumerate(rows):
-        row[n + i] = Fraction(1)
+    lefts: list[dict[int, int]] = []
+    rights: list[dict[int, int]] = []
+    holds: list[set[int]] = [set() for _ in range(n)]  # column -> rows nonzero there
+    for i, row in enumerate(a.sparse_rows):
+        d = math.lcm(*{v.denominator for v in row.values()})
+        lefts.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
+        rights.append({i: d})
         for j in row:
             holds[j].add(i)
     done: set[int] = set()
-    pivots: dict[int, int] = {}
+    pivots: list[int] = []
     for col in range(n):
         p = min(holds[col] - done, default=None)
         if p is None:
             continue
         done.add(p)
-        pivot = rows[p][col]
-        prow = rows[p] = {j: v / pivot for j, v in rows[p].items()}
+        pleft, pright = lefts[p], rights[p]
+        pivot = pleft[col]
         for i in holds[col] - {p}:
-            row = rows[i]
-            f = row[col]
-            for j, v in prow.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    row[j] = x
-                    holds[j].add(i)
+            left, right = lefts[i], rights[i]
+            f = left[col]
+            g = math.gcd(pivot, f)
+            s, t = pivot // g, f // g
+            if s != 1:
+                left = {j: s * v for j, v in left.items()}
+                right = {j: s * v for j, v in right.items()}
+            for j, v in pleft.items():
+                if j in left:
+                    x = left[j] - t * v
+                    if x:
+                        left[j] = x
+                    else:
+                        del left[j]
+                        holds[j].discard(i)
                 else:
-                    del row[j]
-                    holds[j].discard(i)
-        pivots[col] = p
-    return rows, pivots
+                    left[j] = -t * v
+                    holds[j].add(i)
+            for j, v in pright.items():
+                x = right.get(j, 0) - t * v
+                if x:
+                    right[j] = x
+                else:
+                    del right[j]
+            content = math.gcd(*left.values(), *right.values())
+            if content != 1:
+                left = {j: v // content for j, v in left.items()}
+                right = {j: v // content for j, v in right.items()}
+            lefts[i], rights[i] = left, right
+        pivots.append(p)
+    if len(pivots) < n:
+        raise SingularMatrix(len(pivots))
+    return [(lefts[p][c], rights[p]) for c, p in enumerate(pivots)]
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse by sparse Gauss-Jordan elimination of [a | I].
+    """Exact inverse: row c is x_c / a_c from inverse_rows, one division
+    per nonzero entry.
 
     Raises SingularMatrix (with the rank found) when a has no inverse;
     that is the degeneracy signal used by the bilinear-form pipeline.
     """
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
-    n = a.rows
-    rows, pivots = _reduce(a)
-    if len(pivots) < n:
-        raise SingularMatrix(len(pivots))
     return RatMatrix.from_rows(
-        n, ({k - n: v for k, v in rows[pivots[c]].items() if k >= n} for c in range(n))
+        a.rows, ({k: Fraction(v, p) for k, v in row.items()} for p, row in inverse_rows(a))
     )
 
 

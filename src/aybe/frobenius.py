@@ -19,7 +19,8 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from aybe.exactlin import RatMatrix, common_denominator, mat_inverse
+import aybe.exactlin
+from aybe.exactlin import RatMatrix, common_denominator, inverse_rows
 from aybe.tensor import Tensor4, _from_keys
 
 __all__ = [
@@ -68,6 +69,7 @@ class LambdaSpec:
 
 
 make_lambda = LambdaSpec  # not public; bench/workloads.py is its last user
+mat_inverse = aybe.exactlin.mat_inverse  # not called here; bench/tests/test_bench.py reads it
 
 
 def bar_index(i: int, j: int, m: int) -> int:
@@ -178,29 +180,30 @@ def r_from_algebra(lam: LambdaSpec) -> Tensor4:
     G is singular, exactlin.SingularMatrix is raised with the Gram rank.
 
     The Gram rows are ints G' = L G, on lambda scaled by its common
-    denominator L, so g = L G'^{-1}. The nonzeros of G'^{-1}, scaled by
-    their own common denominator M, are ints; as basis entries are +-1,
-    each adds +-g' at four int keys ((a*n + b)*n + c)*n + d, and each
-    entry is reduced once, as v L / M.
+    denominator L (or G's Fractions, with L = 1, when common_denominator
+    keeps lambda's), so g = L G'^{-1}. exactlin.inverse_rows gives row s of
+    G'^{-1} as x_s / a_s, with x_s ints and each row primitive, so
+    M = lcm(a_s) is the common denominator of G'^{-1}. As basis entries are
+    +-1, each x_s M / a_s adds +-itself at four int keys
+    ((a*n + b)*n + c)*n + d, and each entry is reduced once, as v L / M.
+    M is taken from common_denominator over the 1 / a_s, so when it is too
+    wide the entries added are the Fractions x_s / a_s instead.
     """
     n = lam.n
     basis = build_basis(n, lam.m)
     items = [_entries(e) for e in basis]
     lcm, values = common_denominator(list(lam.values))
-    # Fractions, as mat_inverse divides by its pivots
-    gram = [{t: Fraction(g) for t, g in row.items()} for row in _pairings(items, items, values)]
-    rows = mat_inverse(RatMatrix.from_rows(len(items), gram)).sparse_rows
+    rows = inverse_rows(RatMatrix.from_rows(len(items), _pairings(items, items, values)))
+    den, scales = common_denominator([Fraction(1, a) for a, _ in rows])
     # the key of (a, b, c, d) is left(a, c) + right(b, d): e_s gives a and c, e_t b and d
     nn = n * n
     left = [(i * nn * n + j * n, bar * nn * n + j * n) for i, j, bar in basis]
     right = [(i * nn + j, bar * nn + j) for i, j, bar in basis]
-    den, scaled = common_denominator([g for row in rows for g in row.values()])
-    scaled = iter(scaled)
     acc: dict[int, int | Fraction] = defaultdict(int)
-    for s, row in enumerate(rows):
+    for s, ((_, row), scale) in enumerate(zip(rows, scales)):
         p0, p1 = left[s]
-        for t in row:
-            g = next(scaled)
+        for t, g in row.items():
+            g *= scale
             q0, q1 = right[t]
             acc[p0 + q0] += g
             acc[p0 + q1] -= g

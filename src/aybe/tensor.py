@@ -125,7 +125,8 @@ class Tensor4:
     @classmethod
     def loads(cls, text: str) -> "Tensor4":
         """Parse the text dumps writes, checking each entry once; the
-        indices are range-checked by the constructor, after every entry.
+        indices are range-checked after every entry is read, and the tensor
+        is built without the constructor's second pass over the values.
         A text past exactlin.check_literals' limits is refused, and so is a
         value longer than MAX_LITERAL_CHARS; each distinct value text is
         parsed once."""
@@ -167,7 +168,11 @@ class Tensor4:
             if key in entries:
                 raise ValueError(f"duplicate tensor entry at {key}")
             entries[key] = v
-        return cls(n, entries)
+        for key in entries:  # only after every entry is read, as Tensor4() checks them
+            a, b, c, d = key
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+                raise ValueError(f"index out of range for n={n}: {key}")
+        return _checked(n, entries)
 
 
 def check_skew(r: Tensor4) -> list[tuple[Quad, Fraction]]:
@@ -321,16 +326,28 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     return _from_keys(n, cur, Fraction(1, lr * lg**4))
 
 
+def _checked(n: int, entries: dict[Quad, Fraction]) -> Tensor4:
+    """The tensor holding entries as they are, without the constructor's
+    pass: the caller has checked that every index is below n and that every
+    value is a nonzero Fraction."""
+    r = Tensor4.__new__(Tensor4)
+    r.n, r._entries = n, entries
+    return r
+
+
 def _from_keys(n: int, sums: Mapping[int, int | Fraction], scale: Fraction) -> Tensor4:
     """The tensor with the entry scale * v at (a, b, c, d) for each nonzero
-    v in sums, keyed ((a*n + b)*n + c)*n + d: each entry reduced once."""
+    v in sums, keyed ((a*n + b)*n + c)*n + d with every index below n: each
+    entry reduced once, by one Fraction of two ints when v is an int (a
+    Fraction v, which common_denominator kept, is multiplied as it is)."""
+    num, den = scale.numerator, scale.denominator
     entries = {}
     for key, v in sums.items():
         if v:
             abc, d = divmod(key, n)
             ab, c = divmod(abc, n)
-            entries[divmod(ab, n) + (c, d)] = scale * v
-    return Tensor4(n, entries)
+            entries[divmod(ab, n) + (c, d)] = Fraction(v * num, den) if type(v) is int else scale * v
+    return _checked(n, entries)
 
 
 def transpose_dual(r: Tensor4) -> Tensor4:

@@ -138,12 +138,55 @@ def _nonzeros(a: RatMatrix) -> list[tuple[int, int, Fraction]]:
     return [(i, j, v) for i, row in enumerate(a.sparse_rows) for j, v in row.items()]
 
 
+def mat_inverse_fractions(a: RatMatrix) -> RatMatrix:
+    """exactlin.mat_inverse as Gauss-Jordan elimination of [a | I] on sparse
+    rows of Fractions, each pivot row divided by its pivot: the oracle for
+    the fraction-free elimination. It keeps the same column index and pivot
+    rule (the first row not yet pivoted that is nonzero in the column), so
+    a singular a raises SingularMatrix with the same rank."""
+    if not a.is_square():
+        raise ValueError("inverse needs a square matrix")
+    n = a.rows
+    rows = [{j: Fraction(v) for j, v in row.items()} for row in a.sparse_rows]
+    holds: list[set[int]] = [set() for _ in range(2 * n)]  # column -> rows nonzero there
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
+        for j in row:
+            holds[j].add(i)
+    done: set[int] = set()
+    pivots: dict[int, int] = {}
+    for col in range(n):
+        p = min(holds[col] - done, default=None)
+        if p is None:
+            continue
+        done.add(p)
+        pivot = rows[p][col]
+        prow = rows[p] = {j: v / pivot for j, v in rows[p].items()}
+        for i in holds[col] - {p}:
+            row = rows[i]
+            f = row[col]
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                    holds[j].add(i)
+                else:
+                    del row[j]
+                    holds[j].discard(i)
+        pivots[col] = p
+    if len(pivots) < n:
+        raise SingularMatrix(len(pivots))
+    return RatMatrix.from_rows(
+        n, ({k - n: v for k, v in rows[pivots[c]].items() if k >= n} for c in range(n))
+    )
+
+
 def r_from_matrices(mats, lam) -> Tensor4:
     """r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g the inverse of the
     dense Gram matrix over the given matrices; raises SingularMatrix, with
     the Gram rank, when the form is degenerate on them."""
     n = lam.n
-    ginv = mat_inverse(gram_dense(mats, lam))
+    ginv = mat_inverse_fractions(gram_dense(mats, lam))
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
     for s, t, g in _nonzeros(ginv):
         for a, c, va in _nonzeros(mats[s]):
@@ -157,7 +200,7 @@ def r_from_algebra_fractions(lam: LambdaSpec) -> Tensor4:
     pair of basis entries, on the Gram matrix of the unscaled lambda: the
     oracle for its integer assembly."""
     items = [_entries(e) for e in build_basis(lam.n, lam.m)]
-    ginv = mat_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
+    ginv = mat_inverse_fractions(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
     for s, t, g in _nonzeros(ginv):
         for a, c, va in items[s]:
@@ -171,7 +214,7 @@ def gl_transform_fractions(r: Tensor4, g: RatMatrix) -> Tensor4:
     """tensor.gl_transform as four Fraction contraction passes over tuple
     keys: the oracle for its integer-keyed passes."""
     gt = g.transpose().sparse_rows  # gt[p] = {a: g^a_p}
-    h = mat_inverse(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
+    h = mat_inverse_fractions(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
 
     def contract(entries, rows, pos):
         out: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)

@@ -16,17 +16,19 @@ from aybe.exactlin import (
     common_denominator,
     format_rational,
     load_json,
+    inverse_rows,
     mat_inverse,
     mat_mul,
     matrix_from_json,
     matrix_to_json,
     parse_rational,
 )
-from aybe.frobenius import LambdaSpec, r_from_algebra
+from aybe.frobenius import LambdaSpec, _entries, _pairings, build_basis, r_from_algebra
 from oracles import (
     commutator,
     identity,
     leibniz,
+    mat_inverse_fractions,
     negative,
     rand_invertible,
     rand_matrix,
@@ -265,6 +267,65 @@ def test_elimination_matches_oracles(a):
         inv = mat_inverse(a)
         assert mat_mul(a, inv) == identity(a.rows)
         assert mat_mul(inv, a) == identity(a.rows)
+
+
+def assert_same_inverse(a):
+    """mat_inverse(a) is the Fraction elimination's RatMatrix, of Fractions,
+    or both raise SingularMatrix with the same rank; when a is invertible,
+    each pivot |a_c| of inverse_rows is the LCM of the denominators of row c
+    of the inverse."""
+    try:
+        expected = mat_inverse_fractions(a)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as got:
+            mat_inverse(a)
+        assert got.value.rank == exc.rank
+        return
+    inv = mat_inverse(a)
+    assert inv == expected
+    assert all(type(v) is Fraction for row in inv.sparse_rows for v in row.values())
+    pivots = [abs(p) for p, _ in inverse_rows(a)]
+    assert pivots == [math.lcm(*(v.denominator for v in row.values())) for row in inv.sparse_rows]
+
+
+@st.composite
+def int_fraction_rows_st(draw):
+    """Sparse rows (n <= 6) of ints and Fractions, taken as they are by
+    RatMatrix.from_rows; about half the entries are zero, and the last row
+    is sometimes a multiple of another, so singular matrices are drawn too."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), fractions_st)
+    rows = [{j: v for j, v in enumerate(draw(st.lists(value, min_size=n, max_size=n))) if v} for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(fractions_st.filter(bool))
+        rows[-1] = {j: k * v for j, v in rows[draw(st.integers(0, n - 2))].items()}
+    return RatMatrix.from_rows(n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_fraction_rows_st())
+def test_inverse_matches_fraction_elimination(a):
+    assert_same_inverse(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gram_inverse_matches_fraction_elimination(data):
+    # Gram rows on both sides of the common_denominator guard: over unrelated
+    # 2000-digit denominators lambda keeps its Fractions and so do the rows;
+    # small lambdas, degenerate ones included, give rows of ints
+    unrelated = data.draw(st.booleans())
+    if unrelated:
+        n, m = data.draw(st.sampled_from([(5, 1), (6, 3)]))
+        nums = st.integers(-50, 50).filter(bool)
+        values = [Fraction(data.draw(nums), d) for d in unrelated_denominators(n)]
+    else:
+        n, m = data.draw(st.sampled_from([(3, 1), (4, 1), (4, 2), (6, 2), (6, 3)]))
+        values = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=n, max_size=n))
+    lcm, scaled = common_denominator(list(LambdaSpec(n, m, values).values))
+    assert (type(scaled[0]) is int) != unrelated
+    items = [_entries(e) for e in build_basis(n, m)]
+    assert_same_inverse(RatMatrix.from_rows(len(items), _pairings(items, items, scaled)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,6 +29,7 @@ from oracles import (
     form_eval,
     gram_dense,
     identity,
+    mat_inverse_fractions,
     membership_check,
     negate,
     negative,
@@ -313,6 +314,26 @@ def test_degenerate_gram_rank(n, m, values, dim, rank):
     with pytest.raises(SingularMatrix) as exc:
         r_from_algebra(LambdaSpec(n, m, values))
     assert exc.value.rank == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gram_rank_matches_fraction_elimination(data):
+    """On degenerate lambdas (a value repeated within a residue class, so
+    mode OTHER), the rank that r_from_algebra reports is the rank that the
+    Fraction elimination finds on the same Gram rows."""
+    n, m = data.draw(st.sampled_from([(n, m) for n, m in ALL_NM if n >= 4]))
+    values = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n))
+    r = data.draw(st.integers(0, m - 1))
+    i, j = data.draw(st.lists(st.sampled_from(range(r, n, m)), min_size=2, max_size=2, unique=True))
+    values[j] = values[i]
+    lam = LambdaSpec(n, m, values)
+    assert lam.mode == "OTHER" and not nondegenerate(lam)
+    with pytest.raises(SingularMatrix) as expected:
+        mat_inverse_fractions(gram(build_basis(n, m), lam))
+    with pytest.raises(SingularMatrix) as got:
+        r_from_algebra(lam)
+    assert got.value.rank == expected.value.rank
 
 
 def test_r_from_algebra_matches_block_closed_form():
