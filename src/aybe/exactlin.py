@@ -5,8 +5,8 @@ downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
 or just "p" when the denominator is 1. Matrices are sparse rows (a dict
 of the nonzero entries per row); rank and inverse come from one
 fraction-free Gauss-Jordan elimination of [D a | D], with D the row
-denominators, on rows of ints (`inverse_rows`), and `mat_inverse` divides
-once per entry of the inverse. Loops that only add up products of
+denominators, on rows of ints, and `mat_inverse` divides once per entry
+of the inverse. Loops that only add up products of
 rationals run on integers too, scaled by a common denominator
 (`common_denominator`): the AYBE and Jacobi residuals, the cocycle
 pairings, the tensor assembly from the inverse Gram matrix, and the
@@ -32,7 +32,6 @@ __all__ = [
     "format_rational",
     "common_denominator",
     "RatMatrix",
-    "inverse_rows",
     "mat_inverse",
     "matrix_to_json",
     "matrix_from_json",
@@ -220,11 +219,11 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(b.cols, out)
 
 
-def inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
+def _inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
     """Fraction-free Gauss-Jordan elimination of [D a | D] for the square
     matrix a, with D the diagonal of its row denominators (the LCM of each
-    row's denominators; 1 for a row of ints), on sparse rows of ints
-    (dicts of the nonzero entries, one for each half).
+    row's denominators; 1 for a row of ints), on sparse rows of ints (dicts
+    of the nonzero entries, the right half at n + j).
 
     The pivot p of a column updates every other row nonzero there, with
     entry f, as row = (p/g) row - (f/g) prow for g = gcd(p, f), and the
@@ -233,7 +232,7 @@ def inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
     on Fractions holds, so the zero patterns, the pivots and the rank are
     the same. A column's pivot is the first row not yet pivoted that is
     nonzero there, and a column without one is skipped. An index of the
-    rows nonzero in each column of a lets the pivot search and the updates
+    rows nonzero in each column lets the pivot search and the updates
     touch only those rows, so the work follows the largest block of a
     matrix that is block-diagonal up to permutation.
 
@@ -242,15 +241,16 @@ def inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
     is the LCM of the denominators of row c of a^-1. Raises SingularMatrix,
     with the rank found, when a has no inverse.
     """
+    if not a.is_square():
+        raise ValueError("inverse needs a square matrix")
     n = a.rows
-    lefts: list[dict[int, int]] = []
-    rights: list[dict[int, int]] = []
-    holds: list[set[int]] = [set() for _ in range(n)]  # column -> rows nonzero there
+    rows: list[dict[int, int]] = []
+    holds: list[set[int]] = [set() for _ in range(2 * n)]  # column -> rows nonzero there
     for i, row in enumerate(a.sparse_rows):
         d = math.lcm(*{v.denominator for v in row.values()})
-        lefts.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
-        rights.append({i: d})
-        for j in row:
+        rows.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
+        rows[i][n + i] = d
+        for j in rows[i]:
             holds[j].add(i)
     done: set[int] = set()
     pivots: list[int] = []
@@ -259,55 +259,43 @@ def inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
         if p is None:
             continue
         done.add(p)
-        pleft, pright = lefts[p], rights[p]
-        pivot = pleft[col]
+        prow = rows[p]
+        pivot = prow[col]
         for i in holds[col] - {p}:
-            left, right = lefts[i], rights[i]
-            f = left[col]
+            row = rows[i]
+            f = row[col]
             g = math.gcd(pivot, f)
             s, t = pivot // g, f // g
             if s != 1:
-                left = {j: s * v for j, v in left.items()}
-                right = {j: s * v for j, v in right.items()}
-            for j, v in pleft.items():
-                if j in left:
-                    x = left[j] - t * v
-                    if x:
-                        left[j] = x
-                    else:
-                        del left[j]
-                        holds[j].discard(i)
-                else:
-                    left[j] = -t * v
-                    holds[j].add(i)
-            for j, v in pright.items():
-                x = right.get(j, 0) - t * v
+                row = {j: s * v for j, v in row.items()}
+            for j, v in prow.items():
+                x = row.get(j, 0) - t * v
                 if x:
-                    right[j] = x
+                    row[j] = x
+                    holds[j].add(i)
                 else:
-                    del right[j]
-            content = math.gcd(*left.values(), *right.values())
-            if content != 1:
-                left = {j: v // content for j, v in left.items()}
-                right = {j: v // content for j, v in right.items()}
-            lefts[i], rights[i] = left, right
+                    del row[j]
+                    holds[j].discard(i)
+            content = math.gcd(*row.values())
+            rows[i] = {j: v // content for j, v in row.items()} if content != 1 else row
         pivots.append(p)
     if len(pivots) < n:
         raise SingularMatrix(len(pivots))
-    return [(lefts[p][c], rights[p]) for c, p in enumerate(pivots)]
+    return [
+        (rows[p][c], {k - n: v for k, v in rows[p].items() if k >= n})
+        for c, p in enumerate(pivots)
+    ]
 
 
 def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse: row c is x_c / a_c from inverse_rows, one division
+    """Exact inverse: row c is x_c / a_c from _inverse_rows, one division
     per nonzero entry.
 
     Raises SingularMatrix (with the rank found) when a has no inverse;
     that is the degeneracy signal used by the bilinear-form pipeline.
     """
-    if not a.is_square():
-        raise ValueError("inverse needs a square matrix")
     return RatMatrix.from_rows(
-        a.rows, ({k: Fraction(v, p) for k, v in row.items()} for p, row in inverse_rows(a))
+        a.rows, ({k: Fraction(v, p) for k, v in row.items()} for p, row in _inverse_rows(a))
     )
 
 

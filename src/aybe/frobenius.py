@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 import aybe.exactlin
-from aybe.exactlin import RatMatrix, common_denominator, inverse_rows
+from aybe.exactlin import RatMatrix, _inverse_rows, common_denominator
 from aybe.tensor import Tensor4, _from_keys
 
 __all__ = [
@@ -181,7 +181,7 @@ def r_from_algebra(lam: LambdaSpec) -> Tensor4:
 
     The Gram rows are ints G' = L G, on lambda scaled by its common
     denominator L (or G's Fractions, with L = 1, when common_denominator
-    keeps lambda's), so g = L G'^{-1}. exactlin.inverse_rows gives row s of
+    keeps lambda's), so g = L G'^{-1}. exactlin._inverse_rows gives row s of
     G'^{-1} as x_s / a_s, with x_s ints and each row primitive, so
     M = lcm(a_s) is the common denominator of G'^{-1}. As basis entries are
     +-1, each x_s M / a_s adds +-itself at four int keys
@@ -193,7 +193,7 @@ def r_from_algebra(lam: LambdaSpec) -> Tensor4:
     basis = build_basis(n, lam.m)
     items = [_entries(e) for e in basis]
     lcm, values = common_denominator(list(lam.values))
-    rows = inverse_rows(RatMatrix.from_rows(len(items), _pairings(items, items, values)))
+    rows = _inverse_rows(RatMatrix.from_rows(len(items), _pairings(items, items, values)))
     den, scales = common_denominator([Fraction(1, a) for a, _ in rows])
     # the key of (a, b, c, d) is left(a, c) + right(b, d): e_s gives a and c, e_t b and d
     nn = n * n

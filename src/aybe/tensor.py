@@ -9,7 +9,7 @@ are kept; an absent quadruple is an exact zero.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -63,15 +63,14 @@ class Tensor4:
         if n < 1:
             raise ValueError("tensor dimension must be >= 1")
         self.n = n
+        entries = entries or {}
+        _check_indices(n, entries)
         kept: dict[Quad, Fraction] = {}
-        for key, value in (entries or {}).items():
-            a, b, c, d = key
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
-                raise ValueError(f"index out of range for n={n}: {key}")
+        for key, value in entries.items():
             if type(value) is not Fraction:
                 value = Fraction(value)
             if value:
-                kept[(a, b, c, d)] = value
+                kept[tuple(key)] = value
         self._entries = kept
 
     def get(self, a: int, b: int, c: int, d: int) -> Fraction:
@@ -168,10 +167,7 @@ class Tensor4:
             if key in entries:
                 raise ValueError(f"duplicate tensor entry at {key}")
             entries[key] = v
-        for key in entries:  # only after every entry is read, as Tensor4() checks them
-            a, b, c, d = key
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
-                raise ValueError(f"index out of range for n={n}: {key}")
+        _check_indices(n, entries)  # only after every entry is read, as Tensor4() checks them
         return _checked(n, entries)
 
 
@@ -326,6 +322,14 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     return _from_keys(n, cur, Fraction(1, lr * lg**4))
 
 
+def _check_indices(n: int, keys: Iterable[Quad]) -> None:
+    """Raise ValueError at the first key with an index outside range(n)."""
+    for key in keys:
+        a, b, c, d = key
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            raise ValueError(f"index out of range for n={n}: {key}")
+
+
 def _checked(n: int, entries: dict[Quad, Fraction]) -> Tensor4:
     """The tensor holding entries as they are, without the constructor's
     pass: the caller has checked that every index is below n and that every
@@ -338,8 +342,10 @@ def _checked(n: int, entries: dict[Quad, Fraction]) -> Tensor4:
 def _from_keys(n: int, sums: Mapping[int, int | Fraction], scale: Fraction) -> Tensor4:
     """The tensor with the entry scale * v at (a, b, c, d) for each nonzero
     v in sums, keyed ((a*n + b)*n + c)*n + d with every index below n: each
-    entry reduced once, by one Fraction of two ints when v is an int (a
-    Fraction v, which common_denominator kept, is multiplied as it is)."""
+    entry reduced once. An int v becomes one Fraction of two ints; a
+    Fraction v (the sums of callers whose common_denominator kept its
+    Fractions) is multiplied by scale, as Fraction(v * num, den) would
+    repeat the gcd of its wide terms."""
     num, den = scale.numerator, scale.denominator
     entries = {}
     for key, v in sums.items():

@@ -15,8 +15,8 @@ from aybe.exactlin import (
     SingularMatrix,
     common_denominator,
     format_rational,
+    _inverse_rows,
     load_json,
-    inverse_rows,
     mat_inverse,
     mat_mul,
     matrix_from_json,
@@ -161,6 +161,12 @@ def test_inverse_needs_square_matrix():
         mat_inverse(RatMatrix([[1, 2]]))
 
 
+def test_elimination_needs_square_matrix():
+    for entries in ([[1, 2]], [[1], [2]]):
+        with pytest.raises(ValueError, match="inverse needs a square matrix"):
+            _inverse_rows(RatMatrix(entries))
+
+
 def test_inverse_singular_carries_rank():
     with pytest.raises(SingularMatrix) as exc:
         mat_inverse(RatMatrix([[1, 1], [1, 1]]))
@@ -272,7 +278,7 @@ def test_elimination_matches_oracles(a):
 def assert_same_inverse(a):
     """mat_inverse(a) is the Fraction elimination's RatMatrix, of Fractions,
     or both raise SingularMatrix with the same rank; when a is invertible,
-    each pivot |a_c| of inverse_rows is the LCM of the denominators of row c
+    each pivot |a_c| of _inverse_rows is the LCM of the denominators of row c
     of the inverse."""
     try:
         expected = mat_inverse_fractions(a)
@@ -284,7 +290,7 @@ def assert_same_inverse(a):
     inv = mat_inverse(a)
     assert inv == expected
     assert all(type(v) is Fraction for row in inv.sparse_rows for v in row.values())
-    pivots = [abs(p) for p, _ in inverse_rows(a)]
+    pivots = [abs(p) for p, _ in _inverse_rows(a)]
     assert pivots == [math.lcm(*(v.denominator for v in row.values())) for row in inv.sparse_rows]
 
 
