@@ -71,7 +71,7 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # aybe.tensor); transform's on the tensor read, on the shape of --g before any
 # entry is converted, before each gl_transform pass (tensor.MAX_PASS_PRODUCTS),
 # then verify's on its output. The slowest shapes each limit accepts take, on 2
-# vCPUs: construct (28,2), one Gram component half the basis, 1.4 s (0.3 s the
+# vCPUs: construct (28,2), one Gram component half the basis, 1.4 s (0.4 s the
 # Gram inverse); closed-form --variant distinct (40,2) with --out, 3 s; bracket
 # --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
 # first 7,000 one-digit entries of n = 10 (4,900,000 join products), 8 s, 700 MB;
