@@ -39,6 +39,7 @@ from types import SimpleNamespace
 from aybe.closedform import VARIANTS, r_closed
 from aybe.exactlin import (
     SingularMatrix,
+    _check_limit,
     format_rational,
     load_json,
     matrix_from_json,
@@ -66,13 +67,14 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 4  # an unexpected exception: never 0 or 1, which are verdicts
 EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 
-# Size limits (exit 2), checked before any work; bracket's and verify's on the
-# tensor read, and verify's before the residual join (MAX_JOIN_PRODUCTS in
-# aybe.tensor); transform's on the tensor read, on the shape of --g before any
-# entry is converted, before each gl_transform pass (tensor.MAX_PASS_PRODUCTS),
-# then verify's on its output. The slowest shapes each limit accepts take, on 2
-# vCPUs: construct (28,2), one Gram component half the basis, 1.4 s (0.4 s the
-# Gram inverse); closed-form --variant distinct (40,2) with --out, 3 s; bracket
+# Size limits (exit 2), each refused by exactlin._check_limit, checked before
+# any work; bracket's and verify's on the tensor read, and verify's before the
+# residual join (MAX_JOIN_PRODUCTS in aybe.tensor); transform's on the tensor
+# read, on the shape of --g before any entry is converted, before each
+# gl_transform pass (tensor.MAX_PASS_PRODUCTS), then verify's on its output.
+# The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
+# one Gram component half the basis, 1.4 s (0.4 s the Gram inverse);
+# closed-form --variant distinct (40,2) with --out, 3 s; bracket
 # --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
 # first 7,000 one-digit entries of n = 10 (4,900,000 join products), 8 s, 700 MB;
 # transform, a refusal included, 0.8 s before the checks on its output. Cost
@@ -97,11 +99,6 @@ MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
 # literal's length); 66 such values, which fit in this limit, would take
 # 8.2 s, and are refused before any is parsed.
 MAX_INPUT_BYTES = 800 * MAX_TENSOR_NONZEROS
-
-
-def _check_limit(what: str, size: int, limit: int) -> None:
-    if size > limit:
-        raise ValueError(f"{what} = {size} exceeds the limit of {limit}")
 
 
 def _check_dimension(args) -> None:
@@ -250,6 +247,8 @@ def cmd_cocycle(args) -> tuple:
 
 
 def cmd_bracket(args) -> tuple:
+    if args.lam is not None and not args.compare_closed_2m:
+        raise ValueError("--lambda applies only with --compare-closed-2m")
     r = _load_tensor(args.tensor)
     _check_limit("generators n * m_size^2", r.n * args.m_size**2, MAX_GENERATORS)
     _check_limit("tensor nonzeros * m_size^4", r.nnz * args.m_size**4, MAX_BRACKET_TERMS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from aybe.frobenius import LambdaSpec
-from aybe.tensor import Tensor4
+from aybe.tensor import Tensor4, _checked
 
 __all__ = [
     "VARIANTS",
@@ -91,7 +91,7 @@ def _r_closed(lam: LambdaSpec) -> Tensor4:
                 for d, y in qbd.items():
                     if c != b or d != a:  # case 4 is written above
                         entries[(a, b, c, d)] = x if y == 1 else x * y
-    return Tensor4(n, entries)
+    return _checked(n, {key: v for key, v in entries.items() if v})  # case 4 sums may cancel
 
 
 def r_closed_m1(lam: LambdaSpec) -> Tensor4:

@@ -54,11 +54,10 @@ LONG_LITERAL_CHARS = 4300
 LITERAL_BUDGET = 4 * MAX_LITERAL_CHARS**2
 
 
-def _check_literal(length: int) -> None:
-    if length > MAX_LITERAL_CHARS:
-        raise ValueError(
-            f"literal length = {length} characters exceeds the limit of {MAX_LITERAL_CHARS}"
-        )
+def _check_limit(what: str, size: int, limit: int, unit: str = "") -> None:
+    """Refuse a size past one of the package's MAX_* limits."""
+    if size > limit:
+        raise ValueError(f"{what} = {size}{unit} exceeds the limit of {limit}")
 
 
 class SingularMatrix(Exception):
@@ -73,7 +72,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into a Fraction. Decimal input is rejected, and
     so is a text longer than MAX_LITERAL_CHARS. format_rational has no
     such limit: the text of a larger computed value is refused here."""
-    _check_literal(len(text))
+    _check_limit("literal length", len(text), MAX_LITERAL_CHARS, " characters")
     match = _RATIONAL_RE.match(text.strip())
     if not match:
         raise ValueError(f"not an exact rational literal: {text!r}")
@@ -104,7 +103,7 @@ def check_literals(text: str) -> None:
     total = 0
     for run in _LONG_RUN_RE.finditer(text):
         length = run.end() - run.start()
-        _check_literal(length)
+        _check_limit("literal length", length, MAX_LITERAL_CHARS, " characters")
         total += length * length
         if total > LITERAL_BUDGET:
             raise ValueError(

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _check_divisor(n: int, m: int) -> None:
+    if m < 1 or m >= n or n % m != 0:
+        raise ValueError(f"m={m} is not a proper divisor of n={n}")
+
+
 class LambdaSpec:
     """Parameter vector with its degeneracy pattern classified.
 
@@ -45,8 +50,7 @@ class LambdaSpec:
     __slots__ = ("n", "m", "values", "mode")
 
     def __init__(self, n: int, m: int, values: Iterable):
-        if m < 1 or m >= n or n % m != 0:
-            raise ValueError(f"m={m} is not a proper divisor of n={n}")
+        _check_divisor(n, m)
         values = tuple(values)
         if len(values) != n:
             raise ValueError(f"expected {n} lambda values, got {len(values)}")
@@ -83,8 +87,7 @@ Entry = tuple[int, int, int | Fraction]  # (row, col, value) of a nonzero matrix
 def build_basis(n: int, m: int) -> list[tuple[int, int, int]]:
     """All n(n-m) basis elements e_{i,j} as triples (i, j, bar), with
     bar = bar_index(i, j, m) != i, in (j, i) order."""
-    if m < 1 or m >= n or n % m != 0:
-        raise ValueError(f"m={m} is not a proper divisor of n={n}")
+    _check_divisor(n, m)
     return [(i, j, bar_index(i, j, m)) for j in range(n) for i in range(n) if i // m != j // m]
 
 

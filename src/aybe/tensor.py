@@ -17,6 +17,8 @@ from aybe.exactlin import (
     LONG_LITERAL_CHARS,
     MAX_LITERAL_CHARS,
     RatMatrix,
+    _ZERO,
+    _check_limit,
     check_literals,
     common_denominator,
     format_rational,
@@ -55,7 +57,11 @@ _ENTRY = (
 
 
 class Tensor4:
-    """Sparse 4-index tensor over exact rationals, immutable after construction."""
+    """Sparse 4-index tensor over exact rationals, immutable after construction.
+
+    Tensor4(n, entries) is the checked front door for input from outside the
+    package: it range-checks the indices, converts each value to Fraction and
+    drops zeros. The package builds its own tensors through _checked."""
 
     __slots__ = ("n", "_entries")
 
@@ -74,7 +80,7 @@ class Tensor4:
         self._entries = kept
 
     def get(self, a: int, b: int, c: int, d: int) -> Fraction:
-        return self._entries.get((a, b, c, d), Fraction(0))
+        return self._entries.get((a, b, c, d), _ZERO)
 
     def items(self) -> list[tuple[Quad, Fraction]]:
         """Entries in lexicographic (a, b, c, d) order."""
@@ -143,17 +149,11 @@ class Tensor4:
         for item in raw:
             if not isinstance(item, dict):
                 raise ValueError("tensor entries must be objects")
-            upper = item.get("upper")
-            lower = item.get("lower")
-            if (
-                not isinstance(upper, list)
-                or not isinstance(lower, list)
-                or len(upper) != 2
-                or len(lower) != 2
+            upper, lower = item.get("upper"), item.get("lower")
+            if not (
+                isinstance(upper, list) and isinstance(lower, list) and len(upper) == 2 == len(lower)
+                and type(upper[0]) is type(upper[1]) is type(lower[0]) is type(lower[1]) is int
             ):
-                raise ValueError(f"bad index pair in tensor entry: {item!r}")
-            (a, b), (c, d) = upper, lower
-            if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
                 raise ValueError(f"bad index pair in tensor entry: {item!r}")
             value = item.get("value")
             if not isinstance(value, str):
@@ -163,7 +163,7 @@ class Tensor4:
                 v = parsed[value] = parse_rational(value)
                 if v == 0:  # raised on the text's first use, so never a cached value
                     raise ValueError("explicit zero entry in tensor file")
-            key = (a, b, c, d)
+            key = (*upper, *lower)
             if key in entries:
                 raise ValueError(f"duplicate tensor entry at {key}")
             entries[key] = v
@@ -235,8 +235,7 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
         lefts.append((b, (a * n + c) * top + d * nn, v))
         rights[c].append((a * n * nn + b * n + d, v))
     joined = sum(len(rights.get(s, ())) for s, _, _ in lefts)
-    if joined > MAX_JOIN_PRODUCTS:
-        raise ValueError(f"residual join products = {joined} exceeds the limit of {MAX_JOIN_PRODUCTS}")
+    _check_limit("residual join products", joined, MAX_JOIN_PRODUCTS)
     t: dict[int, int | Fraction] = defaultdict(int)
     for s, k1, v1 in lefts:
         for k2, v2 in rights.get(s, ()):
@@ -310,10 +309,7 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     for weight, rows in ((nn * n, up), (nn, up), (n, down), (1, down)):
         sizes = [len(row) for row in rows]
         products = sum([sizes[key // weight % n] for key in cur])
-        if products > MAX_PASS_PRODUCTS:
-            raise ValueError(
-                f"basis change pass products = {products} exceeds the limit of {MAX_PASS_PRODUCTS}"
-            )
+        _check_limit("basis change pass products", products, MAX_PASS_PRODUCTS)
         out: dict[int, int | Fraction] = defaultdict(int)
         for key, v in cur.items():
             for delta, coeff in rows[key // weight % n]:
@@ -333,7 +329,8 @@ def _check_indices(n: int, keys: Iterable[Quad]) -> None:
 def _checked(n: int, entries: dict[Quad, Fraction]) -> Tensor4:
     """The tensor holding entries as they are, without the constructor's
     pass: the caller has checked that every index is below n and that every
-    value is a nonzero Fraction."""
+    value is a nonzero Fraction. Every tensor the package builds comes
+    through here; Tensor4(n, entries) is for input from outside it."""
     r = Tensor4.__new__(Tensor4)
     r.n, r._entries = n, entries
     return r
@@ -358,7 +355,7 @@ def _from_keys(n: int, sums: Mapping[int, int | Fraction], scale: Fraction) -> T
 
 def transpose_dual(r: Tensor4) -> Tensor4:
     """Swap the upper and lower index blocks: r^{ab}_{cd} -> r^{cd}_{ab}."""
-    return Tensor4(r.n, {(c, d, a, b): v for (a, b, c, d), v in r.iter_items()})
+    return _checked(r.n, {(c, d, a, b): v for (a, b, c, d), v in r._entries.items()})
 
 
 def aybe_report(r: Tensor4) -> tuple[list, list]:
@@ -367,14 +364,10 @@ def aybe_report(r: Tensor4) -> tuple[list, list]:
 
 
 def compare_tensors(r1: Tensor4, r2: Tensor4) -> list[tuple[Quad, Fraction, Fraction]]:
-    """Quadruples where the two tensors differ, with both values."""
+    """Quadruples where the two tensors differ, in sorted order, with both
+    values (Fraction(0) where a tensor has no entry)."""
     if r1.n != r2.n:
         raise ValueError(f"cannot compare tensors of dimension {r1.n} and {r2.n}")
-    keys = set(r1._entries) | set(r2._entries)
-    diffs = []
-    for key in sorted(keys):
-        v1 = r1.get(*key)
-        v2 = r2.get(*key)
-        if v1 != v2:
-            diffs.append((key, v1, v2))
-    return diffs
+    e1, e2 = r1._entries, r2._entries
+    pairs = ((key, e1.get(key, _ZERO), e2.get(key, _ZERO)) for key in sorted(e1.keys() | e2.keys()))
+    return [(key, v1, v2) for key, v1, v2 in pairs if v1 != v2]

@@ -253,6 +253,63 @@ def nondegenerate(lam: LambdaSpec) -> bool:
     return all(len(set(lam.values[r :: lam.m])) == lam.n // lam.m for r in range(lam.m))
 
 
+def gram_rank_counted(lam: LambdaSpec) -> int:
+    """The rank of the Gram matrix, counted without elimination.
+
+    y is in the radical of the form exactly when (l_j - l_i) y_ij depends
+    only on i and on j mod m, so the radical splits into m^2 blocks (s, r):
+    rows i = s mod m against columns j = r mod m, each a Cauchy matrix
+    [1 / (l_j - l_i)] plus a unit column for each equal pair l_i = l_j.
+    With A the lambda values on the block's rows and B those on its
+    columns (multisets), the block's nullity is
+
+        u - U - min(|set A - set B|, |set B - set A|),
+
+    u summing over the rows the multiplicity of l_i in B (1 when l_i is not
+    in B), and U counting the columns whose value occurs in A. The rank is
+    n(n-m) minus the nullities."""
+    n, m, vals = lam.n, lam.m, lam.values
+    classes = [vals[r::m] for r in range(m)]
+    nullity = 0
+    for rows in classes:
+        for cols in classes:
+            u = sum(max(cols.count(v), 1) for v in rows)
+            big_u = sum(v in rows for v in cols)
+            only_rows, only_cols = set(rows) - set(cols), set(cols) - set(rows)
+            nullity += u - big_u - min(len(only_rows), len(only_cols))
+    return n * (n - m) - nullity
+
+
+def scalar_bracket_two_block(lam: LambdaSpec) -> QuadraticBracket:
+    """The scalar bracket at n = 2m with the printed formula's misprint
+    corrected ((l_a - l_b') in the denominator reads (l_a - l_a')):
+
+        {x_a, x_b} = (x_a - x_a')(x_b - x_b')(l_a' - l_b')
+                     / ((l_a - l_a')(l_b - l_b'))
+
+    with g' = g +- m the partner of g; defined when l_g != l_g' for every
+    g, which at n = 2m is the nondegeneracy criterion."""
+    n, m, vals = lam.n, lam.m, lam.values
+    assert n == 2 * m
+    partner = [(g + m) % n for g in range(n)]
+    table = {}
+    for a, b in combinations(range(n), 2):
+        ap, bp = partner[a], partner[b]
+        c = (vals[ap] - vals[bp]) / ((vals[a] - vals[ap]) * (vals[b] - vals[bp]))
+        terms = defaultdict(Fraction)
+        for x, y, sign in ((a, b, 1), (a, bp, -1), (ap, b, -1), (ap, bp, 1)):
+            terms[(min(x, y), max(x, y))] += sign * c
+        table[(a, b)] = terms
+    return QuadraticBracket(n, table)
+
+
+def compare_tensors_dense(r1: Tensor4, r2: Tensor4) -> list:
+    """compare_tensors by the definition: every quadruple in lexicographic
+    order, read through Tensor4.get."""
+    return [(key, r1.get(*key), r2.get(*key)) for key in product(range(r1.n), repeat=4)
+            if r1.get(*key) != r2.get(*key)]
+
+
 def r_closed_m1_printed(lam: LambdaSpec) -> Tensor4:
     """The m1 family as printed: for every ordered pair (a, b), a != b,
 

@@ -558,6 +558,30 @@ def test_bracket_compare_closed_2m_checks_inputs_first(tmp_path, capsys, monkeyp
         assert not bracket_path.exists()
 
 
+def test_bracket_lambda_without_compare_is_refused_first(tmp_path, capsys, monkeypatch):
+    """--lambda is read only by --compare-closed-2m, so without it the call
+    is refused before the tensor is read, not run with the value ignored."""
+    def no_work(*args):
+        raise AssertionError("bracket work started before --lambda was refused")
+
+    for name in ("_load_tensor", "matrix_bracket_from_r", "jacobi_residual"):
+        monkeypatch.setattr(f"aybe.cli.{name}", no_work)
+    tensor_path = tmp_path / "r4.json"
+    tensor_path.write_text(r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3])).dumps())
+    bracket_path = tmp_path / "b.json"
+    cases = [
+        ["--lambda", "0,1,2,3"],
+        ["--lambda", "-1,0,1,2", "--check-jacobi"],
+        ["--lambda=0,1", "--m-size", "2"],
+        ["--lam", "0,1,2,3"],  # an abbreviation: read by the argparse tree
+    ]
+    for extra in cases:
+        code, out, err = run(["bracket", str(tensor_path), *extra, "--out", str(bracket_path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "aybe: error: --lambda applies only with --compare-closed-2m\n"
+        assert not bracket_path.exists()
+
+
 def test_unwritable_output_path_writes_nothing(tmp_path, capsys):
     tensor_path = tmp_path / "c.json"
     construct = ["construct", "--n", "2", "--m", "1", "--lambda", "2,1"]

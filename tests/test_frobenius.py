@@ -28,6 +28,7 @@ from oracles import (
     diagonal,
     form_eval,
     gram_dense,
+    gram_rank_counted,
     identity,
     mat_inverse_fractions,
     membership_check,
@@ -334,6 +335,40 @@ def test_gram_rank_matches_fraction_elimination(data):
     with pytest.raises(SingularMatrix) as got:
         r_from_algebra(lam)
     assert got.value.rank == expected.value.rank
+
+
+RANK_NM = [(n, m) for n in range(4, 13) for m in range(1, n) if n % m == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gram_rank_count_matches_elimination(data):
+    """The counted Gram rank (oracles.gram_rank_counted) is the rank that
+    r_from_algebra's elimination reports on degenerate lambdas, and the full
+    n(n-m) exactly when lambda is distinct within every residue class."""
+    n, m = data.draw(st.sampled_from(RANK_NM))
+    size = n // m
+    # a small pool, so that values repeat across classes (mode OTHER) and,
+    # on the degenerate side, within them
+    pool = data.draw(st.lists(st.fractions(-9, 9, max_denominator=3), min_size=size, max_size=size + 2, unique=True))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        r = data.draw(st.integers(0, m - 1))  # a value repeated within class r
+        i, j = data.draw(st.permutations(range(r, n, m)))[:2]
+        values[j] = values[i]
+    else:
+        values = [None] * n
+        for r in range(m):
+            values[r::m] = data.draw(st.permutations(pool))[:size]
+    lam = LambdaSpec(n, m, values)
+    counted = gram_rank_counted(lam)
+    if nondegenerate(lam):
+        assert counted == n * (n - m)
+        r_from_algebra(lam)
+    else:
+        with pytest.raises(SingularMatrix) as exc:
+            r_from_algebra(lam)
+        assert exc.value.rank == counted
 
 
 def test_r_from_algebra_matches_block_closed_form():

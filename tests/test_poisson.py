@@ -23,7 +23,13 @@ from aybe.poisson import (
     terms_json,
 )
 from aybe.tensor import Tensor4, aybe_residual, check_skew
-from oracles import grid, jacobi_residual_tuples, mixed_denominator_skew_tensor, perturbed
+from oracles import (
+    grid,
+    jacobi_residual_tuples,
+    mixed_denominator_skew_tensor,
+    perturbed,
+    scalar_bracket_two_block,
+)
 
 
 def x_sq(i, c=1):
@@ -451,6 +457,39 @@ def test_closed_2m_matches_printed_formula(data):
             poly = bracket.entry(a, b)
             assert sum(c * prod(x[k] for k in mono) for mono, c in poly.items()) == expected
     assert list(undefined_pairs) == undefined
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_two_block_bracket_is_the_corrected_formula(data):
+    """The scalar bracket of the constructed tensor at n = 2m is the printed
+    two-block formula with (l_a - l_b') read as (l_a - l_a'), on every pair,
+    for every lambda distinct within each residue class {g, g + m}: values
+    from a small pool, so that they repeat across classes (mode OTHER)."""
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    n = 2 * m
+    pool = data.draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=2, max_size=n, unique=True))
+    values = [None] * n
+    for g in range(m):
+        values[g], values[g + m] = data.draw(st.permutations(pool))[:2]
+    lam = LambdaSpec(n, m, values)
+    derived = matrix_bracket_from_r(r_from_algebra(lam), 1)
+    assert derived.pairs() == scalar_bracket_two_block(lam).pairs()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_printed_two_block_formula_never_matches(data):
+    """The misprint is a finding, not a bug to mend: for n >= 4 and
+    pairwise-distinct lambda, no pair of the literal printed formula matches
+    the derived bracket (a partner pair is undefined, any other mismatches)."""
+    m = data.draw(st.integers(min_value=2, max_value=4))
+    n = 2 * m
+    values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=n, max_size=n, unique=True))
+    lam = LambdaSpec(n, m, values)
+    report = compare_to_closed_2m(matrix_bracket_from_r(r_from_algebra(lam), 1), lam)
+    statuses = [item["status"] for item in report]
+    assert "match" not in statuses and "mismatch" in statuses
 
 
 def test_compare_to_closed_2m_needs_n_generators():

@@ -60,6 +60,18 @@ def test_imports_are_used():
     assert unused == []
 
 
+def test_package_never_calls_the_tensor_constructor():
+    """Tensor4(n, entries) is the checked front door for input from outside
+    the package; every tensor a module builds goes through tensor._checked
+    (or _from_keys), so no module in the package calls Tensor4(...)."""
+    calls = []
+    for path in sorted(Path(aybe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor4":
+                calls.append((path.name, node.lineno))
+    assert calls == []
+
+
 def test_public_names_have_a_use():
     """Every name in a module's literal __all__ is read somewhere in the
     package outside its own definition (an annotation counts), or named in

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aybe
-from aybe.closedform import r_closed_m1
+from aybe.closedform import _r_closed, r_closed_block, r_closed_distinct, r_closed_m1
 from aybe.exactlin import (
     LITERAL_BUDGET,
     MAX_LITERAL_CHARS,
@@ -21,7 +21,7 @@ from aybe.exactlin import (
     format_rational,
     mat_inverse,
 )
-from aybe.frobenius import LambdaSpec
+from aybe.frobenius import LambdaSpec, r_from_algebra
 from aybe.tensor import (
     Tensor4,
     aybe_residual,
@@ -33,10 +33,12 @@ from aybe.tensor import (
 )
 from oracles import (
     aybe_residual_join,
+    compare_tensors_dense,
     gl_transform_fractions,
     identity,
     leibniz,
     mixed_denominator_skew_tensor,
+    nondegenerate,
     rand_fraction,
     rand_invertible,
     tensor_init_old,
@@ -411,6 +413,82 @@ def test_compare_tensors():
     assert len(diffs) == r.nnz
     with pytest.raises(ValueError):
         compare_tensors(r, Tensor4(3))
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two tensors of one n <= 3 whose keys are shared with equal values,
+    shared with different values, or held by one side only."""
+    n = draw(st.integers(1, 3))
+    idx = st.integers(0, n - 1)
+    keys = draw(st.lists(st.tuples(idx, idx, idx, idx), unique=True, max_size=12))
+    value = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    e1, e2 = {}, {}
+    for key in keys:
+        kind = draw(st.sampled_from(["equal", "different", "first", "second"]))
+        v = draw(value)
+        if kind != "second":
+            e1[key] = v
+        if kind == "equal":
+            e2[key] = v
+        elif kind != "first":
+            e2[key] = draw(value.filter(lambda w: w != v))
+    return Tensor4(n, e1), Tensor4(n, e2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=tensor_pairs())
+def test_compare_tensors_matches_dense_oracle(pair):
+    r1, r2 = pair
+    diffs = compare_tensors(r1, r2)
+    assert diffs == compare_tensors_dense(r1, r2)
+    assert all(type(v) is Fraction for _, v1, v2 in diffs for v in (v1, v2))
+    assert compare_tensors(r2, r1) == [(key, v2, v1) for key, v1, v2 in diffs]
+
+
+def assert_canonical(r: Tensor4) -> None:
+    """r holds only nonzero Fractions at indices below r.n, as the checked
+    constructor would keep them."""
+    for key, v in r.iter_items():
+        assert type(key) is tuple and len(key) == 4 and all(type(i) is int and 0 <= i < r.n for i in key)
+        assert type(v) is Fraction and v
+    assert r == Tensor4(r.n, dict(r.iter_items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_package_builds_canonical_tensors(data):
+    """Every tensor the package builds bypasses the constructor's pass
+    (tensor._checked), so each must already be canonical: the closed forms,
+    r_from_algebra, transpose_dual, gl_transform and Tensor4.loads."""
+    n, m = data.draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2), (6, 2), (6, 3), (8, 4)]))
+    size = n // m
+    rationals = st.fractions(-3, 3, max_denominator=3)
+    kind = data.draw(st.sampled_from(["distinct", "block", "other"]))
+    if kind == "distinct":
+        values = data.draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    elif kind == "block":
+        blocks = data.draw(st.lists(rationals, min_size=size, max_size=size, unique=True))
+        values = [blocks[i // m] for i in range(n)]
+    else:  # distinct within each class from a small pool, so repeated across classes
+        pool = data.draw(st.lists(rationals, min_size=size, max_size=size + 1, unique=True))
+        values = [None] * n
+        for r in range(m):
+            values[r::m] = data.draw(st.permutations(pool))[:size]
+    lam = LambdaSpec(n, m, values)
+    built = [_r_closed(lam), r_from_algebra(lam)]
+    if lam.mode == "DISTINCT":
+        built += [r_closed_distinct(lam)] + ([r_closed_m1(lam)] if m == 1 else [])
+    if lam.has_block_pattern():
+        built.append(r_closed_block(lam))
+    # triangular with a nonzero diagonal, so invertible
+    entry = st.fractions(-2, 2, max_denominator=3)
+    g = RatMatrix([[data.draw(entry.filter(bool) if i == j else entry) if i <= j else 0 for j in range(n)]
+                   for i in range(n)])
+    for r in list(built):
+        built += [transpose_dual(r), gl_transform(r, g), Tensor4.loads(r.dumps())]
+    for r in built:
+        assert_canonical(r)
 
 
 def test_checks_independent_of_insertion_order():
