@@ -56,6 +56,8 @@ from aybe.poisson import (
 )
 from aybe.tensor import (
     Tensor4,
+    _check_basis_change,
+    _check_dimensions,
     aybe_residual,
     check_skew,
     compare_tensors,
@@ -73,8 +75,8 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # read, on the shape of --g before any entry is converted, before each
 # gl_transform pass (tensor.MAX_PASS_PRODUCTS), then verify's on its output.
 # The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
-# one Gram component half the basis, 1.4 s (0.4 s the Gram inverse);
-# closed-form --variant distinct (40,2) with --out, 3 s; bracket
+# 78,288 entries, 0.45-0.65 s (0.15-0.25 s the closed form, 0.2-0.3 s its file);
+# closed-form --variant distinct (40,2) with --out, 1.8 s; bracket
 # --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
 # first 7,000 one-digit entries of n = 10 (4,900,000 join products), 8 s, 700 MB;
 # transform, a refusal included, 0.8 s before the checks on its output. Cost
@@ -220,8 +222,8 @@ def cmd_closed_form(args) -> tuple:
         "compare": args.compare,
     }
     compared = _load_tensor(args.compare) if args.compare else None
-    if compared is not None and compared.n != lam.n:
-        raise ValueError(f"cannot compare tensors of dimension {lam.n} and {compared.n}")
+    if compared is not None:
+        _check_dimensions(lam.n, compared.n)
     r = r_closed(args.variant, lam)
     diffs = compare_tensors(r, compared) if compared is not None else None
     details: dict = {"entries": r.nnz}
@@ -316,10 +318,8 @@ def cmd_transform(args) -> tuple:
         grid = load_json(_read(args.g))
         # the shape is checked before any entry is converted;
         # matrix_from_json refuses a grid or a row that is not a list
-        if isinstance(grid, list) and (
-            len(grid) != r.n or any(isinstance(row, list) and len(row) != r.n for row in grid)
-        ):
-            raise ValueError(f"basis change matrix must be {r.n}x{r.n}")
+        if isinstance(grid, list):
+            _check_basis_change(r.n, len(grid), (len(row) for row in grid if isinstance(row, list)))
         g = matrix_from_json(grid)
         try:
             out = gl_transform(r, g)

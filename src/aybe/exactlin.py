@@ -9,8 +9,8 @@ denominators, on rows of ints, and `mat_inverse` divides once per entry
 of the inverse. Loops that only add up products of
 rationals run on integers too, scaled by a common denominator
 (`common_denominator`): the AYBE and Jacobi residuals, the cocycle
-pairings, the tensor assembly from the inverse Gram matrix, and the
-contraction passes of `gl_transform`.
+pairings, the closed-form tensor's tables (`frobenius.r_from_algebra`),
+and the contraction passes of `gl_transform`.
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ is pairwise distinct within each residue class mod m.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import prod
 
 import aybe.exactlin
-from aybe.exactlin import RatMatrix, _inverse_rows, common_denominator
-from aybe.tensor import Tensor4, _from_keys
+from aybe.exactlin import SingularMatrix, common_denominator
+from aybe.tensor import Tensor4, _checked
 
 __all__ = [
     "LambdaSpec",
@@ -176,40 +177,113 @@ def cocycle_residual(lam: LambdaSpec) -> list:
     return out
 
 
+def _gram_rank(n: int, m: int, counts: list[Counter]) -> int:
+    """The rank of the Gram matrix, counted without elimination from
+    counts[r], the multiset of lambda over residue class r.
+
+    y is in the radical of the form exactly when (l_j - l_i) y_ij depends
+    only on i and on j mod m, so the radical splits into m^2 blocks (r, t):
+    rows i in class r against columns j in class t, each a Cauchy matrix
+    [1 / (l_j - l_i)] plus a unit column for each equal pair l_i = l_j.
+    With A = counts[r] and B = counts[t], the block's nullity is
+    n/m - min(|set A|, |set B|) plus (A[x] - 1)(B[x] - 1) summed over the
+    shared values x. Summed over the blocks, the last term is E_x^2 summed
+    over the values, E_x the number of repeats of x over all classes."""
+    sizes = [len(c) for c in counts]
+    repeats = sum((c - Counter(c.keys()) for c in counts), Counter())
+    nullity = n * m - sum(min(a, b) for a in sizes for b in sizes) + sum(k * k for k in repeats.values())
+    return n * (n - m) - nullity
+
+
 def r_from_algebra(lam: LambdaSpec) -> Tensor4:
-    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1}.
+    """Tensor r^{ab}_{cd} = sum g^{st} (e_s)^a_c (e_t)^b_d with g = G^{-1},
+    G the Gram matrix of the form over build_basis(lam.n, lam.m), in
+    closed form. G is invertible exactly when lambda is pairwise distinct
+    within each residue class mod m; otherwise exactlin.SingularMatrix is
+    raised with the Gram rank (_gram_rank). r is, in fixed precedence:
 
-    G is the Gram matrix of the form over build_basis(lam.n, lam.m). When
-    G is singular, exactlin.SingularMatrix is raised with the Gram rank.
+    1. zero unless a = d and b = c mod m;
+    2. r^{aa}_{ea} = -r^{aa}_{ae} = w[a][e] for e ~ a, e != a;
+    3. remaining upper-equal components are zero;
+    4. r^{ab}_{ba} = (q[a][b] q[b][a] - 1) w[a][b] for a != b;
+    5. r^{ab}_{cd} = q[a][c] q[b][d] w[a][b] otherwise,
 
-    The Gram rows are ints G' = L G, on lambda scaled by its common
-    denominator L (or G's Fractions, with L = 1, when common_denominator
-    keeps lambda's), so g = L G'^{-1}. exactlin._inverse_rows gives row s of
-    G'^{-1} as x_s / a_s, with x_s ints and each row primitive, so
-    M = lcm(a_s) is the common denominator of G'^{-1}. As basis entries are
-    +-1, each x_s M / a_s adds +-itself at four int keys
-    ((a*n + b)*n + c)*n + d, and each entry is reduced once, as v L / M.
-    M is taken from common_denominator over the 1 / a_s, so when it is too
-    wide the entries added are the Fractions x_s / a_s instead.
+    with ~ denoting congruence mod m and the per-pair tables
+
+        P[a][c] = prod_{k~c, k!=c} (l_a - l_k),
+        q[a][c] = P[a][c] / P[a][a],
+        w[a][b] = 1 / (l_a - l_b).
+
+    In a's own class q[a][c] is 1 at c = a and 0 elsewhere, so for a ~ b
+    the only nonzeros are case 2, case 4 and case 5 at (a, b, a, b), each a
+    w. In another class, where a k has l_k = l_a, q[a][c] is nonzero only
+    at c = k; else P[a][c] = F / (l_a - l_c), F the product over the class.
+    Where l_a = l_b across classes the factor l_a - l_b cancels: case 4 is
+    the sum of w[b][k] over the k ~ b whose value no index ~ a has, less
+    that over the k ~ a whose value no index ~ b has (none for a block
+    lambda), and case 5 is w[b][c] at d = a, -w[a][d] at c = b, else zero.
+
+    The tables are ints. Write l_k = p_k / (d_k L), with L the LCM from
+    common_denominator and every d_k = 1, or L = 1 and d_k the denominators
+    when it keeps lambda's Fractions; let e[a][k] = p_a d_k - p_k d_a and
+    E[a][c] the product of e[a][k] over k ~ c, k != c. Then w[a][b] =
+    d_a d_b L / e[a][b], and case 5 is X[a][c] X[b][d] L / (E[a][a] E[b][b]
+    e[a][b]) with X[a][c] = E[a][c] d_c: one Fraction per entry, whose skew
+    partner (b, a, d, c) is its negative.
     """
-    n = lam.n
-    basis = build_basis(n, lam.m)
-    items = [_entries(e) for e in basis]
-    lcm, values = common_denominator(list(lam.values))
-    rows = _inverse_rows(RatMatrix.from_rows(len(items), _pairings(items, items, values)))
-    den, scales = common_denominator([Fraction(1, a) for a, _ in rows])
-    # the key of (a, b, c, d) is left(a, c) + right(b, d): e_s gives a and c, e_t b and d
-    nn = n * n
-    left = [(i * nn * n + j * n, bar * nn * n + j * n) for i, j, bar in basis]
-    right = [(i * nn + j, bar * nn + j) for i, j, bar in basis]
-    acc: dict[int, int | Fraction] = defaultdict(int)
-    for s, ((_, row), scale) in enumerate(zip(rows, scales)):
-        p0, p1 = left[s]
-        for t, g in row.items():
-            g *= scale
-            q0, q1 = right[t]
-            acc[p0 + q0] += g
-            acc[p0 + q1] -= g
-            acc[p1 + q0] -= g
-            acc[p1 + q1] += g
-    return _from_keys(n, acc, Fraction(lcm, den))
+    n, m = lam.n, lam.m
+    lcm, v = common_denominator(list(lam.values))
+    counts = [Counter(v[r::m]) for r in range(m)]
+    if any(len(c) < n // m for c in counts):
+        raise SingularMatrix(_gram_rank(n, m, counts))
+    p, d = [x.numerator for x in v], [x.denominator for x in v]
+    e = [[pa * dk - pk * da for pk, dk in zip(p, d)] for pa, da in zip(p, d)]
+    w: dict[tuple[int, int], Fraction] = {}  # w[a][k] for a ~ k
+    for a in range(n):
+        for k in range(a % m, a, m):
+            w[a, k] = x = Fraction(d[a] * d[k] * lcm, e[a][k])
+            w[k, a] = -x
+    classes = [range(r, n, m) for r in range(m)]
+    den, num = [1] * n, []  # den[a] = E[a][a]; num[a][r] = {c: X[a][c]} over the nonzeros in class r
+    for a in range(n if m > 1 else 0):  # at m = 1 no entry reads them
+        row = []
+        for r, cls in enumerate(classes):
+            t = e[a][r::m]
+            f = prod(t)
+            if f:
+                row.append({c: f // x * d[c] for c, x in zip(cls, t)})
+            else:
+                k = t.index(0)
+                t[k] = d[cls[k]]
+                row.append({cls[k]: prod(t)})
+        num.append(row)
+        den[a] = row[a % m][a] // d[a]
+    entries: dict[tuple[int, int, int, int], Fraction] = {}
+    for a in range(n):
+        ra, same = a % m, classes[a % m]
+        for b in range(n):
+            rb, other = b % m, classes[b % m]
+            if a != b and ra == rb:
+                entries[a, b, b, a], entries[a, b, a, b] = w[b, a], w[a, b]
+            elif not e[a][b]:  # b = a (case 2, both sums empty), or l_a = l_b across classes
+                case4 = (sum(Fraction(d[b] * d[k] * lcm, e[b][k]) for k in other if v[k] not in counts[ra])
+                         - sum(Fraction(d[b] * d[k] * lcm, e[b][k]) for k in same if v[k] not in counts[rb]))
+                if case4:
+                    entries[a, b, b, a] = case4
+                entries.update({(a, b, k, a): w[b, k] for k in other if k != b})
+                entries.update({(a, b, b, k): w[k, a] for k in same if k != a})
+            elif a < b:  # (b, a) is written here too: a skew partner is the negative
+                dd = den[a] * den[b]
+                dab = dd * e[a][b]
+                qac, qbd = num[a][rb], num[b][ra]
+                for c, x in qac.items():
+                    x *= lcm
+                    for k, y in qbd.items():
+                        if c != b or k != a:
+                            entries[a, b, c, k] = z = Fraction(x * y, dab)
+                            entries[b, a, k, c] = -z
+                case4 = qac.get(b, 0) * qbd.get(a, 0) - dd * d[a] * d[b]
+                if case4:
+                    entries[a, b, b, a] = z = Fraction(case4 * lcm, dab)
+                    entries[b, a, a, b] = -z
+    return _checked(n, entries)

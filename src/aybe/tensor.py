@@ -292,8 +292,7 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     of more than MAX_PASS_PRODUCTS is refused with a ValueError.
     """
     n = r.n
-    if not g.is_square() or g.rows != n:
-        raise ValueError(f"basis change matrix must be {n}x{n}")
+    _check_basis_change(n, g.rows, [g.cols])
     gt = g.transpose().sparse_rows  # gt[p] = {a: g^a_p}
     h = mat_inverse(g).sparse_rows  # h[r] = {c: (g^-1)^r_c}
     lg, coeffs = common_denominator([v for rows in (gt, h) for row in rows for v in row.values()])
@@ -315,7 +314,25 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
             for delta, coeff in rows[key // weight % n]:
                 out[key + delta * weight] += coeff * v
         cur = out
-    return _from_keys(n, cur, Fraction(1, lr * lg**4))
+    den, entries = lr * lg**4, {}
+    for key, v in cur.items():
+        if v:  # an int is reduced once; a Fraction (common_denominator kept them) is divided
+            abc, d = divmod(key, n)
+            ab, c = divmod(abc, n)
+            entries[divmod(ab, n) + (c, d)] = Fraction(v, den) if type(v) is int else v / den
+    return _checked(n, entries)
+
+
+def _check_basis_change(n: int, rows: int, lengths: Iterable[int]) -> None:
+    """Refuse a basis change of `rows` rows, of the given lengths, unless it is n x n."""
+    if rows != n or any(length != n for length in lengths):
+        raise ValueError(f"basis change matrix must be {n}x{n}")
+
+
+def _check_dimensions(a: int, b: int) -> None:
+    """Refuse to compare tensors of dimensions a != b."""
+    if a != b:
+        raise ValueError(f"cannot compare tensors of dimension {a} and {b}")
 
 
 def _check_indices(n: int, keys: Iterable[Quad]) -> None:
@@ -336,23 +353,6 @@ def _checked(n: int, entries: dict[Quad, Fraction]) -> Tensor4:
     return r
 
 
-def _from_keys(n: int, sums: Mapping[int, int | Fraction], scale: Fraction) -> Tensor4:
-    """The tensor with the entry scale * v at (a, b, c, d) for each nonzero
-    v in sums, keyed ((a*n + b)*n + c)*n + d with every index below n: each
-    entry reduced once. An int v becomes one Fraction of two ints; a
-    Fraction v (the sums of callers whose common_denominator kept its
-    Fractions) is multiplied by scale, as Fraction(v * num, den) would
-    repeat the gcd of its wide terms."""
-    num, den = scale.numerator, scale.denominator
-    entries = {}
-    for key, v in sums.items():
-        if v:
-            abc, d = divmod(key, n)
-            ab, c = divmod(abc, n)
-            entries[divmod(ab, n) + (c, d)] = Fraction(v * num, den) if type(v) is int else scale * v
-    return _checked(n, entries)
-
-
 def transpose_dual(r: Tensor4) -> Tensor4:
     """Swap the upper and lower index blocks: r^{ab}_{cd} -> r^{cd}_{ab}."""
     return _checked(r.n, {(c, d, a, b): v for (a, b, c, d), v in r._entries.items()})
@@ -366,8 +366,7 @@ def aybe_report(r: Tensor4) -> tuple[list, list]:
 def compare_tensors(r1: Tensor4, r2: Tensor4) -> list[tuple[Quad, Fraction, Fraction]]:
     """Quadruples where the two tensors differ, in sorted order, with both
     values (Fraction(0) where a tensor has no entry)."""
-    if r1.n != r2.n:
-        raise ValueError(f"cannot compare tensors of dimension {r1.n} and {r2.n}")
+    _check_dimensions(r1.n, r2.n)
     e1, e2 = r1._entries, r2._entries
     pairs = ((key, e1.get(key, _ZERO), e2.get(key, _ZERO)) for key in sorted(e1.keys() | e2.keys()))
     return [(key, v1, v2) for key, v1, v2 in pairs if v1 != v2]

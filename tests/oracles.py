@@ -196,9 +196,10 @@ def r_from_matrices(mats, lam) -> Tensor4:
 
 
 def r_from_algebra_fractions(lam: LambdaSpec) -> Tensor4:
-    """frobenius.r_from_algebra as one Fraction add per inverse nonzero and
-    pair of basis entries, on the Gram matrix of the unscaled lambda: the
-    oracle for its integer assembly."""
+    """The Gram construction that frobenius.r_from_algebra evaluates in
+    closed form: the Gram matrix of the unscaled lambda inverted by Fraction
+    elimination, then one Fraction add per inverse nonzero and pair of basis
+    entries. A singular Gram matrix raises SingularMatrix with its rank."""
     items = [_entries(e) for e in build_basis(lam.n, lam.m)]
     ginv = mat_inverse_fractions(RatMatrix.from_rows(len(items), _pairings(items, items, lam.values)))
     acc: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
@@ -251,33 +252,6 @@ def nondegenerate(lam: LambdaSpec) -> bool:
     """The exact criterion for the trace form to be nondegenerate: lambda
     is pairwise distinct within each residue class mod m."""
     return all(len(set(lam.values[r :: lam.m])) == lam.n // lam.m for r in range(lam.m))
-
-
-def gram_rank_counted(lam: LambdaSpec) -> int:
-    """The rank of the Gram matrix, counted without elimination.
-
-    y is in the radical of the form exactly when (l_j - l_i) y_ij depends
-    only on i and on j mod m, so the radical splits into m^2 blocks (s, r):
-    rows i = s mod m against columns j = r mod m, each a Cauchy matrix
-    [1 / (l_j - l_i)] plus a unit column for each equal pair l_i = l_j.
-    With A the lambda values on the block's rows and B those on its
-    columns (multisets), the block's nullity is
-
-        u - U - min(|set A - set B|, |set B - set A|),
-
-    u summing over the rows the multiplicity of l_i in B (1 when l_i is not
-    in B), and U counting the columns whose value occurs in A. The rank is
-    n(n-m) minus the nullities."""
-    n, m, vals = lam.n, lam.m, lam.values
-    classes = [vals[r::m] for r in range(m)]
-    nullity = 0
-    for rows in classes:
-        for cols in classes:
-            u = sum(max(cols.count(v), 1) for v in rows)
-            big_u = sum(v in rows for v in cols)
-            only_rows, only_cols = set(rows) - set(cols), set(cols) - set(rows)
-            nullity += u - big_u - min(len(only_rows), len(only_cols))
-    return n * (n - m) - nullity
 
 
 def scalar_bracket_two_block(lam: LambdaSpec) -> QuadraticBracket:

@@ -40,10 +40,28 @@ from aybe.cli import (
     main,
 )
 from aybe.closedform import r_closed_block, r_closed_distinct, r_closed_m1
-from aybe.exactlin import LITERAL_BUDGET, MAX_LITERAL_CHARS, RatMatrix, check_literals, format_rational, matrix_to_json, parse_rational
+from aybe.exactlin import (
+    LITERAL_BUDGET,
+    MAX_LITERAL_CHARS,
+    RatMatrix,
+    SingularMatrix,
+    check_literals,
+    format_rational,
+    matrix_to_json,
+    parse_rational,
+)
 from aybe.frobenius import LambdaSpec
 from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4
-from oracles import grid, perturbed, rand_invertible, tensor_from_json_obj_old, tensor_json_obj
+from oracles import (
+    NM_SMALL_CLASSES,
+    grid,
+    perturbed,
+    r_from_algebra_fractions,
+    rand_invertible,
+    tensor_from_json_obj_old,
+    tensor_json_obj,
+    unrelated_denominators,
+)
 
 
 def run(argv, capsys):
@@ -96,6 +114,38 @@ def test_construct_degenerate_partial_rank(tmp_path, capsys):
     assert report["verdict"] == "degenerate"
     assert report["details"]["gram_rank"] == 4
     assert not (tmp_path / "r.json").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_construct_writes_the_oracle_tensor(data):
+    """construct --out writes r_from_algebra_fractions(lam).dumps() byte for
+    byte on both sides of the common_denominator guard: small-integer lambda
+    (scaled to ints) and lambda over unrelated_denominators at (5,1) and
+    (6,3) (Fractions kept), the latter with a value repeated within a class
+    on some draws. A degenerate lambda exits 3 with the Gram rank that the
+    oracle's elimination finds, and writes no file."""
+    if data.draw(st.booleans()):
+        n, m = data.draw(st.sampled_from([(5, 1), (6, 3)]))
+        values = [Fraction(data.draw(st.integers(-50, 50).filter(bool)), d) for d in unrelated_denominators(n)]
+        if data.draw(st.booleans()):
+            values[m] = values[0]
+    else:
+        n, m = data.draw(st.sampled_from(NM_SMALL_CLASSES))
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    lam = LambdaSpec(n, m, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        argv = ["construct", "--n", str(n), "--m", str(m),
+                "--lambda=" + ",".join(map(format_rational, lam.values)), "--out", str(out)]
+        code, stdout = run_contained(argv)
+        try:
+            expected = r_from_algebra_fractions(lam)
+        except SingularMatrix as exc:
+            assert code == 3 and not out.exists()
+            assert json.loads(stdout)["details"] == {"gram_rank": exc.rank}
+        else:
+            assert code == 0 and out.read_text() == expected.dumps()
 
 
 def test_construct_usage_errors(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aybe.closedform import (
-    _r_closed,
     r_closed,
     r_closed_block,
     r_closed_distinct,
@@ -21,6 +20,7 @@ from oracles import (
     r_closed_block_printed,
     r_closed_distinct_reference,
     r_closed_m1_printed,
+    r_from_algebra_fractions,
     rand_block_lambda,
     rand_distinct_lambda,
     unrelated_denominators,
@@ -68,10 +68,14 @@ def nondegenerate_lambda(draw):
 @st.composite
 def unrelated_lambda(draw):
     """lambda over unrelated_denominators at (5,1) or (6,3), where
-    r_from_algebra keeps lambda's Fractions."""
+    common_denominator keeps lambda's Fractions; at (6,3) l_1 = l_0 on some
+    draws, a value shared across classes (mode OTHER)."""
     n, m = draw(st.sampled_from([(5, 1), (6, 3)]))
     nums = st.integers(-50, 50).filter(bool)
-    return LambdaSpec(n, m, [Fraction(draw(nums), d) for d in unrelated_denominators(n)])
+    values = [Fraction(draw(nums), d) for d in unrelated_denominators(n)]
+    if m > 1 and draw(st.booleans()):
+        values[1] = values[0]
+    return LambdaSpec(n, m, values)
 
 
 def test_m1_n2_frozen_values():
@@ -106,7 +110,7 @@ def test_m1_rejects_wrong_m():
 
 def test_m1_matches_gram_construction():
     lam = LambdaSpec(3, 1, [0, 1, 2])
-    assert compare_tensors(r_closed_m1(lam), r_from_algebra(lam)) == []
+    assert compare_tensors(r_closed_m1(lam), r_from_algebra_fractions(lam)) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +144,7 @@ def test_block_rejects_non_block_lambda():
 def test_block_matches_gram_construction(n, m):
     rng = random.Random(n * 100 + m)
     lam = rand_block_lambda(rng, n, m)
-    assert compare_tensors(r_closed_block(lam), r_from_algebra(lam)) == []
+    assert compare_tensors(r_closed_block(lam), r_from_algebra_fractions(lam)) == []
 
 
 def test_distinct_spot_value_m1():
@@ -165,7 +169,7 @@ def test_distinct_reduces_to_m1(lam):
 def test_distinct_matches_gram_construction(n, m):
     rng = random.Random(n * 100 + m + 7)
     lam = rand_distinct_lambda(rng, n, m)
-    assert compare_tensors(r_closed_distinct(lam), r_from_algebra(lam)) == []
+    assert compare_tensors(r_closed_distinct(lam), r_from_algebra_fractions(lam)) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,11 +183,11 @@ def test_distinct_matches_reference(lam):
 @example(LambdaSpec(6, 3, [0, 1, 2, 1, 0, 0]))  # OTHER: l_0 = l_4, l_1 = l_3
 @example(LambdaSpec(8, 4, [0, 0, 0, 0, 1, 1, 1, 1]))  # BLOCK
 def test_kernel_matches_gram_construction(lam):
-    """The one closed form equals the Gram inverse, byte for byte, on every
-    lambda that meets the criterion, the OTHER mode included, and on both
-    sides of r_from_algebra's common_denominator guard."""
+    """The one closed form equals the Gram inverse of the Fraction oracle,
+    byte for byte, on every lambda that meets the criterion, the OTHER mode
+    included, and on both sides of the common_denominator guard."""
     assert nondegenerate(lam)
-    assert _r_closed(lam).dumps() == r_from_algebra(lam).dumps()
+    assert r_from_algebra(lam).dumps() == r_from_algebra_fractions(lam).dumps()
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,8 +198,8 @@ def test_kernel_matches_gram_construction(lam):
 )
 def test_kernel_affine_symmetry(lam, a, b):
     """r(a lambda + b) = r(lambda) / a."""
-    moved = _r_closed(LambdaSpec(lam.n, lam.m, [a * v + b for v in lam.values]))
-    assert moved == Tensor4(lam.n, {k: v / a for k, v in _r_closed(lam).iter_items()})
+    moved = r_from_algebra(LambdaSpec(lam.n, lam.m, [a * v + b for v in lam.values]))
+    assert moved == Tensor4(lam.n, {k: v / a for k, v in r_from_algebra(lam).iter_items()})
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,7 +217,7 @@ def test_kernel_relabelling_symmetry(data):
     for i, v in enumerate(lam.values):
         moved[p[i]] = v
     perm = RatMatrix([[1 if p[j] == i else 0 for j in range(n)] for i in range(n)])
-    assert _r_closed(LambdaSpec(n, m, moved)) == gl_transform(_r_closed(lam), perm)
+    assert r_from_algebra(LambdaSpec(n, m, moved)) == gl_transform(r_from_algebra(lam), perm)
 
 
 def test_distinct_congruence_sparsity():

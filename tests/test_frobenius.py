@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aybe import frobenius
-from aybe.closedform import r_closed_block, r_closed_m1
+from aybe.closedform import r_closed_m1
 from aybe.exactlin import RatMatrix, SingularMatrix, common_denominator, mat_inverse, mat_mul
 from aybe.frobenius import (
     LambdaSpec,
@@ -28,7 +28,6 @@ from oracles import (
     diagonal,
     form_eval,
     gram_dense,
-    gram_rank_counted,
     identity,
     mat_inverse_fractions,
     membership_check,
@@ -36,6 +35,7 @@ from oracles import (
     negative,
     nondegenerate,
     r_from_algebra_fractions,
+    r_closed_block_printed,
     r_from_matrices,
     rand_block_lambda,
     rand_distinct_lambda,
@@ -343,9 +343,10 @@ RANK_NM = [(n, m) for n in range(4, 13) for m in range(1, n) if n % m == 0]
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_gram_rank_count_matches_elimination(data):
-    """The counted Gram rank (oracles.gram_rank_counted) is the rank that
-    r_from_algebra's elimination reports on degenerate lambdas, and the full
-    n(n-m) exactly when lambda is distinct within every residue class."""
+    """The Gram rank that r_from_algebra counts on degenerate lambdas is the
+    rank the Fraction elimination finds on the Gram rows, and the Gram
+    matrix is invertible exactly when lambda is distinct within every
+    residue class."""
     n, m = data.draw(st.sampled_from(RANK_NM))
     size = n // m
     # a small pool, so that values repeat across classes (mode OTHER) and,
@@ -361,20 +362,22 @@ def test_gram_rank_count_matches_elimination(data):
         for r in range(m):
             values[r::m] = data.draw(st.permutations(pool))[:size]
     lam = LambdaSpec(n, m, values)
-    counted = gram_rank_counted(lam)
+    rows = gram(build_basis(n, m), lam)
     if nondegenerate(lam):
-        assert counted == n * (n - m)
+        mat_inverse_fractions(rows)
         r_from_algebra(lam)
     else:
-        with pytest.raises(SingularMatrix) as exc:
+        with pytest.raises(SingularMatrix) as expected:
+            mat_inverse_fractions(rows)
+        with pytest.raises(SingularMatrix) as got:
             r_from_algebra(lam)
-        assert exc.value.rank == counted
+        assert got.value.rank == expected.value.rank
 
 
 def test_r_from_algebra_matches_block_closed_form():
     lam = LambdaSpec(4, 2, [1, 1, 0, 0])
     r = r_from_algebra(lam)
-    assert compare_tensors(r, r_closed_block(lam)) == []
+    assert compare_tensors(r, r_closed_block_printed(lam)) == []
 
 
 @pytest.mark.parametrize(

@@ -62,8 +62,8 @@ def test_imports_are_used():
 
 def test_package_never_calls_the_tensor_constructor():
     """Tensor4(n, entries) is the checked front door for input from outside
-    the package; every tensor a module builds goes through tensor._checked
-    (or _from_keys), so no module in the package calls Tensor4(...)."""
+    the package; every tensor a module builds goes through tensor._checked,
+    so no module in the package calls Tensor4(...)."""
     calls = []
     for path in sorted(Path(aybe.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
