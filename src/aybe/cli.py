@@ -78,7 +78,8 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # 78,288 entries, 0.45-0.65 s (0.15-0.25 s the closed form, 0.2-0.3 s its file);
 # closed-form --variant distinct (40,2) with --out, 1.8 s; bracket
 # --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
-# first 7,000 one-digit entries of n = 10 (4,900,000 join products), 8 s, 700 MB;
+# first 7,000 one-digit entries of n = 10 (4,900,000 join products), 7.7-9.9 s,
+# 700 MB, and on the distinct (16,2) tensor (4,665,600 products), 1.1-1.4 s;
 # transform, a refusal included, 0.8 s before the checks on its output. Cost
 # also grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)

@@ -12,6 +12,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from aybe.exactlin import (
     LONG_LITERAL_CHARS,
@@ -176,8 +177,9 @@ def check_skew(r: Tensor4) -> list[tuple[Quad, Fraction]]:
 
     Empty result means the tensor is skew-symmetric. The involution fixes
     quadruples with a == b and c == d, forcing those components to vanish.
-    Each entry is visited with its partner once, and the sum is recorded
-    for both quadruples.
+    Each entry is visited with its partner once. A pair of reduced values
+    with opposite numerators over one denominator cancels, which is told
+    without adding them; otherwise the sum is recorded for both quadruples.
     """
     entries = r._entries
     violations = []
@@ -186,8 +188,8 @@ def check_skew(r: Tensor4) -> list[tuple[Quad, Fraction]]:
         partner = (b, a, d, c)
         w = entries.get(partner)
         if w is not None:
-            if partner < key:
-                continue  # visited with its partner
+            if partner < key or (w.numerator == -s.numerator and w.denominator == s.denominator):
+                continue  # visited with its partner, or cancelled by it
             s += w  # 2 * s when the quadruple is its own partner
         if s:
             violations.append((key, s))
@@ -207,39 +209,61 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
               + r^{us}_{ta,al} r^{lm}_{s,be} ].
 
     The first term is T(l,m,u,al,be,ta), and the others are T o rho and
-    T o rho^2 with rho(l,m,u,al,be,ta) = (m,u,l,be,ta,al). So T is
-    accumulated with one product and one dict update per pair of entries
-    that share s, at an integer key holding the base-n^2 digits (l,al),
-    (m,be), (u,ta), which rho rotates; the residual is then the sum of T
-    over a rho-orbit of keys (one or three), taken once per orbit, and a
-    key is decoded only when that sum is nonzero. The result is identical
-    to the naive loop over all index tuples (see aybe_residual_naive, kept
-    as the test oracle).
+    T o rho^2 with rho(l,m,u,al,be,ta) = (m,u,l,be,ta,al). T is a sparse
+    product, T[k1, k2] = sum_s A[k1][s] B[s][k2] with A[k1][s] =
+    r^{ls}_{al,be} and B[s][k2] = r^{mu}_{s,ta}, stored at the integer key
+    k1 + k2 holding the base-n^2 digits (l,al), (m,be), (u,ta), which rho
+    rotates. The k1 are grouped by the set of s their row holds, and so are
+    the k2; each pair of groups that share an s is a block of T, formed row
+    by row as one list of products per shared s, added elementwise, so each
+    entry of T is written once. The residual is then the sum of T over a
+    rho-orbit of keys (one or three), taken once per orbit, and a key is
+    decoded only when that sum is nonzero. The result is identical to the
+    naive loop over all index tuples (see aybe_residual_naive, kept as the
+    test oracle).
 
     The join multiplies integers: each entry scaled by the LCM L of the
     denominators (exactlin.common_denominator), so a residual sums to an int
     v and is returned as Fraction(v, L^2), reduced once per orbit. When L
     would grow far past the largest denominator, the helper keeps the
     Fractions and the same join runs on them. A join of more than
-    MAX_JOIN_PRODUCTS products is refused with a ValueError.
+    MAX_JOIN_PRODUCTS products (sum over s of the entries with upper b = s
+    times those with lower c = s) is refused with a ValueError before it
+    starts.
     """
     n = r.n
     nn = n * n
     top = nn * nn  # the weight of the digit (l, al)
     lcm, scaled = common_denominator(list(r._entries.values()))
-    # r^{ls}_{al,be} gives the digits l, al, be of the key; r^{mu}_{s,ta}
-    # gives m, u, ta
-    lefts = []
-    rights: dict[int, list] = defaultdict(list)
+    # A[k1][s] = r^{ls}_{al,be}, k1 holding the digits l, al, be of the
+    # key; B[s][k2] = r^{mu}_{s,ta}, k2 holding m, u, ta
+    rows, cols = defaultdict(dict), defaultdict(dict)
     for (a, b, c, d), v in zip(r._entries, scaled):
-        lefts.append((b, (a * n + c) * top + d * nn, v))
-        rights[c].append((a * n * nn + b * n + d, v))
-    joined = sum(len(rights.get(s, ())) for s, _, _ in lefts)
+        rows[(a * n + c) * top + d * nn][b] = v
+        cols[a * n * nn + b * n + d][c] = v
+    lefts, rights = _by_support(rows), _by_support(cols)
+    # s -> the right groups holding it, and how many keys they hold
+    holding, width = defaultdict(list), defaultdict(int)
+    for i, (keys, vals) in enumerate(rights):
+        for s in vals:
+            holding[s].append(i)
+            width[s] += len(keys)
+    joined = sum(len(keys) * width[s] for keys, vals in lefts for s in vals)
     _check_limit("residual join products", joined, MAX_JOIN_PRODUCTS)
-    t: dict[int, int | Fraction] = defaultdict(int)
-    for s, k1, v1 in lefts:
-        for k2, v2 in rights.get(s, ()):
-            t[k1 + k2] += v1 * v2
+    t = {}
+    for keys1, vals1 in lefts:
+        shared = defaultdict(list)  # right group -> the s it shares with this one
+        for s in vals1:
+            for i in holding[s]:
+                shared[i].append(s)
+        for i, ss in shared.items():
+            keys2, vals2 = rights[i]
+            block = None
+            for s in ss:
+                ys = vals2[s]
+                terms = [x * y for x in vals1[s] for y in ys]
+                block = terms if block is None else list(map(add, block, terms))
+            t.update(zip([k1 + k2 for k1 in keys1 for k2 in keys2], block))
 
     def indices(k: int) -> tuple[int, ...]:
         hi, lo = divmod(k, top)
@@ -262,6 +286,21 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
             out.extend((indices(key), value) for key in orbit)
     out.sort()
     return out
+
+
+def _by_support(table: dict[int, dict]) -> list[tuple[list, dict]]:
+    """The keys of table, grouped by the set of s their rows hold: one
+    (keys, {s: the values at s, in the order of keys}) per set."""
+    groups = {}
+    for k, row in table.items():
+        support = tuple(sorted(row))
+        if support not in groups:
+            groups[support] = ([], {s: [] for s in support})
+        keys, vals = groups[support]
+        keys.append(k)
+        for s, v in row.items():
+            vals[s].append(v)
+    return list(groups.values())
 
 
 def aybe_residual_naive(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -368,5 +407,7 @@ def compare_tensors(r1: Tensor4, r2: Tensor4) -> list[tuple[Quad, Fraction, Frac
     values (Fraction(0) where a tensor has no entry)."""
     _check_dimensions(r1.n, r2.n)
     e1, e2 = r1._entries, r2._entries
+    if e1 == e2:
+        return []
     pairs = ((key, e1.get(key, _ZERO), e2.get(key, _ZERO)) for key in sorted(e1.keys() | e2.keys()))
     return [(key, v1, v2) for key, v1, v2 in pairs if v1 != v2]

@@ -401,6 +401,15 @@ def aybe_residual_join(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
     return sorted((k, Fraction(v, den) if den > 1 else Fraction(v)) for k, v in acc.items() if v)
 
 
+def check_skew_sum(r: Tensor4) -> list[tuple[tuple[int, int, int, int], Fraction]]:
+    """The skew check by its definition: r^{ab}_{cd} + r^{ba}_{dc} at every
+    quadruple that r or its partner holds, where the sum is nonzero, sorted."""
+    entries = dict(r.iter_items())
+    keys = set(entries) | {(b, a, d, c) for a, b, c, d in entries}
+    sums = ((k, entries.get(k, Fraction(0)) + entries.get((k[1], k[0], k[3], k[2]), Fraction(0))) for k in keys)
+    return sorted((k, s) for k, s in sums if s)
+
+
 def jacobi_residual_tuples(b: QuadraticBracket) -> list:
     """poisson.jacobi_residual with monomials as sorted index tuples: the
     same triples and integer (or Fraction fallback) contraction, but every

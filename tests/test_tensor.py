@@ -33,6 +33,7 @@ from aybe.tensor import (
 )
 from oracles import (
     aybe_residual_join,
+    check_skew_sum,
     compare_tensors_dense,
     gl_transform_fractions,
     identity,
@@ -153,6 +154,110 @@ def test_residual_matches_join_oracle(drawn):
     values = [v for _, v in r.items()]
     assert (common_denominator(values)[1] is values) == unrelated
     assert aybe_residual(r) == aybe_residual_join(r)
+
+
+@st.composite
+def structured_tensor(draw):
+    """r_from_algebra of a distinct lambda at n <= 6, perhaps moved by a
+    unitriangular basis change with up to three entries off the diagonal,
+    perhaps with one entry perturbed, alone or with its skew partner. Its
+    rows share many s, so the join's blocks have several shared s, and a
+    solution's sums cancel.
+
+    Half the draws take lambda over unrelated_denominators at n <= 4,
+    without the basis change (whose 2000-digit products would take seconds);
+    at (4,1) exactlin.common_denominator keeps the Fractions. Otherwise
+    lambda is a small rational and the join runs on integers.
+    """
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]))
+        nums = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=n, max_size=n))
+        values = [Fraction(k, d) for k, d in zip(nums, unrelated_denominators(n))]
+        moves = []
+    else:
+        n, m = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (6, 1), (6, 2), (6, 3)]))
+        values = draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=n, max_size=n, unique=True))
+        above = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+        moves = draw(st.lists(st.tuples(above, st.sampled_from([-2, -1, 1, 2])), max_size=3))
+    r = r_from_algebra(LambdaSpec(n, m, values))
+    if moves:
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in moves:
+            grid[i][j] = v
+        r = gl_transform(r, RatMatrix(grid))
+    entries = dict(r.iter_items())
+    if draw(st.booleans()):
+        a, b, c, d = draw(st.sampled_from(sorted(entries)))
+        delta = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        entries[(a, b, c, d)] += delta
+        if draw(st.booleans()):
+            entries[(b, a, d, c)] = entries.get((b, a, d, c), Fraction(0)) - delta
+    return Tensor4(n, entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(structured_tensor())
+def test_residual_blocks_match_join_oracle(r):
+    assert aybe_residual(r) == aybe_residual_join(r)
+
+
+def test_residual_blocks_match_join_oracle_fixed():
+    # distinct (8,2) has blocks of 3 and 4 shared s; (4,1) over
+    # unrelated_denominators runs the join on the Fractions
+    r = r_from_algebra(LambdaSpec(8, 2, range(8)))
+    assert aybe_residual(r) == aybe_residual_join(r) == []
+    broken = Tensor4(8, {**dict(r.iter_items()), (0, 1, 2, 3): Fraction(1, 3)})
+    assert aybe_residual(broken) == aybe_residual_join(broken) != []
+    values = [Fraction(k, d) for k, d in zip([3, -4, 5, -6], unrelated_denominators(4))]
+    r = r_from_algebra(LambdaSpec(4, 1, values))
+    scaled = [v for _, v in r.iter_items()]
+    assert common_denominator(scaled)[1] is scaled
+    assert aybe_residual(r) == aybe_residual_join(r) == []
+
+
+def test_residual_refusal_counts_join_products(monkeypatch):
+    """The refusal counts, before the join, sum over s of the entries with
+    upper b = s times those with lower c = s: 46,208 on distinct (8,2)."""
+    r = r_from_algebra(LambdaSpec(8, 2, range(8)))
+    monkeypatch.setattr("aybe.tensor.MAX_JOIN_PRODUCTS", 46_208)
+    assert aybe_residual(r) == []
+    monkeypatch.setattr("aybe.tensor.MAX_JOIN_PRODUCTS", 46_207)
+    with pytest.raises(ValueError, match="residual join products = 46208 exceeds the limit of 46207"):
+        aybe_residual(r)
+
+
+@st.composite
+def skew_mix(draw):
+    """A tensor at n <= 3 whose partner pairs cancel exactly, hold equal
+    numerators over different denominators (1/2 against -1/3), hold equal
+    values of one sign, or stand alone, with self-partner keys (a = b,
+    c = d) among them; on some draws the values carry 2000-digit
+    denominators."""
+    n = draw(st.integers(1, 3))
+    idx = st.integers(0, n - 1)
+    keys = draw(st.lists(st.tuples(idx, idx, idx, idx), unique=True, max_size=16))
+    big = draw(st.booleans())
+    dens = unrelated_denominators(2) if big else [2, 3]
+    entries = {}
+    for a, b, c, d in keys:
+        partner = (b, a, d, c)
+        if (a, b, c, d) in entries or partner in entries:
+            continue
+        num = draw(st.integers(-5, 5).filter(bool))
+        v = Fraction(num, dens[0])
+        entries[(a, b, c, d)] = v
+        kind = draw(st.sampled_from(["cancel", "other denominator", "same sign", "alone"]))
+        if partner == (a, b, c, d) or kind == "alone":
+            continue
+        entries[partner] = {"cancel": -v, "other denominator": Fraction(-num, dens[1]), "same sign": v}[kind]
+    return Tensor4(n, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_mix())
+@example(Tensor4(2, {(0, 0, 1, 1): 1, (0, 1, 0, 1): Fraction(1, 2), (1, 0, 1, 0): Fraction(-1, 3)}))
+def test_check_skew_matches_sum_oracle(r):
+    assert check_skew(r) == check_skew_sum(r)
 
 
 @pytest.mark.parametrize("n", [3, 60])
