@@ -77,9 +77,14 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
 # 78,288 entries, 0.45-0.65 s (0.15-0.25 s the closed form, 0.2-0.3 s its file);
 # closed-form --variant distinct (40,2) with --out, 1.8 s; bracket
-# --check-jacobi on the distinct (16,2) tensor, scalar, 2.1 s; verify on the
-# first 7,000 one-digit entries of n = 10 (4,900,000 join products), 7.7-9.9 s,
-# 700 MB, and on the distinct (16,2) tensor (4,665,600 products), 1.1-1.4 s;
+# --check-jacobi on the distinct (16,2) tensor, scalar, 1.2 s; at --m-size 2
+# on the distinct (8,2) tensor 0.11-0.16 s, as an AYBE solution skips the
+# Jacobi contraction (see cmd_bracket), and 1.1-1.2 s on a failing copy,
+# which runs it; at --m-size 3 on the distinct (6,3) tensor 0.08-0.13 s, a
+# failing copy 1.5-1.8 s;
+# verify on the first 7,000 one-digit entries of n = 10 (4,900,000 join
+# products), 7.7-9.9 s, 700 MB, and on the distinct (16,2) tensor (4,665,600
+# products), 1.1-1.4 s;
 # transform, a refusal included, 0.8 s before the checks on its output. Cost
 # also grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
@@ -250,6 +255,17 @@ def cmd_cocycle(args) -> tuple:
 
 
 def cmd_bracket(args) -> tuple:
+    """The bracket of a skew tensor, scalar or on m x m matrix entries.
+
+    --check-jacobi at --m-size > 1 first computes the AYBE residual: by the
+    Odesskii-Rubtsov-Sokolov theorem, a skew solution of the AYBE induces a
+    quadratic Poisson bracket on matrix entries for every m, so an empty
+    residual decides the check with no contraction. A nonzero residual, and
+    every scalar check, runs jacobi_residual, which lists the violations:
+    at m == 1 a skew tensor that does not solve the AYBE can still pass.
+    At m > 1 the tensor has at most MAX_BRACKET_TERMS / 16 = 625 nonzeros,
+    so the residual's join (at most 625^2 products) is never refused.
+    """
     if args.lam is not None and not args.compare_closed_2m:
         raise ValueError("--lambda applies only with --compare-closed-2m")
     r = _load_tensor(args.tensor)
@@ -281,7 +297,7 @@ def cmd_bracket(args) -> tuple:
     details = {"generators": bracket.n_gens, "nonzero_pairs": len(bracket.pairs())}
     verdict = "pass"
     if args.check_jacobi:
-        violations = jacobi_residual(bracket)
+        violations = [] if args.m_size > 1 and not aybe_residual(r) else jacobi_residual(bracket)
         details["jacobi_violations"] = [
             {"triple": list(t), "residual": terms_json(bracket.n_gens, terms)}
             for t, terms in violations

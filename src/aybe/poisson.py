@@ -5,6 +5,11 @@ Generators commute. For the scalar case the bracket of generators is
 {x_a, x_b} = sum r^{ge}_{ab} x_g x_e; for m x m matrix entries indexed
 (a, i, j) it is {x^{j1}_{i1,a}, x^{j2}_{i2,b}} = sum r^{ge}_{ab}
 x^{j2}_{i1,g} x^{j1}_{i2,e}. Skew-symmetry of r makes both antisymmetric.
+By the Odesskii-Rubtsov-Sokolov theorem the matrix bracket is Poisson for
+every m when the skew r solves the AYBE, so the CLI decides its Jacobi
+check at m > 1 from tensor.aybe_residual; jacobi_residual lists the
+violations otherwise, and checks a scalar bracket, which can be Poisson
+though r does not solve the AYBE.
 
 A monomial is the sorted tuple of its generator indices, so x_0^2 x_3 is
 (0, 0, 3), and a polynomial is a plain dict from monomials to nonzero
@@ -47,8 +52,10 @@ class QuadraticBracket:
     """Bracket table on commuting generators; antisymmetric by construction.
 
     `table` maps pairs u < v to {x_u, x_v} as a dict {(g, e): c}, g <= e.
-    The constructor alone checks these dicts, converts each c with Fraction
-    and drops zeros and empty entries; entry(u, v) fills in the other pairs
+    The constructor, the checked entry point for tables from outside the
+    package, checks these dicts, converts each c with Fraction and drops
+    zeros and empty entries; matrix_bracket_from_r builds its table in that
+    form and skips the pass (_built). entry(u, v) fills in the other pairs
     by antisymmetry. Every entry is homogeneous quadratic, which
     jacobi_residual relies on. Returned dicts are the bracket's own: do not
     modify them.
@@ -83,6 +90,16 @@ class QuadraticBracket:
         return list(self._table.items())
 
 
+def _built(n_gens: int, table: dict[tuple[int, int], dict[Mono, Fraction]], names: list[str]) -> QuadraticBracket:
+    """The bracket holding table as it is, without the constructor's pass:
+    the caller has sorted it by (u, v), 0 <= u < v < n_gens, and made each
+    entry a nonempty dict from sorted pairs below n_gens to nonzero
+    Fractions, as matrix_bracket_from_r does."""
+    b = QuadraticBracket.__new__(QuadraticBracket)
+    b.n_gens, b.names, b._table = n_gens, names, table
+    return b
+
+
 class NotSkewSymmetric(ValueError):
     """A bracket asked of a tensor that is not skew-symmetric; `violations`
     is check_skew's list, so a caller can report it without a second pass."""
@@ -96,22 +113,39 @@ class NotSkewSymmetric(ValueError):
 
 
 def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], dict[Mono, Fraction]]:
-    """{x_u, x_v} for u < v on generators (a, i, j) numbered a*m*m + i*m + j.
+    """{x_u, x_v} for u < v on generators (a, i, j) numbered a*m*m + i*m + j,
+    sorted by (u, v), without zeros: the table QuadraticBracket would keep.
 
     Walks the tensor's nonzero components r^{ge}_{ab} with a <= b, the
-    only lower-index groups that reach a pair u < v.
+    only lower-index groups that reach a pair u < v. The components are
+    scaled to ints by their common denominator L
+    (exactlin.common_denominator), and each distinct nonzero sum c becomes
+    Fraction(c, L) once; when L would grow far past the largest
+    denominator, the same loop adds the Fractions.
     """
     mm = m * m
-    acc: dict[tuple[int, int], dict[Mono, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
-    for (g, e, a, b), val in r.iter_items():
-        if a > b:
-            continue
+    comps = [(key, val) for key, val in r.iter_items() if key[2] <= key[3]]
+    lcm, scaled = common_denominator([val for _, val in comps])
+    acc: dict[tuple[int, int], dict[Mono, int | Fraction]] = defaultdict(lambda: defaultdict(int))
+    for ((g, e, a, b), _), val in zip(comps, scaled):
         for i1, j1, i2, j2 in product(range(m), repeat=4):
             u, v = a * mm + i1 * m + j1, b * mm + i2 * m + j2
             if u < v:
                 x, y = g * mm + i1 * m + j2, e * mm + i2 * m + j1
                 acc[(u, v)][(x, y) if x <= y else (y, x)] += val
-    return acc
+    table: dict[tuple[int, int], dict[Mono, Fraction]] = {}
+    coeffs: dict[int | Fraction, Fraction] = {}  # a sum -> its Fraction, made once
+    for uv, terms in sorted(acc.items()):
+        entry = {}
+        for mono, c in terms.items():
+            if c:
+                coeff = coeffs.get(c)
+                if coeff is None:
+                    coeff = coeffs[c] = Fraction(c, lcm) if lcm > 1 else Fraction(c)
+                entry[mono] = coeff
+        if entry:
+            table[uv] = entry
+    return table
 
 
 def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
@@ -123,7 +157,7 @@ def matrix_bracket_from_r(r: Tensor4, m: int) -> QuadraticBracket:
         raise ValueError("matrix size must be >= 1")
     if violations := check_skew(r):
         raise NotSkewSymmetric(violations)
-    return QuadraticBracket(r.n * m * m, _bracket_table(r, m), _names(r.n, m))
+    return _built(r.n * m * m, _bracket_table(r, m), _names(r.n, m))
 
 
 def scalar_bracket_from_r(r: Tensor4) -> QuadraticBracket:

@@ -410,6 +410,26 @@ def check_skew_sum(r: Tensor4) -> list[tuple[tuple[int, int, int, int], Fraction
     return sorted((k, s) for k, s in sums if s)
 
 
+def bracket_table_fractions(r: Tensor4, m: int) -> dict:
+    """poisson._bracket_table as a loop on Fractions: each term of a
+    component r^{ge}_{ab}, a <= b, added to the coefficient of x_x x_y in
+    {x_u, x_v}, with u = (a, i1, j1), v = (b, i2, j2), x = (g, i1, j2) and
+    y = (e, i2, j1), then zeros and empty entries dropped and the pairs
+    sorted, as the QuadraticBracket constructor keeps them."""
+    mm = m * m
+    acc: dict = defaultdict(lambda: defaultdict(Fraction))
+    for (g, e, a, b), val in r.iter_items():
+        if a > b:
+            continue
+        for i1, j1, i2, j2 in product(range(m), repeat=4):
+            u, v = a * mm + i1 * m + j1, b * mm + i2 * m + j2
+            if u < v:
+                x, y = g * mm + i1 * m + j2, e * mm + i2 * m + j1
+                acc[(u, v)][(x, y) if x <= y else (y, x)] += val
+    table = {uv: {mono: c for mono, c in terms.items() if c} for uv, terms in sorted(acc.items())}
+    return {uv: terms for uv, terms in table.items() if terms}
+
+
 def jacobi_residual_tuples(b: QuadraticBracket) -> list:
     """poisson.jacobi_residual with monomials as sorted index tuples: the
     same triples and integer (or Fraction fallback) contraction, but every

@@ -50,8 +50,9 @@ from aybe.exactlin import (
     matrix_to_json,
     parse_rational,
 )
-from aybe.frobenius import LambdaSpec
-from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4
+from aybe.frobenius import LambdaSpec, r_from_algebra
+from aybe.poisson import jacobi_residual, matrix_bracket_from_r, terms_json
+from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4, aybe_residual, gl_transform
 from oracles import (
     NM_SMALL_CLASSES,
     grid,
@@ -529,6 +530,64 @@ def test_bracket_matrix_case(tmp_path, capsys):
     path.write_text(Tensor4(2, {(1, 0, 1, 1): 1, (0, 1, 1, 1): -1}).dumps())
     code, out, _ = run(["bracket", str(path), "--m-size", "2", "--check-jacobi"], capsys)
     assert code == 0
+    assert read_report(out)["details"]["jacobi_violations"] == []
+
+
+@pytest.mark.parametrize(
+    "r, fails",
+    [
+        (r_closed_distinct(LambdaSpec(4, 2, grid(4, 3))), False),
+        (Tensor4(2, {(1, 0, 1, 1): 1, (0, 1, 1, 1): -1}), False),
+        (perturbed(r_closed_m1(LambdaSpec(3, 1, [0, 1, 3]))), True),
+        (Tensor4(3, {(1, 1, 0, 1): 1, (1, 1, 1, 0): -1, (0, 0, 1, 2): 1, (0, 0, 2, 1): -1}), True),
+    ],
+    ids=["distinct-4x2", "family-2", "perturbed-m1-3", "non-aybe-3"],
+)
+def test_bracket_matrix_jacobi_matches_full_contraction(tmp_path, capsys, monkeypatch, r, fails):
+    """At --m-size 2 an empty AYBE residual decides --check-jacobi with no
+    contraction; a skew non-solution runs it, so the report lists what the
+    full contraction finds."""
+    path = tmp_path / "r.json"
+    path.write_text(r.dumps())
+    b = matrix_bracket_from_r(r, 2)
+    expected = [{"triple": list(t), "residual": terms_json(b.n_gens, terms)} for t, terms in jacobi_residual(b)]
+    assert bool(expected) == fails
+    calls = []
+    monkeypatch.setattr(aybe.cli, "jacobi_residual", lambda b: calls.append(b) or jacobi_residual(b))
+    code, out, _ = run(["bracket", str(path), "--m-size", "2", "--check-jacobi"], capsys)
+    assert code == (1 if fails else 0) and len(calls) == fails
+    assert read_report(out)["details"]["jacobi_violations"] == expected
+
+
+def test_bracket_matrix_jacobi_join_never_refused(tmp_path, capsys):
+    """At --m-size >= 2 the tensor has at most MAX_BRACKET_TERMS / 16
+    nonzeros, and the AYBE residual's join at most their square, below
+    MAX_JOIN_PRODUCTS. A skew tensor's nonzeros come in pairs, so 624 is
+    the most it can hold: the residual of one whose entries crowd onto
+    s = 0 is not refused, and a dense GL-transformed solution passes."""
+    most = MAX_BRACKET_TERMS // 2**4
+    assert most == 625 and most * most < MAX_JOIN_PRODUCTS
+
+    def join_products(r):
+        ups, downs = {}, {}
+        for (_, b, c, _), _ in r.iter_items():
+            ups[b], downs[c] = ups.get(b, 0) + 1, downs.get(c, 0) + 1
+        return sum(k * downs.get(s, 0) for s, k in ups.items())
+
+    crowded = {}
+    for a, d in itertools.product(range(1, 25), range(1, 14)):
+        crowded[(a, 0, 0, d)], crowded[(0, a, d, 0)] = 1, -1
+    crowded = Tensor4(25, crowded)
+    assert crowded.nnz == 624 and join_products(crowded) == 101_400
+    assert aybe_residual(crowded)  # not refused; not a solution either
+    rng = random.Random(0)
+    g = RatMatrix([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
+    r = gl_transform(r_from_algebra(LambdaSpec(5, 1, range(5))), g)
+    assert r.nnz == 500 and join_products(r) == 50_000
+    path = tmp_path / "r.json"
+    path.write_text(r.dumps())
+    code, out, err = run(["bracket", str(path), "--m-size", "2", "--check-jacobi"], capsys)
+    assert (code, err) == (0, "")
     assert read_report(out)["details"]["jacobi_violations"] == []
 
 

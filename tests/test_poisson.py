@@ -1,5 +1,7 @@
+import random
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, product
 from math import prod
 
@@ -14,6 +16,7 @@ from aybe.frobenius import LambdaSpec, r_from_algebra
 from aybe.poisson import (
     NotSkewSymmetric,
     QuadraticBracket,
+    _bracket_table,
     bracket_to_json,
     compare_to_closed_2m,
     _monomial,
@@ -22,12 +25,15 @@ from aybe.poisson import (
     scalar_bracket_closed_2m,
     terms_json,
 )
-from aybe.tensor import Tensor4, aybe_residual, check_skew
+from aybe.tensor import Tensor4, aybe_residual, check_skew, gl_transform, transpose_dual
 from oracles import (
+    bracket_table_fractions,
     grid,
     jacobi_residual_tuples,
     mixed_denominator_skew_tensor,
     perturbed,
+    rand_distinct_lambda,
+    rand_invertible,
     scalar_bracket_two_block,
 )
 
@@ -347,6 +353,121 @@ def test_jacobi_at_m3_iff_aybe(r):
     # The scalar bracket alone cannot decide: many skew non-solutions pass
     # its Jacobi check.
     assert (jacobi_residual(matrix_bracket_from_r(r, 3)) == []) == (aybe_residual(r) == [])
+
+
+@cache
+def n2_skew_solutions() -> tuple[Tensor4, ...]:
+    """Every skew tensor at n = 2 with values in {-1, 0, 1, 2} on the six
+    skew pairs that solves the AYBE (22 of the 4096)."""
+    keys = [k for k in product(range(2), repeat=4) if k < (k[1], k[0], k[3], k[2])]
+    out = []
+    for values in product((-1, 0, 1, 2), repeat=len(keys)):
+        entries = {}
+        for (a, b, c, d), v in zip(keys, values):
+            if v:
+                entries[(a, b, c, d)], entries[(b, a, d, c)] = v, -v
+        r = Tensor4(2, entries)
+        if not aybe_residual(r):
+            out.append(r)
+    return tuple(out)
+
+
+@st.composite
+def transformed_solution_st(draw):
+    """r_from_algebra at a random distinct lambda, optionally passed
+    through gl_transform at a random invertible g and transpose_dual: each
+    a skew solution of the AYBE."""
+    n, m = draw(st.sampled_from([(2, 1), (3, 1), (4, 2)]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    r = r_from_algebra(rand_distinct_lambda(rng, n, m))
+    if draw(st.booleans()):
+        r = gl_transform(r, rand_invertible(rng, n))
+    if draw(st.booleans()):
+        r = transpose_dual(r)
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(skew_tensor_st(), transformed_solution_st(), st.deferred(lambda: st.sampled_from(n2_skew_solutions()))),
+    st.integers(min_value=2, max_value=3),
+)
+def test_empty_aybe_residual_implies_jacobi_at_matrix_sizes(r, m_size):
+    # the shortcut bracket --check-jacobi takes at --m-size > 1: a skew r
+    # with an empty AYBE residual gives a bracket the full contraction
+    # finds Poisson
+    if r.n > 3:
+        m_size = 2  # (4,2) at m_size 3 has 36 generators
+    if not aybe_residual(r):
+        assert jacobi_residual(matrix_bracket_from_r(r, m_size)) == []
+
+
+def test_n2_skew_solutions_are_skew_and_varied():
+    sols = n2_skew_solutions()
+    assert len(sols) == 22 and all(check_skew(r) == [] for r in sols)
+    assert max(r.nnz for r in sols) == 8
+
+
+# skew, with {x_0, x_1} = (1 - 1) x_0 x_1 at m = 1: a pair whose terms all
+# cancel, which the table drops
+CANCELLING = Tensor4(2, {(0, 1, 0, 1): 1, (1, 0, 1, 0): -1, (1, 0, 0, 1): -1, (0, 1, 1, 0): 1})
+
+
+def table_items(table):
+    return [(uv, list(terms.items())) for uv, terms in table.items()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_denominator_skew_tensor(), st.integers(min_value=1, max_value=3))
+def test_bracket_table_matches_fraction_oracle(drawn, m_size):
+    # both sides of the common_denominator guard: the integer table and the
+    # Fraction fallback give the oracle's table, pair order, term order and
+    # names, and the bracket holds the table the checked constructor keeps
+    r, unrelated = drawn
+    values = [v for k, v in r.iter_items() if k[2] <= k[3]]
+    assert (common_denominator(values)[1] is values) == unrelated
+    table = _bracket_table(r, m_size)
+    expected = bracket_table_fractions(r, m_size)
+    assert table_items(table) == table_items(expected)
+    assert all(type(c) is Fraction for terms in table.values() for c in terms.values())
+    b = matrix_bracket_from_r(r, m_size)
+    checked = QuadraticBracket(b.n_gens, expected, b.names)
+    assert b.pairs() == checked.pairs() and table_items(dict(b.pairs())) == table_items(expected)
+    assert b.n_gens == r.n * m_size**2 and len(b.names) == b.n_gens
+    assert b.names == ([f"x_{a}" for a in range(r.n)] if m_size == 1 else
+                       [f"x^{{{j}}}_{{{i},{a}}}" for a in range(r.n) for i in range(m_size) for j in range(m_size)])
+
+
+@pytest.mark.parametrize(
+    "r, m_size",
+    [
+        (r_closed_distinct(LambdaSpec(8, 2, grid(8, -7))), 1),
+        (r_closed_distinct(LambdaSpec(4, 2, grid(4, 3))), 2),
+        (r_closed_distinct(LambdaSpec(6, 3, grid(6))), 3),
+        (perturbed(r_closed_distinct(LambdaSpec(6, 3, grid(6, 11)))), 2),
+        (gl_transform(r_closed_m1(LambdaSpec(3, 1, [0, 1, 3])), rand_invertible(random.Random(7), 3)), 3),
+        (CANCELLING, 1),
+        (CANCELLING, 2),
+    ],
+    ids=["distinct-8x2-m1", "distinct-4x2-m2", "distinct-6x3-m3", "non-aybe-6x3-m2", "dense-3-m3",
+         "cancelling-m1", "cancelling-m2"],
+)
+def test_bracket_table_matches_fraction_oracle_on_shapes(r, m_size):
+    assert table_items(_bracket_table(r, m_size)) == table_items(bracket_table_fractions(r, m_size))
+
+
+def test_built_bracket_table_passes_the_checked_constructor():
+    # a table the package builds passes QuadraticBracket unchanged, which
+    # still refuses a bad key or a bad monomial in one from outside
+    b = matrix_bracket_from_r(r_closed_distinct(LambdaSpec(4, 2, grid(4, 3))), 2)
+    table = dict(b.pairs())
+    assert QuadraticBracket(b.n_gens, table, b.names).pairs() == b.pairs()
+    (u, v), terms = b.pairs()[0]
+    (x, y), c = next(iter(terms.items()))
+    for bad in ({(v, u): terms}, {(u, b.n_gens): terms}, {(u, v): {(y, x) if x < y else (x, b.n_gens): c}},
+                {(u, v): {(x,): c}}):
+        with pytest.raises(ValueError):
+            QuadraticBracket(b.n_gens, {**table, **bad})
 
 
 def term_lists(residual):
