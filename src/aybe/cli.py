@@ -81,12 +81,15 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # on the distinct (8,2) tensor 0.11-0.16 s, as an AYBE solution skips the
 # Jacobi contraction (see cmd_bracket), and 1.1-1.2 s on a failing copy,
 # which runs it; at --m-size 3 on the distinct (6,3) tensor 0.08-0.13 s, a
-# failing copy 1.5-1.8 s;
+# failing copy 1.1-1.8 s (a 29 MB report); the README's n = 25 tensor spends
+# 10 s in the contraction and is refused past MAX_JACOBI_EXPONENTS;
 # verify on the first 7,000 one-digit entries of n = 10 (4,900,000 join
 # products), 7.7-9.9 s, 700 MB, and on the distinct (16,2) tensor (4,665,600
-# products), 1.1-1.4 s;
-# transform, a refusal included, 0.8 s before the checks on its output. Cost
-# also grows with the size of the rational entries, which no limit bounds.
+# products), 1.1-1.4 s, but a failing tensor costs what its violations cost
+# (a random n = 40 one: 45-49 s in aybe_residual alone);
+# transform with a dense one-digit --g at n = 40 is refused in 0.11 s, 0.04 s
+# of it inverting g. Cost also grows with the size of the rational entries,
+# which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 # transform: n. construct writes no larger tensor (m divides n, so
@@ -94,6 +97,7 @@ MAX_CLOSED_FORM_N = 40  # closed-form: n
 MAX_TRANSFORM_N = MAX_CLOSED_FORM_N
 MAX_GENERATORS = 100  # bracket: generators n * m_size^2
 MAX_BRACKET_TERMS = 10_000  # bracket: tensor nonzeros * m_size^4
+MAX_JACOBI_EXPONENTS = 2_000_000  # bracket --check-jacobi: report monomials * generators
 MAX_TENSOR_NONZEROS = 10_000  # verify, transform: nonzeros of each tensor
 # Every input file (tensor, --compare, --g), checked before it is parsed:
 # 800 bytes per admitted nonzero. An entry as Tensor4.dumps lays it out
@@ -264,7 +268,9 @@ def cmd_bracket(args) -> tuple:
     every scalar check, runs jacobi_residual, which lists the violations:
     at m == 1 a skew tensor that does not solve the AYBE can still pass.
     At m > 1 the tensor has at most MAX_BRACKET_TERMS / 16 = 625 nonzeros,
-    so the residual's join (at most 625^2 products) is never refused.
+    so the residual's join (at most 625^2 products) is never refused. A
+    violation list whose report would write more than MAX_JACOBI_EXPONENTS
+    exponents is refused before any is written.
     """
     if args.lam is not None and not args.compare_closed_2m:
         raise ValueError("--lambda applies only with --compare-closed-2m")
@@ -298,6 +304,8 @@ def cmd_bracket(args) -> tuple:
     verdict = "pass"
     if args.check_jacobi:
         violations = [] if args.m_size > 1 and not aybe_residual(r) else jacobi_residual(bracket)
+        exponents = sum(len(terms) for _, terms in violations) * bracket.n_gens
+        _check_limit("Jacobi report exponents (monomials * generators)", exponents, MAX_JACOBI_EXPONENTS)
         details["jacobi_violations"] = [
             {"triple": list(t), "residual": terms_json(bracket.n_gens, terms)}
             for t, terms in violations

@@ -3,14 +3,16 @@
 Every scalar in the package is a ``fractions.Fraction``; nothing here or
 downstream ever rounds. The text form for rationals is "p/q" with q >= 2,
 or just "p" when the denominator is 1. Matrices are sparse rows (a dict
-of the nonzero entries per row); rank and inverse come from one
-fraction-free Gauss-Jordan elimination of [D a | D], with D the row
-denominators, on rows of ints, and `mat_inverse` divides once per entry
-of the inverse. Loops that only add up products of
-rationals run on integers too, scaled by a common denominator
-(`common_denominator`): the AYBE and Jacobi residuals, the cocycle
-pairings, the closed-form tensor's tables (`frobenius.r_from_algebra`),
-and the contraction passes of `gl_transform`.
+of the nonzero entries per row); `mat_inverse`, which inverts the basis
+change of `tensor.gl_transform`, is one fraction-free Gauss-Jordan
+elimination of [D a | D], with D the row denominators, on rows of ints,
+that divides once per entry of the inverse. Loops that only add up
+products of rationals run on integers too, scaled by a common
+denominator (`common_denominator`): the AYBE and Jacobi residuals, the
+cocycle pairings, the closed-form tensor's tables
+(`frobenius.r_from_algebra`), and the contraction passes of
+`gl_transform`. Each sum v over the scale L is reduced as Fraction(v, L),
+exact for an int v and for the Fractions the helper keeps.
 """
 
 from __future__ import annotations
@@ -218,51 +220,40 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(b.cols, out)
 
 
-def _inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free Gauss-Jordan elimination of [D a | D] for the square
-    matrix a, with D the diagonal of its row denominators (the LCM of each
-    row's denominators; 1 for a row of ints), on sparse rows of ints (dicts
-    of the nonzero entries, the right half at n + j).
-
-    The pivot p of a column updates every other row nonzero there, with
-    entry f, as row = (p/g) row - (f/g) prow for g = gcd(p, f), and the
-    updated row is divided by the gcd of its entries (its content). Each
-    row stays a nonzero multiple of the row that Gauss-Jordan elimination
-    on Fractions holds, so the zero patterns, the pivots and the rank are
-    the same. A column's pivot is the first row not yet pivoted that is
-    nonzero there, and a column without one is skipped. An index of the
-    rows nonzero in each column lets the pivot search and the updates
-    touch only those rows, so the work follows the largest block of a
-    matrix that is block-diagonal up to permutation.
-
-    Returns, for each column c, (a_c, x_c): the pivot and the right half of
-    its row, so row c of a^-1 is x_c / a_c. The row is primitive, so |a_c|
-    is the LCM of the denominators of row c of a^-1. Raises SingularMatrix,
-    with the rank found, when a has no inverse.
-    """
+def mat_inverse(a: RatMatrix) -> RatMatrix:
+    """Exact inverse of the square matrix a: fraction-free Gauss-Jordan
+    elimination of [D a | D], D the diagonal of the row denominators (the
+    LCM of each row's; 1 for a row of ints), on sparse rows of ints (dicts
+    of the nonzero entries, the right half at n + j). A column's pivot p is
+    the first row not yet pivoted that is nonzero there; every other row
+    nonzero there, with entry f, becomes (p/g) row - (f/g) prow for
+    g = gcd(p, f), divided by its content (the gcd of its entries). Each
+    row stays a nonzero multiple of the row the elimination on Fractions
+    holds, so the pivots and the rank are the same. Row c of the inverse is
+    the right half of column c's pivot row over its pivot, one Fraction per
+    nonzero entry. Raises SingularMatrix, with the rank found, when a has
+    no inverse."""
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows
     rows: list[dict[int, int]] = []
-    holds: list[set[int]] = [set() for _ in range(2 * n)]  # column -> rows nonzero there
     for i, row in enumerate(a.sparse_rows):
         d = math.lcm(*{v.denominator for v in row.values()})
         rows.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
         rows[i][n + i] = d
-        for j in rows[i]:
-            holds[j].add(i)
-    done: set[int] = set()
+    free = list(range(n))  # the rows not yet pivoted, in order
     pivots: list[int] = []
     for col in range(n):
-        p = min(holds[col] - done, default=None)
+        p = next((i for i in free if col in rows[i]), None)
         if p is None:
             continue
-        done.add(p)
+        free.remove(p)
         prow = rows[p]
         pivot = prow[col]
-        for i in holds[col] - {p}:
-            row = rows[i]
-            f = row[col]
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or i == p:
+                continue
             g = math.gcd(pivot, f)
             s, t = pivot // g, f // g
             if s != 1:
@@ -271,31 +262,16 @@ def _inverse_rows(a: RatMatrix) -> list[tuple[int, dict[int, int]]]:
                 x = row.get(j, 0) - t * v
                 if x:
                     row[j] = x
-                    holds[j].add(i)
                 else:
                     del row[j]
-                    holds[j].discard(i)
             content = math.gcd(*row.values())
             rows[i] = {j: v // content for j, v in row.items()} if content != 1 else row
         pivots.append(p)
     if len(pivots) < n:
         raise SingularMatrix(len(pivots))
-    return [
-        (rows[p][c], {k - n: v for k, v in rows[p].items() if k >= n})
-        for c, p in enumerate(pivots)
-    ]
-
-
-def mat_inverse(a: RatMatrix) -> RatMatrix:
-    """Exact inverse: row c is x_c / a_c from _inverse_rows, one division
-    per nonzero entry.
-
-    Raises SingularMatrix (with the rank found) when a has no inverse;
-    that is the degeneracy signal used by the bilinear-form pipeline.
-    """
-    return RatMatrix.from_rows(
-        a.rows, ({k: Fraction(v, p) for k, v in row.items()} for p, row in _inverse_rows(a))
-    )
+    return RatMatrix.from_rows(n, (
+        {k - n: Fraction(v, rows[p][c]) for k, v in rows[p].items() if k >= n} for c, p in enumerate(pivots)
+    ))
 
 
 def matrix_to_json(a: RatMatrix) -> list[list[str]]:

@@ -141,7 +141,7 @@ def _bracket_table(r: Tensor4, m: int) -> dict[tuple[int, int], dict[Mono, Fract
             if c:
                 coeff = coeffs.get(c)
                 if coeff is None:
-                    coeff = coeffs[c] = Fraction(c, lcm) if lcm > 1 else Fraction(c)
+                    coeff = coeffs[c] = Fraction(c, lcm)
                 entry[mono] = coeff
         if entry:
             table[uv] = entry
@@ -224,8 +224,7 @@ def jacobi_residual(b: QuadraticBracket) -> list[tuple[tuple[int, int, int], dic
                 for k, other in halves[key]:
                     for key2, d in row.get(k, ()):
                         acc[key2 + other] += c * d
-        total = {_monomial(key): Fraction(c, den) if den > 1 else Fraction(c)
-                 for key, c in acc.items() if c}
+        total = {_monomial(key): Fraction(c, den) for key, c in acc.items() if c}
         if total:
             out.append(((u, v, w), total))
     return out

@@ -282,7 +282,7 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
             k2 = k1 % top * nn + k1 // top
             orbit, v = (k, k1, k2), v + t.pop(k1, 0) + t.pop(k2, 0)
         if v:
-            value = Fraction(v, den) if den > 1 else Fraction(v)
+            value = Fraction(v, den)
             out.extend((indices(key), value) for key in orbit)
     out.sort()
     return out
@@ -326,9 +326,10 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
     key ((a*n + b)*n + c)*n + d. r is scaled to ints by its common
     denominator L_r, and g^T and g^-1 together by one L_g, so the passes
     add ints (or the Fractions common_denominator keeps) and each entry is
-    reduced once, as v / (L_r * L_g^4). Before each pass, the products it
-    would form (the row sizes of the keys it reads) are counted, and a pass
-    of more than MAX_PASS_PRODUCTS is refused with a ValueError.
+    reduced once, as Fraction(v, L_r * L_g^4). Before each pass, the
+    products it would form (the row sizes of the keys it reads) are
+    counted, and a pass of more than MAX_PASS_PRODUCTS is refused with a
+    ValueError.
     """
     n = r.n
     _check_basis_change(n, g.rows, [g.cols])
@@ -355,10 +356,10 @@ def gl_transform(r: Tensor4, g: RatMatrix) -> Tensor4:
         cur = out
     den, entries = lr * lg**4, {}
     for key, v in cur.items():
-        if v:  # an int is reduced once; a Fraction (common_denominator kept them) is divided
+        if v:
             abc, d = divmod(key, n)
             ab, c = divmod(abc, n)
-            entries[divmod(ab, n) + (c, d)] = Fraction(v, den) if type(v) is int else v / den
+            entries[divmod(ab, n) + (c, d)] = Fraction(v, den)
     return _checked(n, entries)
 
 

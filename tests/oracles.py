@@ -141,9 +141,9 @@ def _nonzeros(a: RatMatrix) -> list[tuple[int, int, Fraction]]:
 def mat_inverse_fractions(a: RatMatrix) -> RatMatrix:
     """exactlin.mat_inverse as Gauss-Jordan elimination of [a | I] on sparse
     rows of Fractions, each pivot row divided by its pivot: the oracle for
-    the fraction-free elimination. It keeps the same column index and pivot
-    rule (the first row not yet pivoted that is nonzero in the column), so
-    a singular a raises SingularMatrix with the same rank."""
+    the fraction-free elimination. It keeps the same pivot rule (the first
+    row not yet pivoted that is nonzero in the column), so a singular a
+    raises SingularMatrix with the same rank."""
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows

@@ -28,6 +28,7 @@ from aybe.cli import (
     MAX_DIMENSION,
     MAX_GENERATORS,
     MAX_INPUT_BYTES,
+    MAX_JACOBI_EXPONENTS,
     MAX_TENSOR_NONZEROS,
     COMMANDS,
     REQUIRED,
@@ -1380,6 +1381,44 @@ def test_bracket_limit_refuses_dense_tensor(tmp_path, capsys, no_work):
     code, out, err = run(["bracket", str(path), "--check-jacobi"], capsys)
     assert code == 2 and out == ""
     assert f"tensor nonzeros * m_size^4 = 42528 exceeds the limit of {MAX_BRACKET_TERMS}" in err
+
+
+def _jacobi_exponents(r, m_size):
+    """The exponents a --check-jacobi report on r writes: monomials listed
+    times generators."""
+    b = matrix_bracket_from_r(r, m_size)
+    return sum(len(terms) for _, terms in jacobi_residual(b)) * b.n_gens
+
+
+def test_jacobi_report_limit(tmp_path, capsys, monkeypatch):
+    """A --check-jacobi report of more than MAX_JACOBI_EXPONENTS exponents
+    is refused once the violations are known, with exit 2 and no file
+    written; one at the limit is written."""
+    path, out_path = tmp_path / "r.json", tmp_path / "b.json"
+    r = perturbed(r_closed_m1(LambdaSpec(3, 1, [0, 1, 3])))
+    path.write_text(r.dumps())
+    count = _jacobi_exponents(r, 2)
+    assert count == 5664
+    argv = ["bracket", str(path), "--m-size", "2", "--check-jacobi", "--out", str(out_path)]
+    monkeypatch.setattr(aybe.cli, "MAX_JACOBI_EXPONENTS", count - 1)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert f"Jacobi report exponents (monomials * generators) = {count} exceeds the limit of {count - 1}" in err
+    monkeypatch.setattr(aybe.cli, "MAX_JACOBI_EXPONENTS", count)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (1, "") and out_path.exists()
+    violations = read_report(out)["details"]["jacobi_violations"]
+    assert sum(len(v["residual"]) for v in violations) * 12 == count
+
+
+def test_jacobi_report_limit_admits_readme_shapes():
+    """The failing bracket shapes the README times stay under the limit:
+    perturbed distinct (6,3) at --m-size 3, (8,2) at --m-size 2 and (16,2)
+    scalar."""
+    shapes = [(6, 3, 3, 1_539_648), (8, 2, 2, 402_688), (16, 2, 1, 20_768)]
+    for n, m, m_size, count in shapes:
+        assert _jacobi_exponents(perturbed(r_closed_distinct(LambdaSpec(n, m, range(n)))), m_size) == count
+    assert max(count for *_, count in shapes) <= MAX_JACOBI_EXPONENTS
 
 
 @pytest.mark.parametrize("target", ["fifo", "link"])

@@ -15,7 +15,6 @@ from aybe.exactlin import (
     SingularMatrix,
     common_denominator,
     format_rational,
-    _inverse_rows,
     load_json,
     mat_inverse,
     mat_mul,
@@ -157,14 +156,9 @@ def test_matrix_shape_refused(entries, message):
 
 
 def test_inverse_needs_square_matrix():
-    with pytest.raises(ValueError, match="inverse needs a square matrix"):
-        mat_inverse(RatMatrix([[1, 2]]))
-
-
-def test_elimination_needs_square_matrix():
     for entries in ([[1, 2]], [[1], [2]]):
         with pytest.raises(ValueError, match="inverse needs a square matrix"):
-            _inverse_rows(RatMatrix(entries))
+            mat_inverse(RatMatrix(entries))
 
 
 def test_inverse_singular_carries_rank():
@@ -277,9 +271,7 @@ def test_elimination_matches_oracles(a):
 
 def assert_same_inverse(a):
     """mat_inverse(a) is the Fraction elimination's RatMatrix, of Fractions,
-    or both raise SingularMatrix with the same rank; when a is invertible,
-    each pivot |a_c| of _inverse_rows is the LCM of the denominators of row c
-    of the inverse."""
+    or both raise SingularMatrix with the same rank."""
     try:
         expected = mat_inverse_fractions(a)
     except SingularMatrix as exc:
@@ -290,8 +282,6 @@ def assert_same_inverse(a):
     inv = mat_inverse(a)
     assert inv == expected
     assert all(type(v) is Fraction for row in inv.sparse_rows for v in row.values())
-    pivots = [abs(p) for p, _ in _inverse_rows(a)]
-    assert pivots == [math.lcm(*(v.denominator for v in row.values())) for row in inv.sparse_rows]
 
 
 @st.composite
@@ -312,6 +302,37 @@ def int_fraction_rows_st(draw):
 @given(int_fraction_rows_st())
 def test_inverse_matches_fraction_elimination(a):
     assert_same_inverse(a)
+
+
+def test_inverse_matches_fraction_elimination_on_transform_shapes():
+    # transform's largest basis changes, at n = 40: a unitriangular g
+    # (identity plus entries in {+-1, +-2} over the diagonal, as the
+    # benchmark's unitriangular builds it) and a dense one-digit g
+    rng = random.Random(30)
+    n = 40
+    upper = [[int(i == j) if j <= i else rng.choice((-2, -1, 1, 2)) for j in range(n)] for i in range(n)]
+    dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for grid in (upper, dense):
+        g = RatMatrix(grid)
+        assert_same_inverse(g)
+        assert mat_mul(g, mat_inverse(g)) == identity(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_singular_inverse_rank_matches_fraction_elimination(data):
+    # a singular n <= 8 basis change: k < n one-digit rows, and n - k rows
+    # that combine them with Fraction coefficients, in any order
+    n = data.draw(st.integers(2, 8))
+    k = data.draw(st.integers(0, n - 1))
+    rows = [data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(k)]
+    for _ in range(n - k):
+        coeffs = data.draw(st.lists(fractions_st, min_size=k, max_size=k))
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n)])
+    g = RatMatrix(data.draw(st.permutations(rows)))
+    with pytest.raises(SingularMatrix):
+        mat_inverse_fractions(g)
+    assert_same_inverse(g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -96,6 +96,24 @@ def test_public_names_have_a_use():
     assert unused == []
 
 
+def test_private_functions_have_a_caller():
+    """Every module-level function whose name starts with one "_" is read
+    somewhere in the package outside its own definition, so no helper
+    outlives its last caller. Dunder hooks (a module's __getattr__) are
+    called by Python itself and are left out."""
+    used, private = set(), []
+    for path in sorted(Path(aybe.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            used |= read - {getattr(stmt, "name", None)}
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                private.append((path.name, stmt.name))
+    assert private
+    assert [(module, name) for module, name in private if name not in used] == []
+
+
 def test_package_loads_a_module_on_first_use():
     """`import aybe` loads no module of the package, yet lifts the int/str
     digit limit; `import aybe.tensor` loads only what tensor imports."""

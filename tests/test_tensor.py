@@ -358,13 +358,16 @@ def test_gl_transform_matches_literal_formula(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_gl_transform_matches_fraction_passes(data):
-    # on both sides of the common_denominator guard: unrelated draws keep
-    # r's Fractions, and g = P D U with D = diag(p_i / d_i) over six
-    # unrelated denominators keeps those of g^T and g^-1; otherwise r has
-    # small denominators, g small entries, and the passes run on ints
+    # on both sides of the common_denominator guard, for r and for g apart,
+    # so the passes also mix ints with Fractions: unrelated draws keep r's
+    # Fractions, and at n = 3 g = P D U with D = diag(p_i / d_i) over six
+    # unrelated denominators keeps those of g^T and g^-1 (four, at n = 2,
+    # stay under the guard); otherwise r has small denominators or g small
+    # entries, and that side runs on ints
     r, unrelated = data.draw(mixed_denominator_skew_tensor())
     n = r.n
-    if unrelated:
+    g_unrelated = n == 3 and data.draw(st.booleans())
+    if g_unrelated:
         dens = unrelated_denominators(2 * n)
         diag = [Fraction(dens[n + i], dens[i]) for i in range(n)]
         upper = [[1 if i == j else data.draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
@@ -375,7 +378,7 @@ def test_gl_transform_matches_fraction_passes(data):
         g = RatMatrix(data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n)))
         assume(leibniz(g) != 0)
     coeffs = [v for m in (g.transpose(), mat_inverse(g)) for row in m.sparse_rows for v in row.values()]
-    assert (type(common_denominator(coeffs)[1][0]) is int) != unrelated
+    assert (type(common_denominator(coeffs)[1][0]) is int) != g_unrelated
     assert (type(common_denominator([v for _, v in r.iter_items()])[1][0]) is int) != unrelated
     assert gl_transform(r, g) == gl_transform_fractions(r, g)
 
