@@ -55,9 +55,11 @@ from aybe.poisson import (
     terms_json,
 )
 from aybe.tensor import (
+    MAX_JOIN_PRODUCTS,
     Tensor4,
     _check_basis_change,
     _check_dimensions,
+    _join_products,
     aybe_residual,
     check_skew,
     compare_tensors,
@@ -73,7 +75,8 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # any work; bracket's and verify's on the tensor read, and verify's before the
 # residual join (MAX_JOIN_PRODUCTS in aybe.tensor); transform's on the tensor
 # read, on the shape of --g before any entry is converted, before each
-# gl_transform pass (tensor.MAX_PASS_PRODUCTS), then verify's on its output.
+# gl_transform pass (tensor.MAX_PASS_PRODUCTS), then verify's on its output,
+# whose join is counted before its input may be checked in its place.
 # The slowest shapes each limit accepts take, on 2 vCPUs: construct (28,2),
 # 78,288 entries, 0.45-0.65 s (0.15-0.25 s the closed form, 0.2-0.3 s its file);
 # closed-form --variant distinct (40,2) with --out, 1.8 s; bracket
@@ -88,8 +91,9 @@ EXIT_CODES = {"pass": 0, "fail": 1, "degenerate": 3}
 # products), 1.1-1.4 s, but a failing tensor costs what its violations cost
 # (a random n = 40 one: 45-49 s in aybe_residual alone);
 # transform with a dense one-digit --g at n = 40 is refused in 0.11 s, 0.04 s
-# of it inverting g. Cost also grows with the size of the rational entries,
-# which no limit bounds.
+# of it inverting g; by a dense --g, the (10,2) solution, 0.12 s (its input
+# checked in place of the output), and a failing copy of the (9,3) one 7.3-7.6 s.
+# Cost also grows with the size of the rational entries, which no limit bounds.
 MAX_DIMENSION = 800  # construct, cocycle: basis dimension n(n-m)
 MAX_CLOSED_FORM_N = 40  # closed-form: n
 # transform: n. construct writes no larger tensor (m divides n, so
@@ -328,6 +332,14 @@ def cmd_bracket(args) -> tuple:
 
 
 def cmd_transform(args) -> tuple:
+    """A basis change by --g, or the transpose dual, and the checks on its
+    output. Both carry a passing tensor to a passing one: R(g.r) =
+    g^(x3) R(r) (g^-1)^(x3) and skew(g.r) = g.skew(r); skew(dual r) =
+    dual(skew r), and on a skew r the residual of dual r is that of r with
+    its six indices reversed. So when the input's join is the smaller and
+    the output's within MAX_JOIN_PRODUCTS, a passing input stands for its
+    output. Otherwise, and on a failing input, which so costs both joins,
+    the output is checked as verify checks it."""
     r = _load_tensor(args.tensor)
     _check_limit("tensor nonzeros", r.nnz, MAX_TENSOR_NONZEROS)
     _check_limit("n", r.n, MAX_TRANSFORM_N)
@@ -351,7 +363,11 @@ def cmd_transform(args) -> tuple:
         except SingularMatrix as exc:
             return inputs, "degenerate", {"g_rank": exc.rank}, {}
     _check_limit("transformed tensor nonzeros", out.nnz, MAX_TENSOR_NONZEROS)
-    verdict, checks = _tensor_checks(out)
+    verdict = None
+    if _join_products(r) < _join_products(out) <= MAX_JOIN_PRODUCTS:
+        verdict, checks = _tensor_checks(r)
+    if verdict != "pass":
+        verdict, checks = _tensor_checks(out)
     return inputs, verdict, {"entries": out.nnz, **checks}, {args.out: out.dumps()}
 
 

@@ -8,11 +8,11 @@ are kept; an absent quadruple is an exact zero.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, itemgetter
 
 from aybe.exactlin import (
     LONG_LITERAL_CHARS,
@@ -217,20 +217,22 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
     the k2; each pair of groups that share an s is a block of T, formed row
     by row as one list of products per shared s, added elementwise, so each
     entry of T is written once. The residual is then the sum of T over a
-    rho-orbit of keys (one or three), taken once per orbit, and a key is
-    decoded only when that sum is nonzero. The result is identical to the
-    naive loop over all index tuples (see aybe_residual_naive, kept as the
-    test oracle).
+    rho-orbit of keys (one or three), taken once per orbit. The keys of a
+    nonzero sum are re-keyed to the int whose base-n digits read l, m, u,
+    al, be, ta, so that sorting the ints sorts the index tuples, and they
+    are decoded after the sort. The result is identical to the naive loop
+    over all index tuples (see aybe_residual_naive, kept as the test
+    oracle).
 
     The join multiplies integers: each entry scaled by the LCM L of the
     denominators (exactlin.common_denominator), so a residual sums to an int
     v and is returned as Fraction(v, L^2), reduced once per orbit. When L
     would grow far past the largest denominator, the helper keeps the
     Fractions and the same join runs on them. A join of more than
-    MAX_JOIN_PRODUCTS products (sum over s of the entries with upper b = s
-    times those with lower c = s) is refused with a ValueError before it
-    starts.
+    MAX_JOIN_PRODUCTS products (_join_products) is refused with a
+    ValueError before it starts.
     """
+    _check_limit("residual join products", _join_products(r), MAX_JOIN_PRODUCTS)
     n = r.n
     nn = n * n
     top = nn * nn  # the weight of the digit (l, al)
@@ -242,14 +244,10 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
         rows[(a * n + c) * top + d * nn][b] = v
         cols[a * n * nn + b * n + d][c] = v
     lefts, rights = _by_support(rows), _by_support(cols)
-    # s -> the right groups holding it, and how many keys they hold
-    holding, width = defaultdict(list), defaultdict(int)
-    for i, (keys, vals) in enumerate(rights):
+    holding = defaultdict(list)  # s -> the right groups holding it
+    for i, (_, vals) in enumerate(rights):
         for s in vals:
             holding[s].append(i)
-            width[s] += len(keys)
-    joined = sum(len(keys) * width[s] for keys, vals in lefts for s in vals)
-    _check_limit("residual join products", joined, MAX_JOIN_PRODUCTS)
     t = {}
     for keys1, vals1 in lefts:
         shared = defaultdict(list)  # right group -> the s it shares with this one
@@ -265,14 +263,11 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
                 block = terms if block is None else list(map(add, block, terms))
             t.update(zip([k1 + k2 for k1 in keys1 for k2 in keys2], block))
 
-    def indices(k: int) -> tuple[int, ...]:
-        hi, lo = divmod(k, top)
-        mid, lo = divmod(lo, nn)
-        (l, al), (m, be), (u, ta) = divmod(hi, n), divmod(mid, n), divmod(lo, n)
-        return l, m, u, al, be, ta
-
+    # a key hi * n^4 + mid * n^2 + lo, its pairs hi = (l, al), mid = (m, be)
+    # and lo = (u, ta), re-keyed by adding (n^3 - n) * (l n^2 + m n + u)
+    n3, spread = nn * n, nn * n - n
     den = lcm * lcm
-    out = []
+    found = {}  # re-keyed violation -> its value
     while t:  # one orbit per step, its keys popped together
         k, v = t.popitem()
         k1 = k % top * nn + k // top
@@ -283,9 +278,26 @@ def aybe_residual(r: Tensor4) -> list[tuple[tuple[int, ...], Fraction]]:
             orbit, v = (k, k1, k2), v + t.pop(k1, 0) + t.pop(k2, 0)
         if v:
             value = Fraction(v, den)
-            out.extend((indices(key), value) for key in orbit)
-    out.sort()
+            for key in orbit:
+                hi, lo = divmod(key, top)
+                mid, lo = divmod(lo, nn)
+                found[hi * nn + mid * n + lo + spread * (hi // n * nn + mid // n * n + lo // n)] = value
+    out = []
+    for key in sorted(found):
+        upper, lower = divmod(key, n3)
+        l, m_u = divmod(upper, nn)
+        al, be_ta = divmod(lower, nn)
+        out.append(((l, *divmod(m_u, n), al, *divmod(be_ta, n)), found[key]))
     return out
+
+
+def _join_products(r: Tensor4) -> int:
+    """The products aybe_residual's join forms, counted from the entries'
+    indices alone: the sum over s of the entries with upper b = s times
+    those with lower c = s."""
+    entries = r._entries
+    downs = Counter(map(itemgetter(2), entries))
+    return sum([k * downs[s] for s, k in Counter(map(itemgetter(1), entries)).items()])
 
 
 def _by_support(table: dict[int, dict]) -> list[tuple[list, dict]]:

@@ -37,6 +37,7 @@ from aybe.cli import (
     _json_text,
     _parse,
     _parse_well_formed,
+    _tensor_checks,
     build_parser,
     main,
 )
@@ -53,10 +54,11 @@ from aybe.exactlin import (
 )
 from aybe.frobenius import LambdaSpec, r_from_algebra
 from aybe.poisson import jacobi_residual, matrix_bracket_from_r, terms_json
-from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4, aybe_residual, gl_transform
+from aybe.tensor import MAX_JOIN_PRODUCTS, Tensor4, _join_products, aybe_residual, gl_transform, transpose_dual
 from oracles import (
     NM_SMALL_CLASSES,
     grid,
+    mixed_denominator_skew_tensor,
     perturbed,
     r_from_algebra_fractions,
     rand_invertible,
@@ -64,6 +66,7 @@ from oracles import (
     tensor_json_obj,
     unrelated_denominators,
 )
+from test_poisson import skew_tensor_st, transformed_solution_st
 
 
 def run(argv, capsys):
@@ -757,6 +760,145 @@ def test_transform_singular_g_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert read_report(out)["verdict"] == "degenerate"
+
+
+@st.composite
+def transform_case(draw):
+    """(r, g): a transform input and a basis change, or None for
+    --transpose-dual. r is a random skew tensor (most fail the AYBE), a
+    solution (r_from_algebra, maybe transformed), a solution perturbed off
+    the AYBE, a random tensor that is not skew, or a skew tensor on either
+    side of the common_denominator guard: mixed_denominator_skew_tensor, or
+    a solution at n = 4 over five unrelated_denominators, whose upper
+    indices are 0 or 1 and lower ones 2 or 3, so that its join is empty.
+    g is dense (so the output's join is the larger one) or diagonal (the
+    same join on both sides); over unrelated denominators, I + E_ij in
+    place of a dense g, which would take seconds on 2000-digit values,
+    with i >= 2 > j for the n = 4 solution, so that its output's join is
+    not empty."""
+    kind = draw(st.sampled_from(["skew", "solution", "solution", "perturbed", "any", "mixed", "far"]))
+    unrelated = kind == "far"
+    if kind == "skew":
+        r = draw(skew_tensor_st())
+    elif kind in ("solution", "perturbed"):
+        r = draw(transformed_solution_st())
+        if kind == "perturbed":
+            r = perturbed(r)
+    elif kind == "far":
+        pairs = [(a, b, c, d) for a, b, c, d in itertools.product((0, 1), (0, 1), (2, 3), (2, 3))
+                 if (a, b, c, d) < (b, a, d, c)]
+        entries = {}
+        for (a, b, c, d), den in zip(draw(st.permutations(pairs)), unrelated_denominators(5)):
+            entries[(a, b, c, d)] = Fraction(draw(st.integers(1, 9)), den)
+            entries[(b, a, d, c)] = -entries[(a, b, c, d)]
+        r = Tensor4(4, entries)
+    elif kind == "any":
+        n = draw(st.integers(min_value=1, max_value=3))
+        idx = st.integers(min_value=0, max_value=n - 1)
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+        r = Tensor4(n, draw(st.dictionaries(st.tuples(idx, idx, idx, idx), value, max_size=8)))
+    else:
+        r, unrelated = draw(mixed_denominator_skew_tensor())
+    n = r.n
+    how = draw(st.sampled_from(["dual", "dense", "dense", "diagonal"]))
+    if how == "dual":
+        return r, None
+    if how == "diagonal":
+        cells = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+        diag = draw(st.lists(cells, min_size=n, max_size=n))
+        return r, RatMatrix([[diag[x] if x == y else 0 for y in range(n)] for x in range(n)])
+    if unrelated:
+        i, j = draw(st.sampled_from([(x, y) for x, y in itertools.permutations(range(n), 2)
+                                     if kind != "far" or x >= 2 > y]))
+        return r, RatMatrix([[int(x == y) + int((x, y) == (i, j)) for y in range(n)] for x in range(n)])
+    return r, rand_invertible(random.Random(draw(st.integers(0, 2**32))), n)
+
+
+_M1 = r_closed_m1(LambdaSpec(3, 1, [0, 1, 2]))
+_DENSE_3 = RatMatrix([[2 if i == j else 1 for j in range(3)] for i in range(3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(transform_case())
+@example((_M1, _DENSE_3))
+@example((perturbed(_M1), _DENSE_3))
+def test_transform_report_is_the_outputs_checks(case):
+    """A basis change and the transpose dual carry a passing tensor to a
+    passing one, so transform may check its input in place of its output:
+    whichever it checks, its report is _tensor_checks(out), byte for byte
+    through _json_text, its exit code that verdict's, and its file out."""
+    r, g = case
+    out = transpose_dual(r) if g is None else gl_transform(r, g)
+    verdict, checks = _tensor_checks(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "r.json").write_text(r.dumps())
+        argv = ["transform", str(root / "r.json"), "--out", str(root / "out.json")]
+        if g is None:
+            argv.append("--transpose-dual")
+        else:
+            (root / "g.json").write_text(json.dumps(matrix_to_json(g)))
+            argv += ["--g", str(root / "g.json")]
+        code, stdout = run_contained(argv)
+        assert code == {"pass": 0, "fail": 1}[verdict]
+        report = json.loads(stdout)
+        del report["timing_ms"]
+        assert _json_text(report["details"]) == _json_text({"entries": out.nnz, **checks})
+        assert report["verdict"] == verdict
+        assert (root / "out.json").read_text() == out.dumps()
+
+
+def _dense_g_case(tmp_path, r):
+    """A transform of r by a dense g (every entry 1, 2 on the diagonal)."""
+    grid = [[2 if i == j else 1 for j in range(r.n)] for i in range(r.n)]
+    (tmp_path / "r.json").write_text(r.dumps())
+    (tmp_path / "g.json").write_text(json.dumps(grid))
+    argv = ["transform", str(tmp_path / "r.json"), "--g", str(tmp_path / "g.json"),
+            "--out", str(tmp_path / "out.json")]
+    return argv, gl_transform(r, RatMatrix(grid))
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["solution", "perturbed"])
+def test_transform_checks_a_passing_input_alone(tmp_path, capsys, monkeypatch, fails):
+    """A sparse solution and a dense g: the output's join is the larger, so
+    the residual runs once, on the input, and the output passes unchecked.
+    The same input moved off the AYBE fails, and the output is checked too:
+    its violations are the ones reported."""
+    r = r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3]))
+    if fails:
+        r = perturbed(r)
+    argv, out = _dense_g_case(tmp_path, r)
+    assert _join_products(r) < _join_products(out) <= MAX_JOIN_PRODUCTS
+    calls = []
+    monkeypatch.setattr(aybe.cli, "aybe_residual", lambda t: calls.append(t) or aybe_residual(t))
+    code, stdout, _ = run(argv, capsys)
+    assert calls == ([r, out] if fails else [r])
+    assert code == int(fails)
+    verdict, checks = _tensor_checks(out)
+    assert read_report(stdout)["details"] == {"entries": out.nnz, **checks}
+    assert bool(checks["residual_violations"]) == fails
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_transform_output_join_limit_holds_for_a_passing_input(tmp_path, capsys, monkeypatch, past):
+    """A passing input whose output's join is past MAX_JOIN_PRODUCTS is
+    refused as before, naming the output's count, and writes no file; an
+    output at the limit passes."""
+    r = r_closed_m1(LambdaSpec(4, 1, [0, 1, 2, 3]))
+    argv, out = _dense_g_case(tmp_path, r)
+    joined = _join_products(out)
+    limit = joined - 1 if past else joined
+    assert _join_products(r) <= limit
+    monkeypatch.setattr(aybe.cli, "MAX_JOIN_PRODUCTS", limit)
+    monkeypatch.setattr(aybe.tensor, "MAX_JOIN_PRODUCTS", limit)
+    code, stdout, err = run(argv, capsys)
+    if past:
+        assert (code, stdout) == (2, "")
+        assert err == f"aybe: error: residual join products = {joined} exceeds the limit of {limit}\n"
+        assert not (tmp_path / "out.json").exists()
+    else:
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out.json").read_text() == out.dumps()
 
 
 def test_reports_deterministic(tmp_path, capsys):

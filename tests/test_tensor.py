@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from aybe.exactlin import (
 from aybe.frobenius import LambdaSpec, r_from_algebra
 from aybe.tensor import (
     Tensor4,
+    _join_products,
     aybe_residual,
     aybe_residual_naive,
     check_skew,
@@ -154,6 +156,38 @@ def test_residual_matches_join_oracle(drawn):
     values = [v for _, v in r.items()]
     assert (common_denominator(values)[1] is values) == unrelated
     assert aybe_residual(r) == aybe_residual_join(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(join_tensor())
+def test_join_products_counts_the_joined_pairs(drawn):
+    """_join_products is the number of ordered pairs of entries whose
+    first has upper b equal to the second's lower c: the products the
+    residual's join forms. aybe_residual refuses through that count, naming
+    it, and admits a join at the limit."""
+    r, _ = drawn
+    items = list(r.iter_items())
+    joined = _join_products(r)
+    assert joined == sum(x[1] == y[2] for (x, _), (y, _) in product(items, repeat=2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aybe.tensor, "MAX_JOIN_PRODUCTS", joined)
+        assert aybe_residual(r) == aybe_residual_join(r)  # admitted at the limit
+        if joined:
+            patch.setattr(aybe.tensor, "MAX_JOIN_PRODUCTS", joined - 1)
+            with pytest.raises(ValueError, match=f"^residual join products = {joined} exceeds the limit of {joined - 1}$"):
+                aybe_residual(r)
+
+
+def test_join_products_pinned():
+    """The counts the size-limit comments cite: the distinct (16,2)
+    tensor, a skew n = 25 tensor of 624 nonzeros crowded onto s = 0, and
+    a tensor holding every entry of n = 10."""
+    assert _join_products(r_closed_distinct(LambdaSpec(16, 2, range(16)))) == 4_665_600
+    crowded = {}
+    for a, d in product(range(1, 25), range(1, 14)):
+        crowded[(a, 0, 0, d)], crowded[(0, a, d, 0)] = 1, -1
+    assert _join_products(Tensor4(25, crowded)) == 101_400
+    assert _join_products(Tensor4(10, dict.fromkeys(product(range(10), repeat=4), 1))) == 10_000_000
 
 
 @st.composite
